@@ -12,9 +12,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 incomplete (``complete`` only), 2 no-arbitrage
 violation, 3 malformed specs or invalid parameters, 4 convergence threshold
-violated.  All floats are printed with 12 significant digits, ``.`` decimal
-separator and ``\n`` line endings, so outputs are byte-stable.  The
-environment variable ``LECAM_MAX_PATHS`` overrides the enumeration caps.
+violated, 5 self-check failed (``price``: direct and test-power prices
+differ by more than 1e-12 relative; ``np``: Bayes-risk identity).  All
+floats are printed with 12 significant digits, ``.`` decimal separator and
+``\n`` line endings, so outputs are byte-stable.  The environment variable
+``LECAM_MAX_PATHS`` overrides the enumeration caps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LecamError, InvalidParams, NoArbitrageViolation
+from .errors import LecamError, InvalidParams, NoArbitrageViolation, SelfCheckFailed
 from .lattice import (
     LatticeMarket,
     PathState,
@@ -48,6 +50,10 @@ EXIT_INCOMPLETE = 1
 EXIT_NO_ARBITRAGE = 2
 EXIT_SPEC = 3
 EXIT_THRESHOLD = 4
+EXIT_SELF_CHECK = 5
+
+#: Relative tolerance of the direct vs test-power price check in ``price``.
+ROUTE_RTOL = 1e-12
 
 CONVERGE_HEADER = "N,p_N,p_BS,abs_gap,noether_max,var_gap"
 LAN_HEADER = ("N,t,noether_max,riemann_gap,p0_mean_gap,p0_var_gap,p0_cdf_sup,"
@@ -140,16 +146,10 @@ def _parse_state(market: LatticeMarket, raw: str) -> PathState:
 # ---------------------------------------------------------------------------
 
 def _cmd_price(args) -> int:
+    if args.bounds:
+        return _cmd_bounds(args)
     market = market_from_json(_load_json(args.market))
     payoff = payoff_from_json(_load_json(args.payoff))
-    if args.bounds:
-        lower, upper = price_bounds(market, payoff)
-        if args.format == "json":
-            doc = _round12({"lower": lower, "upper": upper})
-            _emit([json.dumps(doc)], args.out)
-        else:
-            _emit([f"lower = {fmt(lower)}", f"upper = {fmt(upper)}"], args.out)
-        return EXIT_OK
     measures = _resolve_measure(market, args.measure)
     direct = price_direct(market, measures, payoff)
     report = price_via_tests(market, measures, payoff)
@@ -175,6 +175,10 @@ def _cmd_price(args) -> int:
                 f"power_base = {fmt(term.power_base)}"
             )
         _emit(lines, args.out)
+    if diff > ROUTE_RTOL * max(1.0, abs(direct)):
+        raise SelfCheckFailed(
+            f"price_direct and price_via_tests differ by {fmt(diff)}"
+        )
     return EXIT_OK
 
 
@@ -397,6 +401,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NoArbitrageViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_ARBITRAGE
+    except SelfCheckFailed as exc:
+        sys.stderr.write(f"error: self-check failed: {exc}\n")
+        return EXIT_SELF_CHECK
     except LecamError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SPEC

@@ -44,6 +44,11 @@ class PathDependenceUnsupported(LecamError):
     requires terminal-value payoffs."""
 
 
+class SelfCheckFailed(LecamError):
+    """Two routes that must agree by theory (direct vs test-power prices,
+    the Bayes-risk identity) disagreed beyond tolerance."""
+
+
 class UnsupportedTest(LecamError):
     """A payoff test falls outside the class handled by the limit-model
     evaluator (piecewise constant in the terminal value)."""

@@ -9,7 +9,10 @@ experiments of :mod:`lecam.experiments`:
 
 * ``induced_experiment`` returns the path-space experiment whose base is a
   chosen martingale measure ``Q``, with ``Q1 = (X_T/X_0) . Q`` and the
-  real-world measure ``P``;
+  real-world measure ``P``; it enumerates every path and serves as the
+  small-``N`` oracle;
+* ``terminal_experiment`` is its restriction to ``sigma(X_T)``, built on the
+  grouped terminal law, which loses nothing for tests of ``S_T``;
 * ``verify_representation`` checks by backward induction that the density
   process of ``Q1`` is the normalized price process;
 * ``complementary_market`` / ``verify_mm_criterion`` /
@@ -207,22 +210,25 @@ def build_crr(u: float, d: float, r: float, p: float, steps: int, s0: float,
     Stores the discounted values ``u/r`` (listed first, the "up" move) and
     ``d/r``; the real-world up-probability is ``p``.
     """
-    if not (u > d > 0.0):
-        raise InvalidParams(f"need u > d > 0, got u={u!r}, d={d!r}")
     if r < 1.0:
         raise InvalidParams(f"bond factor must be >= 1, got {r!r}")
-    if not 0.0 < p < 1.0:
-        raise InvalidParams(f"up-probability must lie in (0, 1), got {p!r}")
-    if not s0 > 0.0:
-        raise InvalidParams(f"s0 must be positive, got {s0!r}")
-    step = ((u / r, p), (d / r, 1.0 - p))
     return LatticeMarket(
         steps=steps,
         horizon=horizon,
         s0=s0,
-        returns=(step,) * steps,
+        returns=(_crr_step(u, d, p, r),) * steps,
         bond_rates=(r - 1.0,) * steps,
     )
+
+
+def _crr_step(u: float, d: float, p: float, bond: float) -> tuple:
+    """One CRR step: raw returns ``u > d > 0`` discounted by ``bond``, with
+    real-world up-probability ``p``."""
+    if not (u > d > 0.0):
+        raise InvalidParams(f"need u > d > 0, got u={u!r}, d={d!r}")
+    if not 0.0 < p < 1.0:
+        raise InvalidParams(f"up-probability must lie in (0, 1), got {p!r}")
+    return ((u / bond, p), (d / bond, 1.0 - p))
 
 
 def market_from_json(doc: Mapping) -> LatticeMarket:
@@ -266,13 +272,7 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
         u = float(ret["u"])
         d = float(ret["d"])
         p = float(ret.get("p", 0.5))
-        if not (u > d > 0.0):
-            raise InvalidParams(f"need u > d > 0, got u={u!r}, d={d!r}")
-        if not 0.0 < p < 1.0:
-            raise InvalidParams(f"up-probability must lie in (0, 1), got {p!r}")
-        steps_returns = tuple(
-            ((u / (1.0 + r), p), (d / (1.0 + r), 1.0 - p)) for r in rates
-        )
+        steps_returns = tuple(_crr_step(u, d, p, 1.0 + r) for r in rates)
     elif kind == "table":
         values = ret["values"]
         probs = ret["probs"]
@@ -688,6 +688,30 @@ def induced_experiment(m: LatticeMarket, q,
     )
 
 
+def terminal_experiment(m: LatticeMarket, q,
+                        max_states: int | None = None) -> FiniteExperiment:
+    """The induced experiment restricted to ``sigma(X_T)``: ``{Q1, Q}`` on
+    the atoms of ``X_T / X_0``.
+
+    Outcomes are the distinct values ``x`` of ``X_T / X_0`` in increasing
+    order, ``Q`` is their grouped law and ``Q1 = x . Q``.  The density
+    ``dQ1/dQ = X_T / X_0`` is ``sigma(X_T)``-measurable, so this restriction
+    keeps the likelihood ratio: every test of ``S_T`` has the same powers
+    here as on :func:`induced_experiment`, at a size polynomial in ``N``.
+    """
+    step_measures = as_step_measures(m, q)
+    require_martingale(m, step_measures, strict=True)
+    ratio, probs = terminal_law(m, step_measures, max_states)
+    # distinct log atoms can round to one ratio; merge them so labels stay unique
+    ratio, inverse = np.unique(ratio, return_inverse=True)
+    probs = np.bincount(inverse, weights=probs, minlength=len(ratio))
+    return FiniteExperiment(
+        tuple(ratio.tolist()),
+        {"Q": probs, "Q1": probs * ratio},
+        base="Q",
+    )
+
+
 def verify_representation(m: LatticeMarket, q, atol: float = ATOL,
                           max_paths: int | None = None) -> bool:
     """Backward-induction check that normalized prices are a density process.
@@ -717,6 +741,14 @@ def verify_representation(m: LatticeMarket, q, atol: float = ATOL,
     return True
 
 
+def node_spot(m: LatticeMarket, state: PathState) -> float:
+    """Undiscounted asset price at the node reached by ``state``."""
+    spot = m.s0
+    for j, i in enumerate(state.moves):
+        spot *= m.returns[j][i][0] * (1.0 + m.bond_rates[j])
+    return spot
+
+
 def complementary_market(m: LatticeMarket, q, state: PathState) -> LatticeMarket:
     """The market seen from a node: remaining steps, spot price re-based.
 
@@ -730,15 +762,11 @@ def complementary_market(m: LatticeMarket, q, state: PathState) -> LatticeMarket
     if t >= m.steps:
         raise InvalidState("no steps remain after the observed node")
     as_step_measures(m, q)  # validates shape early
-    spot = m.s0
-    for j, i in enumerate(state.moves):
-        value = m.returns[j][i][0]
-        spot *= value * (1.0 + m.bond_rates[j])
     remaining = m.steps - t
     return LatticeMarket(
         steps=remaining,
         horizon=m.horizon * remaining / m.steps,
-        s0=spot,
+        s0=node_spot(m, state),
         returns=m.returns[t:],
         bond_rates=m.bond_rates[t:],
     )

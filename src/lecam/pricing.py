@@ -11,13 +11,16 @@ where ``phi`` is a randomized test of the price path with values in
             coeff * s0 * E_{Q1}(phi)  -  discount * strike * E_Q(phi),
 
 with ``Q1`` the measure whose density process is the normalized discounted
-price.  ``price_via_tests`` computes exactly that decomposition on the
-induced path experiment and must agree with the direct discounted
-expectation ``price_direct`` to within 1e-12.
+price.  ``price_via_tests`` computes exactly that decomposition and must
+agree with the direct discounted expectation ``price_direct`` to within
+1e-12.  Both routes evaluate the tests on the same atoms: for terminal
+payoffs the grouped law of ``X_T`` (``dQ1/dQ = X_T/X_0`` is
+``sigma(X_T)``-measurable, so restricting the path experiment to that
+field loses nothing), for barriers every price path.
 
-Tests of terminal type are kept structural (piecewise constant in ``S_T``
-with explicit cuts) so that limit models can integrate them in closed form;
-path-dependent tests (barriers) are opaque callables on the price path.
+Tests are structural: terminal tests are piecewise constant in ``S_T`` with
+explicit cuts, so that limit models can integrate them in closed form, and
+barrier tests are a level plus a terminal test.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
     InvalidParams,
     NotACall,
     PathDependenceUnsupported,
+    SelfCheckFailed,
     SizeLimit,
 )
 from .experiments import BinaryPriors, Test, bayes_risk, neyman_pearson
@@ -43,11 +47,12 @@ from .lattice import (
     as_step_measures,
     complementary_market,
     enumerate_paths,
-    induced_experiment,
+    node_spot,
     path_prices,
     path_probabilities,
     require_martingale,
     solve_martingale_measures,
+    terminal_experiment,
     terminal_law,
 )
 
@@ -103,17 +108,37 @@ class TerminalTest:
 
 
 @dataclass(frozen=True)
+class BarrierTest:
+    """Up-and-out test of the price path: ``terminal(S_T)`` while the path
+    stays strictly below ``barrier`` at every grid time (the start
+    included), zero once it reaches the level."""
+
+    barrier: float
+    terminal: TerminalTest
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "barrier", float(self.barrier))
+        if not self.barrier > 0.0:
+            raise InvalidParams(f"barrier must be positive, got {self.barrier!r}")
+
+    def eval_many(self, prices: np.ndarray) -> np.ndarray:
+        """Values on an ``(P, N+1)`` matrix of undiscounted price paths."""
+        alive = prices.max(axis=1) < self.barrier
+        return np.where(alive, self.terminal.eval_many(prices[:, -1]), 0.0)
+
+
+@dataclass(frozen=True)
 class PayoffTerm:
     """One term ``(coeff * S_T - strike) * test``.
 
-    Exactly one of ``terminal`` (structural, terminal-value only) and
-    ``path_test`` (callable on the whole undiscounted price path) is set.
+    Exactly one of ``terminal`` (a test of ``S_T`` alone) and ``path_test``
+    (a barrier test of the whole undiscounted price path) is set.
     """
 
     coeff: float
     strike: float
     terminal: TerminalTest | None = None
-    path_test: Callable[[np.ndarray], float] | None = None
+    path_test: BarrierTest | None = None
     label: str = "term"
 
     def __post_init__(self) -> None:
@@ -128,10 +153,7 @@ class PayoffTerm:
         """Evaluate the test on an ``(P, N+1)`` price-path matrix."""
         if self.terminal is not None:
             return self.terminal.eval_many(prices[:, -1])
-        out = np.array([float(self.path_test(row)) for row in prices])
-        if np.any((out < 0.0) | (out > 1.0)):
-            raise InvalidParams(f"path test of {self.label!r} left [0, 1]")
-        return out
+        return self.path_test.eval_many(prices)
 
 
 @dataclass(frozen=True)
@@ -201,15 +223,7 @@ def payoff_barrier_up_out(strike: float, barrier: float) -> Payoff:
     """
     if strike < 0.0:
         raise InvalidParams(f"strike must be nonnegative, got {strike!r}")
-    if not barrier > 0.0:
-        raise InvalidParams(f"barrier must be positive, got {barrier!r}")
-
-    def test(prices: np.ndarray) -> float:
-        if float(np.max(prices)) >= barrier:
-            return 0.0
-        return 1.0 if prices[-1] > strike else 0.0
-
-    test.params = {"K": strike, "B": barrier}
+    test = BarrierTest(barrier, _indicator_above(strike))
     term = PayoffTerm(1.0, strike, path_test=test, label="barrier_up_out")
     return Payoff((term,))
 
@@ -261,11 +275,8 @@ def payoff_to_json(payoff: Payoff) -> dict:
         elif t.label == "digital":
             docs.append({"type": "digital", "K": t.terminal.cuts[0]})
         elif t.label == "barrier_up_out":
-            params = getattr(t.path_test, "params", None)
-            if params is None:
-                raise InvalidParams("barrier term lacks its parameters")
-            b = params["B"]
-            docs.append({"type": "barrier_up_out", "K": params["K"],
+            b = t.path_test.barrier
+            docs.append({"type": "barrier_up_out", "K": t.strike,
                          "B": "inf" if math.isinf(b) else b})
         else:
             raise InvalidParams(f"cannot serialize payoff term {t.label!r}")
@@ -331,14 +342,34 @@ class PriceReport:
 # pricing
 # ---------------------------------------------------------------------------
 
-def _terminal_value(m: LatticeMarket, payoff: Payoff,
-                    step_measures: Sequence[np.ndarray],
-                    max_states: int | None) -> float:
-    values, probs = terminal_law(m, step_measures, max_states)
-    s_T = m.s0 * m.bond_factor(m.steps) * values
-    total = np.zeros_like(values)
-    for term in payoff.terms:
-        phi = term.terminal.eval_many(s_T)
+def _test_atoms(m: LatticeMarket, payoff: Payoff,
+                step_measures: Sequence[np.ndarray],
+                max_states: int | None,
+                max_paths: int | None) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The atoms every test of ``payoff`` is evaluated on.
+
+    Terminal payoffs use the grouped law of ``X_T`` (states capped by
+    ``max_states``); payoffs with a barrier term use every price path
+    (capped by ``max_paths``).  Returns the per-term test values, ``S_T``
+    and the ``Q``-mass of each atom.
+    """
+    if payoff.terminal_only:
+        ratio, probs = terminal_law(m, step_measures, max_states)
+        s_T = m.s0 * m.bond_factor(m.steps) * ratio
+        return [t.terminal.eval_many(s_T) for t in payoff.terms], s_T, probs
+    paths = enumerate_paths(m, max_paths)
+    prices = path_prices(m, paths)
+    probs = path_probabilities(m, paths, step_measures)
+    return [t.test_values(prices) for t in payoff.terms], prices[:, -1], probs
+
+
+def _discounted_value(m: LatticeMarket, payoff: Payoff,
+                      step_measures: Sequence[np.ndarray],
+                      max_states: int | None = None,
+                      max_paths: int | None = None) -> float:
+    phis, s_T, probs = _test_atoms(m, payoff, step_measures, max_states, max_paths)
+    total = np.zeros_like(s_T)
+    for term, phi in zip(payoff.terms, phis):
         total += (term.coeff * s_T - term.strike) * phi
     return float(m.discount * (probs @ total))
 
@@ -354,37 +385,30 @@ def price_direct(m: LatticeMarket, q, payoff: Payoff,
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures)
-    if payoff.terminal_only:
-        return _terminal_value(m, payoff, step_measures, max_states)
-    paths = enumerate_paths(m, max_paths)
-    prices = path_prices(m, paths)
-    probs = path_probabilities(m, paths, step_measures)
-    total = np.zeros(paths.shape[0])
-    for term in payoff.terms:
-        phi = term.test_values(prices)
-        total += (term.coeff * prices[:, -1] - term.strike) * phi
-    return float(m.discount * (probs @ total))
+    return _discounted_value(m, payoff, step_measures, max_states, max_paths)
 
 
 def price_via_tests(m: LatticeMarket, q, payoff: Payoff,
                     max_outcomes: int | None = None) -> PriceReport:
     """Price through the experiment: powers of each term's test.
 
-    Evaluates every test on the induced path experiment and combines the
-    powers ``E_{Q1}(phi)``, ``E_Q(phi)`` term by term.  Agrees with
-    :func:`price_direct` to within 1e-12.
+    The powers are ``E_Q(phi) = sum q(a) phi(a)`` and
+    ``E_{Q1}(phi) = sum x(a) q(a) phi(a)`` over the atoms ``a`` of the
+    experiment, with ``x = X_T/X_0`` the likelihood ratio ``dQ1/dQ``.  For
+    terminal payoffs the atoms are those of the grouped law of ``X_T``
+    (the path experiment restricted to ``sigma(X_T)``); for barriers they
+    are the price paths.  ``max_outcomes`` caps the number of atoms.
+    Agrees with :func:`price_direct` to within 1e-12.
     """
     step_measures = as_step_measures(m, q)
-    exp = induced_experiment(m, step_measures, max_outcomes)
-    paths = np.array(exp.outcomes, dtype=np.int64).reshape(exp.size, m.steps)
-    prices = path_prices(m, paths)
-    base = exp.measure("Q")
-    alt = exp.measure("Q1")
+    require_martingale(m, step_measures, strict=True)
+    phis, s_T, base = _test_atoms(m, payoff, step_measures, max_outcomes,
+                                  limits.max_product_outcomes(max_outcomes))
+    alt = base * (s_T / (m.s0 * m.bond_factor(m.steps)))
     disc = m.discount
     price = 0.0
     terms = []
-    for term in payoff.terms:
-        phi = term.test_values(prices)
+    for term, phi in zip(payoff.terms, phis):
         p_alt = float(phi @ alt)
         p_base = float(phi @ base)
         price += term.coeff * m.s0 * p_alt - disc * term.strike * p_base
@@ -406,7 +430,12 @@ def _call_strike(payoff: Payoff) -> float:
 
 @dataclass(frozen=True)
 class CallDecomposition:
-    """Testing-problem view of a European call."""
+    """Testing-problem view of a European call.
+
+    ``test`` is the likelihood-ratio test on the atoms of
+    :func:`~lecam.lattice.terminal_experiment`, keyed by the values of
+    ``X_T / X_0``.
+    """
 
     cutoff: float
     test: Test
@@ -425,11 +454,14 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff,
 
         risk = (s0 - price) / (s0 + K * discount),
 
-    which is re-verified here against the experiment drain before returning.
+    which is re-verified here before returning
+    (:class:`~lecam.errors.SelfCheckFailed` otherwise).  The testing problem
+    is posed on the terminal experiment: the grouped law of ``X_T`` with
+    ``Q1 = (X_T/X_0) . Q``, at most ``max_outcomes`` atoms.
     """
     strike = _call_strike(payoff)
     step_measures = as_step_measures(m, q)
-    exp = induced_experiment(m, step_measures, max_outcomes)
+    exp = terminal_experiment(m, step_measures, max_outcomes)
     disc = m.discount
     c = strike * disc / m.s0
     test = neyman_pearson(exp, "Q", "Q1", c, gamma=0.0)
@@ -441,7 +473,7 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff,
     risk = bayes_risk(exp, "Q", "Q1", test, priors)
     closed = (m.s0 - price) / (m.s0 + strike * disc)
     if abs(risk - closed) > 1e-11:
-        raise RuntimeError(
+        raise SelfCheckFailed(
             f"Bayes-risk identity violated (risk={risk!r}, closed={closed!r})"
         )
     return CallDecomposition(cutoff=c, test=test, priors=priors,
@@ -463,9 +495,7 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState,
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures)
     if state.t == m.steps:
-        spot = m.s0
-        for j, i in enumerate(state.moves):
-            spot *= m.returns[j][i][0] * (1.0 + m.bond_rates[j])
+        spot = node_spot(m, state)
         total = 0.0
         for term in payoff.terms:
             total += (term.coeff * spot - term.strike) * term.terminal(spot)
@@ -500,7 +530,7 @@ def price_bounds(m: LatticeMarket, payoff: Payoff,
     lower = math.inf
     upper = -math.inf
     for combo in itertools.product(*vertex_lists):
-        p = _terminal_value(m, payoff, list(combo), max_states)
+        p = _discounted_value(m, payoff, list(combo), max_states)
         lower = min(lower, p)
         upper = max(upper, p)
     return float(lower), float(upper)

@@ -7,6 +7,7 @@ by repeated invocations.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,11 @@ ARB = {
     "N": 1, "T": 1.0, "s0": 4.0,
     "bond": {"const": 0.0},
     "returns": {"type": "crr", "u": 2.0, "d": 1.5, "p": 0.5},
+}
+CRR30 = {
+    "N": 30, "T": 1.0, "s0": 100.0,
+    "bond": {"const": 0.001},
+    "returns": {"type": "crr", "u": 1.05, "d": 0.96, "p": 0.5},
 }
 CALL5 = {"type": "call", "K": 5.0}
 CALL1 = {"type": "call", "K": 1.0}
@@ -153,6 +159,85 @@ class TestPrice:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error:")
+
+
+def crr30_call(strike):
+    """Price of a call on CRR30 as a binomial sum."""
+    n, r = CRR30["N"], 1.0 + CRR30["bond"]["const"]
+    u, d = CRR30["returns"]["u"], CRR30["returns"]["d"]
+    q = (r - d) / (u - d)
+    price = sum(
+        math.comb(n, k) * q ** k * (1.0 - q) ** (n - k)
+        * max(CRR30["s0"] * u ** k * d ** (n - k) - strike, 0.0)
+        for k in range(n + 1)
+    )
+    return price / r ** n
+
+
+class TestLargeLattice:
+    """Terminal payoffs are priced on the grouped law of S_T, so N = 30
+    (2^30 paths) is cheap; barriers still enumerate paths."""
+
+    # half-way (in log) between the nodes with 17 and 18 up moves
+    K = 100.0 * 1.05 ** 17.5 * 0.96 ** 12.5
+
+    def write(self, spec_dir, name, doc):
+        path = spec_dir["dir"] / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_price_and_np_match_binomial_sum(self, spec_dir, capsys):
+        market = self.write(spec_dir, "crr30.json", CRR30)
+        call = self.write(spec_dir, "call.json", {"type": "call", "K": self.K})
+        want = crr30_call(self.K)
+        rc = main(["price", "--market", market, "--payoff", call,
+                   "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert doc["price_direct"] == pytest.approx(want, rel=1e-11)
+        assert doc["price_via_tests"] == pytest.approx(want, rel=1e-11)
+        rc = main(["np", "--market", market, "--payoff", call, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert doc["price"] == pytest.approx(want, rel=1e-11)
+
+    def test_barrier_still_hits_the_path_cap(self, spec_dir, capsys):
+        market = self.write(spec_dir, "crr30.json", CRR30)
+        barrier = self.write(spec_dir, "barrier.json",
+                             {"type": "barrier_up_out", "K": self.K, "B": 400.0})
+        rc = main(["price", "--market", market, "--payoff", barrier])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "path space exceeds cap" in captured.err
+
+
+class TestSelfCheck:
+    def test_price_routes_disagreeing_exit_5(self, spec_dir, capsys, monkeypatch):
+        import dataclasses
+        import lecam.cli
+        from lecam.pricing import price_via_tests
+
+        def skewed(*args, **kwargs):
+            report = price_via_tests(*args, **kwargs)
+            return dataclasses.replace(report, price=report.price + 1e-9)
+
+        monkeypatch.setattr(lecam.cli, "price_via_tests", skewed)
+        rc = main(["price", "--market", spec_dir["crr1"],
+                   "--payoff", spec_dir["call5"]])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert "price_direct = 1" in captured.out
+        assert "self-check failed" in captured.err
+
+    def test_bayes_risk_identity_exit_5(self, spec_dir, capsys, monkeypatch):
+        import lecam.pricing
+
+        monkeypatch.setattr(lecam.pricing, "bayes_risk", lambda *a: 0.5)
+        rc = main(["np", "--market", spec_dir["crr1"],
+                   "--payoff", spec_dir["call5"]])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.err.startswith("error: self-check failed")
 
 
 class TestDynamics:

@@ -35,6 +35,7 @@ from lecam import (
     terminal_law,
     third_lemma_check,
 )
+from lecam.lan import _cdf_sup_distance
 
 RNG_SEED = 42
 
@@ -312,6 +313,36 @@ class TestLanDiagnostics:
         assert fine.noether_max < coarse.noether_max
         # binary lattice collapses to N+1 distinct sums
         assert fine.states == 257
+
+
+class TestCdfSupDistance:
+    def brute(self, values, probs, mean, var, ys):
+        """max over ``ys`` of |F(y) - Phi|, F summed atom by atom."""
+        sd = math.sqrt(var)
+        return max(
+            abs(sum(p for v, p in zip(values, probs) if v <= y)
+                - 0.5 * math.erfc(-(y - mean) / (sd * math.sqrt(2.0))))
+            for y in ys
+        )
+
+    def test_exact_at_the_atoms(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(20):
+            k = int(rng.integers(2, 7))
+            # ties possible; two atoms far out in the tails where Phi is 0 or 1
+            values = np.sort(np.append(np.round(rng.normal(0.0, 1.0, k), 1),
+                                       rng.choice([-40.0, 40.0], 2)))
+            probs = rng.random(k + 2) + 0.05
+            probs /= probs.sum()
+            mean, var = float(rng.normal(0.0, 0.3)), float(rng.uniform(0.3, 2.0))
+            got = _cdf_sup_distance(values, probs, mean, var)
+            eps = 1e-10
+            ys = [v + s for v in values for s in (0.0, -eps)]
+            ys += list(np.linspace(-8.0, 8.0, 2001))
+            assert abs(got - self.brute(values, probs, mean, var, ys)) <= 1e-9
+            # a grid that misses the atoms can only read lower
+            grid = np.linspace(mean - 8.0, mean + 8.0, 1000)
+            assert self.brute(values, probs, mean, var, grid) <= got + 1e-15
 
 
 class TestThirdLemma:

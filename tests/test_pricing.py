@@ -2,7 +2,9 @@
 
 The central property — prices computed through test powers equal discounted
 expectations — is exercised across all payoff constructors, random markets,
-and both complete and incomplete solution sets.
+and both complete and incomplete solution sets.  The production routes work
+on the grouped law of ``X_T``; the path-space experiment
+(``induced_experiment``) is the oracle they are checked against.
 """
 
 import itertools
@@ -12,16 +14,19 @@ import numpy as np
 import pytest
 
 from lecam import (
+    BarrierTest,
     BinaryPriors,
     InvalidParams,
     LatticeMarket,
     NotACall,
     PathDependenceUnsupported,
     PathState,
+    Partition,
     bayes_risk,
     build_crr,
     dynamic_price,
     enumerate_paths,
+    induced_experiment,
     np_decomposition,
     payoff_barrier_up_out,
     payoff_digital,
@@ -34,12 +39,14 @@ from lecam import (
     price_bounds,
     price_direct,
     price_via_tests,
+    restrict,
     solve_martingale_measures,
+    terminal_experiment,
 )
 from lecam import Test as RTest
 from lecam.lattice import path_prices, path_probabilities
 
-from test_lattice import brute_paths, brute_prob, random_market
+from test_lattice import brute_paths, brute_prob, brute_ratio, random_market
 
 RNG_SEED = 42
 
@@ -227,6 +234,135 @@ class TestPricingTheorem:
                 for t in rep.terms
             )
             assert abs(rep.price - recombined) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# grouped terminal route against the path-space oracle
+# ---------------------------------------------------------------------------
+
+def random_crr_off_node(rng, max_steps=12):
+    """A CRR market and two strikes at geometric midpoints of neighbouring
+    terminal nodes, so no rounding of ``S_T`` can move a node across them."""
+    n = int(rng.integers(1, max_steps + 1))
+    u = float(rng.uniform(1.02, 1.3))
+    d = float(rng.uniform(0.75, 0.98))
+    r = float(rng.uniform(1.0, 1.01))
+    m = build_crr(u, d, r, float(rng.uniform(0.2, 0.8)), n, float(rng.uniform(50, 150)))
+    k = int(rng.integers(0, n))
+    K = m.s0 * u ** (k + 0.5) * d ** (n - k - 0.5)
+    return m, K, K * u / d
+
+
+def grouped_route_cases(rng):
+    """Random markets (N <= 3, support <= 3) and CRR markets (N <= 12)."""
+    # 2.2 = 1.1 * 2.0: two paths end at X_T = 1 by log sums a bit apart
+    steps = tuple(((v, 0.5), (1.0 / v, 0.5)) for v in (1.1, 2.0, 2.2))
+    yield LatticeMarket(3, 1.0, 1.0, steps, (0.0,) * 3), payoff_european_call(1.5)
+    for _ in range(60):
+        m = random_market(rng, max_steps=3, max_support=3)
+        yield m, random_payoff(rng, m.s0)[3]
+    for i in range(40):
+        m, K, K2 = random_crr_off_node(rng)
+        yield m, build_payoff(PAYOFF_KINDS[i % len(PAYOFF_KINDS)], K, K2)
+
+
+def path_space_powers(m, qs, payoff):
+    """Per-term ``(E_Q1(phi), E_Q(phi))`` on the induced path experiment."""
+    exp = induced_experiment(m, qs)
+    paths = np.array(exp.outcomes, dtype=np.int64).reshape(exp.size, m.steps)
+    prices = path_prices(m, paths)
+    return [(float(t.test_values(prices) @ exp.measure("Q1")),
+             float(t.test_values(prices) @ exp.measure("Q")))
+            for t in payoff.terms]
+
+
+class TestGroupedRoute:
+    def test_powers_equal_path_space_powers(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for m, payoff in grouped_route_cases(rng):
+            qs = solve_martingale_measures(m).designated()
+            report = price_via_tests(m, qs, payoff)
+            for term, (alt, base) in zip(report.terms,
+                                         path_space_powers(m, qs, payoff)):
+                assert abs(term.power_alt - alt) <= 1e-12
+                assert abs(term.power_base - base) <= 1e-12
+
+    def test_terminal_experiment_is_the_restriction_to_x_t(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for m, _ in grouped_route_cases(rng):
+            qs = solve_martingale_measures(m).designated()
+            grouped = terminal_experiment(m, qs)
+            atoms = np.array(grouped.outcomes)
+
+            def atom_of(path):
+                x = brute_ratio(m, path)
+                i = int(np.argmin(np.abs(atoms - x)))
+                assert abs(atoms[i] - x) <= 1e-12 * x
+                return i
+
+            full = induced_experiment(m, qs)
+            part = Partition.by_key(full.outcomes, atom_of)
+            coarse = restrict(full, part)
+            order = [atom_of(block[0]) for block in coarse.outcomes]
+            assert sorted(order) == list(range(grouped.size))
+            for name in ("Q", "Q1"):
+                np.testing.assert_allclose(
+                    coarse.measure(name), grouped.measure(name)[order],
+                    rtol=0.0, atol=1e-12)
+
+    def test_np_decomposition_matches_path_space_powers(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(30):
+            m, K, _ = random_crr_off_node(rng)
+            qs = solve_martingale_measures(m).designated()
+            call = payoff_european_call(K)
+            dec = np_decomposition(m, qs, call)
+            ((alt, base),) = path_space_powers(m, qs, call)
+            assert abs(dec.price - (m.s0 * alt - m.discount * K * base)) <= 1e-12
+
+    def test_large_crr_prices_agree_with_binomial_sum(self):
+        u, d, r, n = 1.01, 0.99, 1.0001, 4096
+        m = build_crr(u, d, r, 0.5, n, 100.0)
+        qs = solve_martingale_measures(m).designated()
+        K = 101.3
+        call = payoff_european_call(K)
+        report = price_via_tests(m, qs, call)
+        direct = price_direct(m, qs, call)
+        dec = np_decomposition(m, qs, call)
+        assert abs(report.price - direct) <= 1e-12 * direct
+        assert abs(dec.price - direct) <= 1e-12 * direct
+        q = (r - d) / (u - d)
+        k = np.arange(n + 1)
+        log_pmf = (math.lgamma(n + 1) - np.array([math.lgamma(i + 1) for i in k])
+                   - np.array([math.lgamma(n - i + 1) for i in k])
+                   + k * math.log(q) + (n - k) * math.log1p(-q))
+        s_T = 100.0 * np.exp(k * math.log(u) + (n - k) * math.log(d))
+        oracle = r ** -n * float(np.exp(log_pmf) @ np.maximum(s_T - K, 0.0))
+        assert abs(direct - oracle) <= 1e-9 * oracle
+
+
+class TestBarrierTest:
+    def scalar(self, row, K, B):
+        if max(row) >= B:
+            return 0.0
+        return 1.0 if row[-1] > K else 0.0
+
+    def test_eval_many_matches_the_path_definition(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(20):
+            m = random_market(rng, max_steps=4)
+            prices = path_prices(m, enumerate_paths(m))
+            K = float(m.s0 * rng.uniform(0.5, 1.5))
+            B = float(m.s0 * rng.choice([rng.uniform(0.9, 3.0), math.inf]))
+            test = payoff_barrier_up_out(K, B).terms[0].path_test
+            want = [self.scalar(row, K, B) for row in prices]
+            np.testing.assert_array_equal(test.eval_many(prices), want)
+
+    def test_barrier_validated(self):
+        with pytest.raises(InvalidParams):
+            payoff_barrier_up_out(5.0, 0.0)
+        with pytest.raises(InvalidParams):
+            BarrierTest(-1.0, payoff_european_call(5.0).terms[0].terminal)
 
 
 # ---------------------------------------------------------------------------
