@@ -6,9 +6,11 @@ with ``E(g) = 0``, ``E(g^2) = 1`` and ``g >= -C``; the perturbed laws
 ``0 <= theta < 1/C``.  Scaling the perturbation like ``sigma * sqrt(T/N)``
 per step and compounding returns ``(1 + sigma*sqrt(T/N)*g) / (1 + rho*T/N)``
 produces lattice markets whose log prices obey a local asymptotic normality
-expansion.  The diagnostics here compute the *exact* finite-``N`` laws by
-convolution (grouping equal per-step contributions, so state counts grow
-polynomially) and report the distance from the Gaussian limit:
+expansion.  The diagnostics here take the *exact* finite-``N`` law of
+``log S_t`` from :func:`lecam.lattice.terminal_log_law` on the discrete
+model's market (grouping equal steps, so state counts grow polynomially),
+and means and variances as sums of per-step moments, exact because the steps
+are independent.  They report the distance from the Gaussian limit:
 
 * under the real-world products: mean/variance against ``(-v/2, v)`` with
   ``v`` the integrated squared volatility, plus a CDF sup-distance;
@@ -21,7 +23,7 @@ polynomially) and report the distance from the Gaussian limit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     LemmaHypothesisViolated,
     ThetaOutOfRange,
 )
-from .lattice import LatticeMarket, combine_additive_laws, count_distribution
+from .lattice import LatticeMarket, terminal_log_law
 from .pricing import Payoff, payoff_from_json, price_direct
 
 ATOL = 1e-12
@@ -280,6 +282,39 @@ class DiscreteModel:
     thetas: tuple[float, ...]
 
 
+def _per_step(schedule: Schedule, solve: Callable[[float, float], object]) -> tuple:
+    """``solve(step_vol, step_rate)`` for every step, evaluated once per
+    distinct ``(sigma, rho)``."""
+    solved: dict[tuple[float, float], object] = {}
+    out = []
+    for j, key in enumerate(zip(schedule.sigmas, schedule.rhos)):
+        if key not in solved:
+            solved[key] = solve(schedule.step_vol(j), schedule.step_rate(j))
+        out.append(solved[key])
+    return tuple(out)
+
+
+def _discrete_market(path: TangentPath, schedule: Schedule, s0: float) -> LatticeMarket:
+    """The market of :func:`build_discrete_model`, without its measures."""
+    g = np.array(path.g)
+
+    def step_returns(vol: float, rate: float) -> tuple:
+        if vol * path.C >= 1.0:
+            raise ThetaOutOfRange(
+                f"step volatility {vol!r} >= 1/C = {path.theta_max!r}; increase N"
+            )
+        values = (1.0 + vol * g) / (1.0 + rate)
+        return tuple(zip(values.tolist(), path.probs))
+
+    return LatticeMarket(
+        steps=schedule.N,
+        horizon=schedule.horizon,
+        s0=s0,
+        returns=_per_step(schedule, step_returns),
+        bond_rates=tuple(schedule.step_rate(j) for j in range(schedule.N)),
+    )
+
+
 def build_discrete_model(path: TangentPath, schedule: Schedule,
                          s0: float = 1.0) -> DiscreteModel:
     """Market with step returns ``(1 + sigma_j*sqrt(T/N)*g) / (1 + rho_j*T/N)``.
@@ -287,36 +322,16 @@ def build_discrete_model(path: TangentPath, schedule: Schedule,
     Raises :class:`~lecam.errors.ThetaOutOfRange` when ``N`` is too small for
     the given volatility (a return value would hit zero).
     """
-    returns = []
-    rates = []
-    measures = []
-    thetas = []
-    g = np.array(path.g)
-    for j in range(schedule.N):
-        vol = schedule.step_vol(j)
-        rate = schedule.step_rate(j)
-        if vol * path.C >= 1.0:
-            raise ThetaOutOfRange(
-                f"step volatility {vol!r} >= 1/C = {path.theta_max!r}; increase N"
-            )
-        values = (1.0 + vol * g) / (1.0 + rate)
-        returns.append(tuple(zip(values.tolist(), path.probs)))
-        rates.append(rate)
-        q = one_period_mm(path, vol, rate)
-        measures.append(tuple(q.tolist()))
-        thetas.append(rate / vol)
-    market = LatticeMarket(
-        steps=schedule.N,
-        horizon=schedule.horizon,
-        s0=s0,
-        returns=tuple(returns),
-        bond_rates=tuple(rates),
+    market = _discrete_market(path, schedule, s0)
+    measures = _per_step(
+        schedule, lambda vol, rate: tuple(one_period_mm(path, vol, rate).tolist())
     )
-    return DiscreteModel(market=market, measures=tuple(measures), thetas=tuple(thetas))
+    thetas = tuple(schedule.step_rate(j) / schedule.step_vol(j) for j in range(schedule.N))
+    return DiscreteModel(market=market, measures=measures, thetas=thetas)
 
 
 # ---------------------------------------------------------------------------
-# exact finite-N laws
+# exact finite-N laws and moments
 # ---------------------------------------------------------------------------
 
 def _grid_steps(schedule: Schedule, t: float | None) -> int:
@@ -329,35 +344,28 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
     return int(n)
 
 
-def _statistic_laws(path: TangentPath, schedule: Schedule, n: int,
-                    measure_of: Callable[[int], np.ndarray],
-                    stats: Sequence[Callable[[int, np.ndarray], np.ndarray]],
-                    max_states: int | None = None,
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact laws of additive statistics of the first ``n`` steps.
-
-    ``measure_of(j)`` is the per-step law; each entry of ``stats`` maps
-    ``(step index, g values)`` to per-outcome contributions.  Steps with
-    identical ``(sigma, rho)`` share one convolution class.
-    """
-    classes: dict[tuple[float, float], list[int]] = {}
-    for j in range(n):
-        classes.setdefault((schedule.sigmas[j], schedule.rhos[j]), []).append(j)
-    g = np.array(path.g)
-    per_stat_laws: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in stats]
-    for (_, _), members in classes.items():
-        qs = [measure_of(j) for j in members]
-        counts, probs = count_distribution(qs, max_states)
-        for si, stat in enumerate(stats):
-            contrib = stat(members[0], g)
-            per_stat_laws[si].append((counts @ contrib, probs))
-    return [combine_additive_laws(laws, max_states) for laws in per_stat_laws]
+def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]], n: int,
+                   max_states: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of ``log(S_n / S_0)`` over the market's first ``n`` steps:
+    the grouped law of ``log(X_n / X_0)`` shifted by ``log B_n``."""
+    head = replace(market, steps=n, horizon=n * market.horizon / market.steps,
+                   returns=market.returns[:n], bond_rates=market.bond_rates[:n])
+    values, probs = terminal_log_law(head, [np.array(q) for q in measures[:n]], max_states)
+    return values + math.log(head.bond_factor(n)), probs
 
 
-def _moments(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    mean = float(probs @ values)
-    var = float(probs @ (values - mean) ** 2)
-    return mean, var
+def _step_moves(path: TangentPath, schedule: Schedule, n: int) -> np.ndarray:
+    """Per-step perturbations ``sigma_j sqrt(T/N) g``, shape ``(n, k)``."""
+    vols = np.array([schedule.step_vol(j) for j in range(n)])
+    return vols[:, None] * np.array(path.g)
+
+
+def _moment_sums(probs: np.ndarray, contrib: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of ``sum_j contrib[j, x_j]`` with independent steps
+    ``x_j ~ probs[j]``: exact as sums of per-step moments."""
+    means = (probs * contrib).sum(axis=1)
+    var = (probs * (contrib - means[:, None]) ** 2).sum()
+    return float(means.sum()), float(var)
 
 
 #: Beyond this many standard deviations ``Phi`` is 0 or 1 to within 1e-17.
@@ -407,18 +415,18 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
                     t: float | None = None,
                     max_states: int | None = None) -> LanReport:
     """Compare the exact law of ``log S_t`` under ``P0``-products with the
-    Gaussian local expansion."""
+    Gaussian local expansion.
+
+    Needs no martingale measure.  Raises
+    :class:`~lecam.errors.ThetaOutOfRange` on a grid too coarse for the
+    volatility, as :func:`build_discrete_model` does.
+    """
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
-    base = np.array(path.probs)
-
-    def log_s(j: int, g: np.ndarray) -> np.ndarray:
-        return np.log(1.0 + schedule.step_vol(j) * g)
-
-    (law,) = _statistic_laws(path, schedule, n, lambda j: base, [log_s], max_states)
-    values, probs = law
+    market = _discrete_market(path, schedule, 1.0)
+    values, probs = _log_price_law(market, [path.probs] * n, n, max_states)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
-    mean, var = _moments(values, probs)
+    mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
     noether = max(schedule.step_vol(j) for j in range(n))
     riemann = abs(sum(schedule.step_vol(j) ** 2 for j in range(n)) - v_limit)
     return LanReport(
@@ -443,7 +451,9 @@ class ThirdLemmaReport:
     mean is the integrated rate.  ``log S`` has limit mean
     ``integral (r - sigma^2/2)``; both share the limit variance
     ``integral sigma^2``.  ``alpha`` is the accumulated squared local
-    parameter ``T/N * sum theta_j^2`` (reported, no limit asserted).
+    parameter ``sum theta_j^2``, with ``theta_j = rho_j sqrt(T/N) / sigma_j``
+    the parameter of step ``j``'s designated measure (reported, no limit
+    asserted).
     """
 
     N: int
@@ -464,30 +474,21 @@ class ThirdLemmaReport:
 def third_lemma_check(path: TangentPath, schedule: Schedule,
                       t: float | None = None,
                       max_states: int | None = None) -> ThirdLemmaReport:
-    """Exact measure-changed laws against the shifted Gaussian limit."""
+    """Exact measure-changed laws against the shifted Gaussian limit.
+
+    The measures are those of :func:`build_discrete_model`, so every step of
+    the grid, not only those up to ``t``, must admit one.
+    """
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
-
-    def measure_of(j: int) -> np.ndarray:
-        return one_period_mm(path, schedule.step_vol(j), schedule.step_rate(j))
-
-    def z_stat(j: int, g: np.ndarray) -> np.ndarray:
-        return schedule.step_vol(j) * g
-
-    def log_s(j: int, g: np.ndarray) -> np.ndarray:
-        return np.log(1.0 + schedule.step_vol(j) * g)
-
-    (z_law, logs_law) = _statistic_laws(
-        path, schedule, n, measure_of, [z_stat, log_s], max_states
-    )
+    model = build_discrete_model(path, schedule)
+    values, probs = _log_price_law(model.market, model.measures, n, max_states)
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
-    z_mean, z_var = _moments(*z_law)
-    s_mean, s_var = _moments(*logs_law)
-    alpha = schedule.dt * sum(
-        (schedule.rhos[j] / schedule.sigmas[j]) ** 2 for j in range(n)
-    )
-    logs_values, logs_probs = logs_law
+    measures = np.array(model.measures[:n])
+    moves = _step_moves(path, schedule, n)
+    z_mean, z_var = _moment_sums(measures, moves)
+    s_mean, s_var = _moment_sums(measures, np.log(1.0 + moves))
     return ThirdLemmaReport(
         N=schedule.N,
         t=t_val,
@@ -499,11 +500,11 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
         logs_mean_gap=abs(s_mean - (r_limit - 0.5 * v_limit)),
         logs_var=s_var,
         logs_var_gap=abs(s_var - v_limit),
-        alpha=alpha,
+        alpha=sum(theta**2 for theta in model.thetas[:n]),
         cdf_sup_distance=_cdf_sup_distance(
-            logs_values, logs_probs, r_limit - 0.5 * v_limit, v_limit
+            values, probs, r_limit - 0.5 * v_limit, v_limit
         ),
-        states=len(logs_values),
+        states=len(values),
     )
 
 
@@ -546,14 +547,15 @@ def convergence_study(path: TangentPath, family: Callable[[int], Schedule],
         model = build_discrete_model(path, schedule, s0=bs.s0)
         p_n = price_direct(model.market, list(map(np.array, model.measures)), payoff,
                            max_states=max_states)
-        report = third_lemma_check(path, schedule, max_states=max_states)
+        _, var = _moment_sums(np.array(model.measures),
+                              np.log(1.0 + _step_moves(path, schedule, schedule.N)))
         rows.append(ConvergenceRow(
             N=int(N),
             p_n=p_n,
             p_limit=p_limit,
             abs_gap=abs(p_n - p_limit),
             noether_max=max(schedule.step_vol(j) for j in range(schedule.N)),
-            var_gap=report.logs_var_gap,
+            var_gap=abs(var - schedule.limit_sigma.integral_sq(schedule.N * schedule.dt)),
         ))
     return rows
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -606,28 +606,19 @@ def _classes(m: LatticeMarket) -> list[tuple[tuple[float, ...], list[int]]]:
     return list(grouped.items())
 
 
-def statistic_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
-                  per_value: Callable[[np.ndarray], np.ndarray],
-                  max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of an additive path statistic ``sum_j f(value_j)``.
+def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
+                     max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of ``log(X_T / X_0)`` under per-step measures, values
+    sorted increasingly.
 
-    ``per_value`` maps a step's return values to the statistic's per-step
-    contributions; steps with identical return supports are grouped so the
-    state space stays polynomial in ``N``.
+    Steps with identical return supports are grouped, so the state space
+    stays polynomial in ``N``.
     """
     laws = []
     for values, members in _classes(m):
-        qs = [step_measures[j] for j in members]
-        counts, probs = count_distribution(qs, max_states)
-        contrib = per_value(np.array(values))
-        laws.append((counts @ contrib, probs))
+        counts, probs = count_distribution([step_measures[j] for j in members], max_states)
+        laws.append((counts @ np.log(values), probs))
     return combine_additive_laws(laws, max_states)
-
-
-def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
-                     max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of ``log(X_T / X_0)`` under per-step measures."""
-    return statistic_law(m, step_measures, np.log, max_states)
 
 
 def terminal_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],

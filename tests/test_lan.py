@@ -40,8 +40,9 @@ from lecam.lan import _cdf_sup_distance
 RNG_SEED = 42
 
 
-def brute_moments(path, schedule, n, measure_of, stat):
-    """Mean/variance of ``sum_j stat(j)[x_j]`` by enumerating every path."""
+def brute_law(path, n, measure_of, stat):
+    """Law of ``sum_j stat(j)[x_j]`` by enumerating every path: one
+    ``(value, probability)`` per path, sorted by value."""
     k = len(path.probs)
     g = np.array(path.g)
     per_step_p = [measure_of(j) for j in range(n)]
@@ -55,10 +56,21 @@ def brute_moments(path, schedule, n, measure_of, stat):
             s += per_step_s[j][o]
         vals.append(s)
         probs.append(p)
-    vals = np.array(vals)
-    probs = np.array(probs)
+    order = np.argsort(vals, kind="stable")
+    return np.array(vals)[order], np.array(probs)[order]
+
+
+def brute_moments(path, schedule, n, measure_of, stat):
+    """Mean/variance of ``sum_j stat(j)[x_j]`` by enumerating every path."""
+    vals, probs = brute_law(path, n, measure_of, stat)
     mean = float(probs @ vals)
     return mean, float(probs @ (vals - mean) ** 2)
+
+
+def brute_states(vals):
+    """Distinct atoms of an enumerated law (path sums that differ only by
+    rounding count once)."""
+    return len(np.unique(np.round(vals, 12)))
 
 
 def flat_schedule(n, sigma=0.2, rate=0.0, horizon=1.0):
@@ -76,6 +88,25 @@ def varying_schedule(n=4):
         StepFunction((1.0,), (0.05,)),
         n,
     )
+
+
+def rate_switch_schedule(n=8):
+    """Volatility and a positive rate both switch at T/4, on an N=8 grid:
+    the first half (t = T/2) holds two step classes."""
+    return Schedule.from_limits(
+        StepFunction((0.25, 1.0), (0.3, 0.15)),
+        StepFunction((0.25, 1.0), (0.02, 0.08)),
+        n,
+    )
+
+
+#: (schedule, t, steps up to t): the whole grid, and a truncated law whose
+#: bond shift is not one.
+ENUMERATION_CASES = [(varying_schedule, None, 4), (rate_switch_schedule, 0.5, 4)]
+
+
+def log_s_stat(schedule):
+    return lambda j, g: np.log(1.0 + schedule.step_vol(j) * g)
 
 
 class TestTangentPaths:
@@ -264,26 +295,45 @@ class TestDiscreteModel:
         sched = flat_schedule(1, sigma=1.5)   # step vol 1.5 >= 1/C
         with pytest.raises(ThetaOutOfRange):
             build_discrete_model(path, sched)
+        with pytest.raises(ThetaOutOfRange):
+            lan_diagnostics(path, sched)
+        with pytest.raises(ThetaOutOfRange):
+            third_lemma_check(path, sched)
 
 
 class TestLanDiagnostics:
     def test_moments_match_enumeration(self):
         path = symmetric_trinomial_tangent((0.3, 0.3, 0.4))
-        sched = varying_schedule(4)
+        base = np.array(path.probs)
+        for make_schedule, t, n in ENUMERATION_CASES:
+            sched = make_schedule()
+            report = lan_diagnostics(path, sched, t)
+            values, probs = brute_law(path, n, lambda j: base, log_s_stat(sched))
+            mean, var = brute_moments(path, sched, n, lambda j: base, log_s_stat(sched))
+            assert report.mean == pytest.approx(mean, abs=1e-12)
+            assert report.var == pytest.approx(var, abs=1e-12)
+            v = sched.limit_sigma.integral_sq(report.t)
+            assert report.mean_gap == pytest.approx(abs(mean + 0.5 * v), abs=1e-12)
+            assert report.var_gap == pytest.approx(abs(var - v), abs=1e-12)
+            assert report.cdf_sup_distance == pytest.approx(
+                _cdf_sup_distance(values, probs, -0.5 * v, v), abs=1e-12
+            )
+            assert report.states == brute_states(values)
+            assert report.noether_max == pytest.approx(0.3 * math.sqrt(sched.dt), abs=1e-15)
+            assert report.riemann_gap == pytest.approx(0.0, abs=1e-13)
+
+    def test_needs_no_martingale_measure(self):
+        # a step rate above the volatility leaves no martingale measure
+        path = crr_tangent(1.0, 1.0)
+        sched = flat_schedule(4, sigma=0.2, rate=3.0)
+        with pytest.raises(LemmaHypothesisViolated):
+            third_lemma_check(path, sched)
         report = lan_diagnostics(path, sched)
         base = np.array(path.probs)
-
-        def stat(j, g):
-            return np.log(1.0 + sched.step_vol(j) * g)
-
-        mean, var = brute_moments(path, sched, 4, lambda j: base, stat)
+        mean, var = brute_moments(path, sched, 4, lambda j: base, log_s_stat(sched))
         assert report.mean == pytest.approx(mean, abs=1e-12)
         assert report.var == pytest.approx(var, abs=1e-12)
-        v = sched.limit_sigma.integral_sq()
-        assert report.mean_gap == pytest.approx(abs(mean + 0.5 * v), abs=1e-12)
-        assert report.var_gap == pytest.approx(abs(var - v), abs=1e-12)
-        assert report.noether_max == pytest.approx(0.15, abs=1e-15)
-        assert report.riemann_gap == pytest.approx(0.0, abs=1e-13)
+        assert report.states == 5
 
     def test_intermediate_time(self):
         path = crr_tangent(1.0, 1.0)
@@ -348,34 +398,38 @@ class TestCdfSupDistance:
 class TestThirdLemma:
     def test_moments_match_enumeration(self):
         path = symmetric_trinomial_tangent((0.3, 0.3, 0.4))
-        sched = varying_schedule(4)
-        report = third_lemma_check(path, sched)
+        for make_schedule, t, n in ENUMERATION_CASES:
+            sched = make_schedule()
+            report = third_lemma_check(path, sched, t)
 
-        def measure_of(j):
-            return one_period_mm(path, sched.step_vol(j), sched.step_rate(j))
+            def measure_of(j):
+                return one_period_mm(path, sched.step_vol(j), sched.step_rate(j))
 
-        def z_stat(j, g):
-            return sched.step_vol(j) * g
+            def z_stat(j, g):
+                return sched.step_vol(j) * g
 
-        def log_s(j, g):
-            return np.log(1.0 + sched.step_vol(j) * g)
-
-        z_mean, z_var = brute_moments(path, sched, 4, measure_of, z_stat)
-        s_mean, s_var = brute_moments(path, sched, 4, measure_of, log_s)
-        assert report.z_mean == pytest.approx(z_mean, abs=1e-12)
-        assert report.z_var == pytest.approx(z_var, abs=1e-12)
-        assert report.logs_mean == pytest.approx(s_mean, abs=1e-12)
-        assert report.logs_var == pytest.approx(s_var, abs=1e-12)
-        r = sched.limit_rate.integral()
-        v = sched.limit_sigma.integral_sq()
-        assert report.z_mean_gap == pytest.approx(abs(z_mean - r), abs=1e-12)
-        assert report.logs_mean_gap == pytest.approx(
-            abs(s_mean - (r - 0.5 * v)), abs=1e-12
-        )
-        alpha = sched.dt * sum(
-            (sched.rhos[j] / sched.sigmas[j]) ** 2 for j in range(4)
-        )
-        assert report.alpha == pytest.approx(alpha, abs=1e-15)
+            z_mean, z_var = brute_moments(path, sched, n, measure_of, z_stat)
+            s_mean, s_var = brute_moments(path, sched, n, measure_of, log_s_stat(sched))
+            assert report.z_mean == pytest.approx(z_mean, abs=1e-12)
+            assert report.z_var == pytest.approx(z_var, abs=1e-12)
+            assert report.logs_mean == pytest.approx(s_mean, abs=1e-12)
+            assert report.logs_var == pytest.approx(s_var, abs=1e-12)
+            r = sched.limit_rate.integral(report.t)
+            v = sched.limit_sigma.integral_sq(report.t)
+            assert report.z_mean_gap == pytest.approx(abs(z_mean - r), abs=1e-12)
+            assert report.logs_mean_gap == pytest.approx(
+                abs(s_mean - (r - 0.5 * v)), abs=1e-12
+            )
+            assert report.logs_var_gap == pytest.approx(abs(s_var - v), abs=1e-12)
+            values, probs = brute_law(path, n, measure_of, log_s_stat(sched))
+            assert report.cdf_sup_distance == pytest.approx(
+                _cdf_sup_distance(values, probs, r - 0.5 * v, v), abs=1e-12
+            )
+            assert report.states == brute_states(values)
+            alpha = sched.dt * sum(
+                (sched.rhos[j] / sched.sigmas[j]) ** 2 for j in range(n)
+            )
+            assert report.alpha == pytest.approx(alpha, abs=1e-15)
 
     def test_drift_appears_under_measure_change(self):
         # with a positive rate the z statistic drifts to integral(r)
@@ -401,6 +455,22 @@ class TestConvergenceStudy:
             assert row.noether_max == pytest.approx(0.2 / math.sqrt(row.N), abs=1e-15)
         assert rows[-1].abs_gap < rows[0].abs_gap
         assert rows[-1].abs_gap < 0.05
+
+    def test_var_gap_matches_enumeration(self):
+        path = symmetric_trinomial_tangent((0.3, 0.3, 0.4))
+        sched = varying_schedule(4)
+        bs = BSModel(100.0, 1.0, sched.limit_sigma, sched.limit_rate)
+        (row,) = convergence_study(path, lambda N: sched, payoff_european_call(100.0),
+                                   bs, [4])
+
+        def measure_of(j):
+            return one_period_mm(path, sched.step_vol(j), sched.step_rate(j))
+
+        _, var = brute_moments(path, sched, 4, measure_of, log_s_stat(sched))
+        v = sched.limit_sigma.integral_sq()
+        assert row.var_gap == pytest.approx(abs(var - v), abs=1e-12)
+        assert row.var_gap == pytest.approx(third_lemma_check(path, sched).logs_var_gap,
+                                            abs=1e-15)
 
     def test_empty_sizes_rejected(self):
         path = crr_tangent(1.0, 1.0)

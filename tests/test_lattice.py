@@ -41,7 +41,6 @@ from lecam.lattice import (
     as_step_measures,
     count_distribution,
     path_products,
-    statistic_law,
 )
 
 RNG_SEED = 42
