@@ -5,7 +5,9 @@ Subcommands::
     price       price a payoff on a lattice market (or price bounds)
     dynamics    price at an interior node reached by observed moves
     complete    classify the market's martingale measure set
-    bounds      price range over the closed martingale polytopes
+    bounds      price range over product martingale measures (one vertex
+                of the step polytope per step), not the wider no-arbitrage
+                interval
     np          cutoff / priors / Bayes risk decomposition of a call
     converge    lattice-to-limit price table (CSV), optional threshold gate
     lan-report  exact finite-N law diagnostics per lattice size (CSV)
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the price range instead of a single price")
     p.set_defaults(func=_cmd_price)
 
-    p = sub.add_parser("bounds", help="price range over martingale measures")
+    p = sub.add_parser("bounds", help="price range over product martingale measures")
     add_common(p)
     p.set_defaults(func=_cmd_bounds)
 

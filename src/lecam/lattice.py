@@ -13,10 +13,19 @@ experiments of :mod:`lecam.experiments`:
   small-``N`` oracle;
 * ``terminal_experiment`` is its restriction to ``sigma(X_T)``, built on the
   grouped terminal law, which loses nothing for tests of ``S_T``;
-* ``verify_representation`` checks by backward induction that the density
+* ``backward_induction`` rolls node values back over the recombined
+  lattice, whose nodes are integer count vectors per return class, so it
+  visits polynomially many nodes in ``N``; it prices barriers and serves
+  ``verify_representation``, which checks node by node that the density
   process of ``Q1`` is the normalized price process;
 * ``complementary_market`` / ``verify_mm_criterion`` /
-  ``image_experiment_check`` exercise the conditional structure.
+  ``image_experiment_check`` exercise the conditional structure on path
+  space, and with ``enumerate_paths`` and ``induced_experiment`` serve as
+  small-``N`` oracles.
+
+The atoms of the grouped law and the nodes of backward induction take
+their spots from one rule (``_count_logs``): per return class
+``counts @ log(values)``, summed in class order.
 
 Martingale measures are solved per step by vertex enumeration of the
 polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; with at most two active
@@ -29,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -606,6 +615,17 @@ def _classes(m: LatticeMarket) -> list[tuple[tuple[float, ...], list[int]]]:
     return list(grouped.items())
 
 
+def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
+    """``log(X/X_0)`` contributed by one return class at integer count
+    vectors (one row each).
+
+    The grouped law's atoms and the backward-induction nodes are these
+    contributions summed over the classes in class order, so a rule for
+    ties between nodes has this one place to change.
+    """
+    return counts @ np.log(values)
+
+
 def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
                      max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of ``log(X_T / X_0)`` under per-step measures, values
@@ -617,7 +637,7 @@ def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     laws = []
     for values, members in _classes(m):
         counts, probs = count_distribution([step_measures[j] for j in members], max_states)
-        laws.append((counts @ np.log(values), probs))
+        laws.append((_count_logs(counts, values), probs))
     return combine_additive_laws(laws, max_states)
 
 
@@ -626,6 +646,80 @@ def terminal_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     """Exact law of ``X_T / X_0`` (values sorted by their logarithm)."""
     logs, probs = terminal_log_law(m, step_measures, max_states)
     return np.exp(logs), probs
+
+
+# ---------------------------------------------------------------------------
+# backward induction on the recombined lattice
+# ---------------------------------------------------------------------------
+
+def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
+                       terminal: Callable[[np.ndarray], np.ndarray],
+                       knocked: Callable[[int, np.ndarray], np.ndarray] | None = None,
+                       max_states: int | None = None,
+                       ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Roll node values back over the recombined lattice.
+
+    A node at date ``t`` is keyed by its integer count vector per return
+    class (the classes of :func:`terminal_log_law`), so node grids have one
+    axis per class.  Its ``X_t / X_0`` is ``exp`` of the classes'
+    contributions summed in class order, the rule that gives the atoms of
+    :func:`terminal_law`.  Node values have the grid as their leading axes;
+    they start as ``terminal(x_T)`` and roll back by
+    ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
+    ``knocked(t, x_t)`` is true, values are set to zero at date ``t``; the
+    mask covers the grid and, optionally, the next axes of the values.
+
+    Yields ``(t, x_t, v_t)`` for ``t = N`` down to ``0``.  Raises
+    :class:`~lecam.errors.SizeLimit`, before building anything, when the
+    nodes of all dates exceed ``max_states``.
+    """
+    cap = limits.max_states(max_states)
+    classes = _classes(m)
+    where = {j: (c, n) for c, (_, members) in enumerate(classes)
+             for n, j in enumerate(members)}
+    sizes = [len(values) for values, _ in classes]
+    level = [0] * len(classes)
+    total = 1
+    for j in range(m.steps):
+        c, n = where[j]
+        level[c] = n + 1
+        total += math.prod(math.comb(lv + k - 1, k - 1) for lv, k in zip(level, sizes))
+        if total > cap:
+            raise SizeLimit(f"lattice nodes exceed cap {cap}")
+    logs, children = [], []
+    for (values, members), k in zip(classes, sizes):
+        counts = np.zeros((1, k), dtype=np.int64)
+        logs.append([_count_logs(counts, values)])
+        children.append([])
+        for _ in members:
+            # the count vectors one step on, ranked in lexicographic order
+            moved = (counts[None] + np.eye(k, dtype=np.int64)[:, None]).reshape(-1, k)
+            order = np.lexsort(moved.T[::-1])
+            new = np.r_[True, np.any(np.diff(moved[order], axis=0) != 0, axis=1)]
+            child = np.empty(len(moved), dtype=np.int64)
+            child[order] = np.cumsum(new) - 1
+            counts = moved[order][new]
+            logs[-1].append(_count_logs(counts, values))
+            children[-1].append(child.reshape(k, -1))
+
+    def ratios() -> np.ndarray:
+        log_x = np.zeros(())
+        for c, n in enumerate(level):
+            log_x = np.add.outer(log_x, logs[c][n])
+        return np.exp(log_x)
+
+    x = ratios()
+    v = terminal(x)
+    for t in range(m.steps, -1, -1):
+        if t < m.steps:
+            c, level[c] = where[t]
+            v = sum(q * np.take(v, kid, axis=c)
+                    for q, kid in zip(step_measures[t], children[c][level[c]]))
+            x = ratios()
+        if knocked is not None:
+            mask = knocked(t, x)
+            v = np.where(mask.reshape(mask.shape + (1,) * (v.ndim - mask.ndim)), 0.0, v)
+        yield t, x, v
 
 
 # ---------------------------------------------------------------------------
@@ -704,30 +798,21 @@ def terminal_experiment(m: LatticeMarket, q,
 
 
 def verify_representation(m: LatticeMarket, q, atol: float = ATOL,
-                          max_paths: int | None = None) -> bool:
+                          max_states: int | None = None) -> bool:
     """Backward-induction check that normalized prices are a density process.
 
     For per-step measures ``q`` this tests, node by node, whether the
     conditional expectation of ``X_T / X_0`` under the product of the ``q``
     equals ``X_t / X_0``.  True exactly when every step satisfies the
     one-step equation, but established here by full induction rather than by
-    the per-step criterion.
+    the per-step criterion: ``X_T / X_0`` is rolled back over the recombined
+    lattice (:func:`backward_induction`, at most ``max_states`` nodes) and
+    compared with ``X_t / X_0`` at every node of every date.
     """
     step_measures = as_step_measures(m, q)
-    sizes = m.support_sizes()
-    cap = limits.max_paths(max_paths)
-    total = 1
-    for k in sizes:
-        total *= k
-        if total > cap:
-            raise SizeLimit(f"tensor induction exceeds cap {cap}")
-    forward = [np.ones(())]
-    for j in range(m.steps):
-        forward.append(np.multiply.outer(forward[-1], m.step_values(j)))
-    value = forward[-1]
-    for t in range(m.steps - 1, -1, -1):
-        value = value @ step_measures[t]
-        if not np.allclose(value, forward[t], rtol=0.0, atol=atol):
+    for _, x, value in backward_induction(m, step_measures, lambda x: x,
+                                          max_states=max_states):
+        if not np.allclose(value, x, rtol=0.0, atol=atol):
             return False
     return True
 

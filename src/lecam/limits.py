@@ -1,10 +1,10 @@
 """Enumeration caps.
 
 All exhaustive enumerations in the package (path spaces, product outcome
-spaces, grouped convolution states) are guarded by a cap and raise
-:class:`~lecam.errors.SizeLimit` beyond it.  The environment variable
-``LECAM_MAX_PATHS`` overrides every cap at once; individual call sites can
-also pass an explicit bound.
+spaces, grouped convolution states, recombined-lattice nodes) are guarded
+by a cap and raise :class:`~lecam.errors.SizeLimit` beyond it.  The
+environment variable ``LECAM_MAX_PATHS`` overrides every cap at once;
+individual call sites can also pass an explicit bound.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ import os
 
 from .errors import InvalidParams
 
-#: Full path enumeration (roughly 2^22 binary steps, 3^14 ternary steps).
+#: Full path enumeration (roughly 2^22 binary steps, 3^14 ternary steps);
+#: only path-space checks and oracles enumerate paths.
 DEFAULT_MAX_PATHS = 5_000_000
 
 #: Outcome count of product experiments.
 DEFAULT_MAX_OUTCOMES = 1 << 24
 
-#: Grouped states in terminal-value / convolution laws.
+#: Grouped states in terminal-value / convolution laws, and the nodes of
+#: all dates of the recombined lattice in backward induction.
 DEFAULT_MAX_STATES = 10_000_000
 
 ENV_VAR = "LECAM_MAX_PATHS"

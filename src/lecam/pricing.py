@@ -13,10 +13,12 @@ where ``phi`` is a randomized test of the price path with values in
 with ``Q1`` the measure whose density process is the normalized discounted
 price.  ``price_via_tests`` computes exactly that decomposition and must
 agree with the direct discounted expectation ``price_direct`` to within
-1e-12.  Both routes evaluate the tests on the same atoms: for terminal
-payoffs the grouped law of ``X_T`` (``dQ1/dQ = X_T/X_0`` is
+1e-12.  Both routes evaluate the tests on the same nodes.  Terminal payoffs
+are integrated on the grouped law of ``X_T`` (``dQ1/dQ = X_T/X_0`` is
 ``sigma(X_T)``-measurable, so restricting the path experiment to that
-field loses nothing), for barriers every price path.
+field loses nothing).  Barrier payoffs are rolled back over the recombined
+lattice (:func:`lecam.lattice.backward_induction`), each term knocked out
+at its own level; no production route enumerates paths.
 
 Tests are structural: terminal tests are piecewise constant in ``S_T`` with
 explicit cuts, so that limit models can integrate them in closed form, and
@@ -32,7 +34,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import limits
 from .errors import (
     InvalidParams,
     NotACall,
@@ -45,11 +46,9 @@ from .lattice import (
     LatticeMarket,
     PathState,
     as_step_measures,
+    backward_induction,
     complementary_market,
-    enumerate_paths,
     node_spot,
-    path_prices,
-    path_probabilities,
     require_martingale,
     solve_martingale_measures,
     terminal_experiment,
@@ -121,11 +120,6 @@ class BarrierTest:
         if not self.barrier > 0.0:
             raise InvalidParams(f"barrier must be positive, got {self.barrier!r}")
 
-    def eval_many(self, prices: np.ndarray) -> np.ndarray:
-        """Values on an ``(P, N+1)`` matrix of undiscounted price paths."""
-        alive = prices.max(axis=1) < self.barrier
-        return np.where(alive, self.terminal.eval_many(prices[:, -1]), 0.0)
-
 
 @dataclass(frozen=True)
 class PayoffTerm:
@@ -148,12 +142,6 @@ class PayoffTerm:
     @property
     def terminal_only(self) -> bool:
         return self.terminal is not None
-
-    def test_values(self, prices: np.ndarray) -> np.ndarray:
-        """Evaluate the test on an ``(P, N+1)`` price-path matrix."""
-        if self.terminal is not None:
-            return self.terminal.eval_many(prices[:, -1])
-        return self.path_test.eval_many(prices)
 
 
 @dataclass(frozen=True)
@@ -342,75 +330,87 @@ class PriceReport:
 # pricing
 # ---------------------------------------------------------------------------
 
-def _test_atoms(m: LatticeMarket, payoff: Payoff,
-                step_measures: Sequence[np.ndarray],
-                max_states: int | None,
-                max_paths: int | None) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The atoms every test of ``payoff`` is evaluated on.
+def _expectations(m: LatticeMarket, payoff: Payoff,
+                  step_measures: Sequence[np.ndarray], max_states: int | None,
+                  integrand: Callable[[PayoffTerm, np.ndarray, np.ndarray, np.ndarray],
+                                      np.ndarray],
+                  ) -> np.ndarray:
+    """``E_Q`` of ``integrand(term, x, s_T, phi)`` for every term, with
+    ``x = X_T/X_0`` and ``phi`` the term's terminal test at ``S_T``.
 
-    Terminal payoffs use the grouped law of ``X_T`` (states capped by
-    ``max_states``); payoffs with a barrier term use every price path
-    (capped by ``max_paths``).  Returns the per-term test values, ``S_T``
-    and the ``Q``-mass of each atom.
+    Terminal payoffs are integrated on the grouped law of ``X_T``; payoffs
+    with a barrier term by backward induction on the recombined lattice,
+    each term knocked out at its own level (an infinite one for terminal
+    terms).  Either way at most ``max_states`` states are built.
     """
+    tests = [t.terminal if t.path_test is None else t.path_test.terminal
+             for t in payoff.terms]
+    bond_T = m.bond_factor(m.steps)
+
+    def values(x: np.ndarray) -> list[np.ndarray]:
+        s_T = m.s0 * bond_T * x
+        return [integrand(term, x, s_T, test.eval_many(s_T))
+                for term, test in zip(payoff.terms, tests)]
+
     if payoff.terminal_only:
         ratio, probs = terminal_law(m, step_measures, max_states)
-        s_T = m.s0 * m.bond_factor(m.steps) * ratio
-        return [t.terminal.eval_many(s_T) for t in payoff.terms], s_T, probs
-    paths = enumerate_paths(m, max_paths)
-    prices = path_prices(m, paths)
-    probs = path_probabilities(m, paths, step_measures)
-    return [t.test_values(prices) for t in payoff.terms], prices[:, -1], probs
+        return np.array([probs @ v for v in values(ratio)])
+    levels = np.array([math.inf if t.path_test is None else t.path_test.barrier
+                       for t in payoff.terms])
+    bonds = np.cumprod([1.0, *(1.0 + r for r in m.bond_rates)])
+
+    def knocked(t: int, x: np.ndarray) -> np.ndarray:
+        return (m.s0 * bonds[t] * x)[..., None] >= levels
+
+    for _, x, v in backward_induction(m, step_measures,
+                                      lambda x: np.stack(values(x), axis=x.ndim),
+                                      knocked, max_states):
+        pass
+    return v[(0,) * x.ndim]
 
 
 def _discounted_value(m: LatticeMarket, payoff: Payoff,
                       step_measures: Sequence[np.ndarray],
-                      max_states: int | None = None,
-                      max_paths: int | None = None) -> float:
-    phis, s_T, probs = _test_atoms(m, payoff, step_measures, max_states, max_paths)
-    total = np.zeros_like(s_T)
-    for term, phi in zip(payoff.terms, phis):
-        total += (term.coeff * s_T - term.strike) * phi
-    return float(m.discount * (probs @ total))
+                      max_states: int | None = None) -> float:
+    terms = _expectations(m, payoff, step_measures, max_states,
+                          lambda term, x, s_T, phi: (term.coeff * s_T - term.strike) * phi)
+    return float(m.discount * terms.sum())
 
 
 def price_direct(m: LatticeMarket, q, payoff: Payoff,
-                 max_paths: int | None = None,
                  max_states: int | None = None) -> float:
     """Exact discounted expectation of the payoff under ``q``.
 
-    Terminal-value payoffs are priced on the grouped terminal law (so large
-    recombining markets stay cheap); path-dependent payoffs enumerate paths
-    up to the configured cap.
+    Terminal-value payoffs are priced on the grouped terminal law, barrier
+    payoffs by backward induction on the recombined lattice; both are
+    bounded by ``max_states`` states, so large recombining markets stay
+    cheap.
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures)
-    return _discounted_value(m, payoff, step_measures, max_states, max_paths)
+    return _discounted_value(m, payoff, step_measures, max_states)
 
 
 def price_via_tests(m: LatticeMarket, q, payoff: Payoff,
                     max_outcomes: int | None = None) -> PriceReport:
     """Price through the experiment: powers of each term's test.
 
-    The powers are ``E_Q(phi) = sum q(a) phi(a)`` and
-    ``E_{Q1}(phi) = sum x(a) q(a) phi(a)`` over the atoms ``a`` of the
-    experiment, with ``x = X_T/X_0`` the likelihood ratio ``dQ1/dQ``.  For
-    terminal payoffs the atoms are those of the grouped law of ``X_T``
-    (the path experiment restricted to ``sigma(X_T)``); for barriers they
-    are the price paths.  ``max_outcomes`` caps the number of atoms.
-    Agrees with :func:`price_direct` to within 1e-12.
+    The powers are ``E_Q(phi)`` and ``E_{Q1}(phi) = E_Q(x * phi)``, with
+    ``x = X_T/X_0`` the likelihood ratio ``dQ1/dQ``.  For terminal payoffs
+    they are sums over the atoms of the grouped law of ``X_T`` (the path
+    experiment restricted to ``sigma(X_T)``); for barriers ``phi`` and
+    ``x * phi`` are rolled back over the recombined lattice with the term's
+    knock-out.  ``max_outcomes`` caps the atoms or lattice nodes.  Agrees
+    with :func:`price_direct` to within 1e-12.
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    phis, s_T, base = _test_atoms(m, payoff, step_measures, max_outcomes,
-                                  limits.max_product_outcomes(max_outcomes))
-    alt = base * (s_T / (m.s0 * m.bond_factor(m.steps)))
+    powers = _expectations(m, payoff, step_measures, max_outcomes,
+                           lambda term, x, s_T, phi: np.stack([x * phi, phi], axis=-1))
     disc = m.discount
     price = 0.0
     terms = []
-    for term, phi in zip(payoff.terms, phis):
-        p_alt = float(phi @ alt)
-        p_base = float(phi @ base)
+    for term, (p_alt, p_base) in zip(payoff.terms, powers.tolist()):
         price += term.coeff * m.s0 * p_alt - disc * term.strike * p_base
         terms.append(TermPowers(term.label, term.coeff, term.strike, p_alt, p_base))
     return PriceReport(price=float(price), discount=disc, s0=m.s0, terms=tuple(terms))
@@ -508,11 +508,15 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState,
 def price_bounds(m: LatticeMarket, payoff: Payoff,
                  max_states: int | None = None,
                  max_combos: int = 1 << 16) -> tuple[float, float]:
-    """Range of prices over the closed per-step martingale polytopes.
+    """Range of prices over product martingale measures: one measure of the
+    closed per-step polytope per step, used at every node of that step.
 
     The price is multilinear in the per-step measures, so both extremes are
-    attained at vertex combinations; these are enumerated exhaustively.
-    Equal bounds mean the market prices the payoff completely.
+    attained at step-constant vertex choices; these are enumerated
+    exhaustively.  This is not the no-arbitrage (superhedging) interval,
+    which also allows node-dependent choices and can be wider: for digitals
+    at ``N = 4`` by up to 0.16.  Equal bounds mean the market prices the
+    payoff completely.
     """
     if not payoff.terminal_only:
         raise PathDependenceUnsupported(

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from lecam.cli import main, CONVERGE_HEADER, LAN_HEADER
+from test_pricing import crr_knock_out_price
 
 
 CRR1 = {
@@ -175,8 +176,9 @@ def crr30_call(strike):
 
 
 class TestLargeLattice:
-    """Terminal payoffs are priced on the grouped law of S_T, so N = 30
-    (2^30 paths) is cheap; barriers still enumerate paths."""
+    """Terminal payoffs are priced on the grouped law of S_T and barriers by
+    backward induction on the recombined lattice, so N = 30 (2^30 paths,
+    496 lattice nodes) is cheap; both are bounded by the state cap."""
 
     # half-way (in log) between the nodes with 17 and 18 up moves
     K = 100.0 * 1.05 ** 17.5 * 0.96 ** 12.5
@@ -201,14 +203,28 @@ class TestLargeLattice:
         assert rc == 0
         assert doc["price"] == pytest.approx(want, rel=1e-11)
 
-    def test_barrier_still_hits_the_path_cap(self, spec_dir, capsys):
+    def barrier_argv(self, spec_dir):
         market = self.write(spec_dir, "crr30.json", CRR30)
         barrier = self.write(spec_dir, "barrier.json",
                              {"type": "barrier_up_out", "K": self.K, "B": 400.0})
-        rc = main(["price", "--market", market, "--payoff", barrier])
+        return ["price", "--market", market, "--payoff", barrier]
+
+    def test_barrier_matches_knock_out_recursion(self, spec_dir, capsys):
+        rc = main(self.barrier_argv(spec_dir) + ["--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        want = crr_knock_out_price(
+            CRR30["returns"]["u"], CRR30["returns"]["d"],
+            1.0 + CRR30["bond"]["const"], CRR30["N"], CRR30["s0"], self.K, 400.0)
+        assert doc["price_direct"] == pytest.approx(want, rel=1e-11)
+        assert doc["price_via_tests"] == pytest.approx(want, rel=1e-11)
+
+    def test_barrier_hits_the_state_cap(self, spec_dir, capsys, monkeypatch):
+        monkeypatch.setenv("LECAM_MAX_PATHS", "100")
+        rc = main(self.barrier_argv(spec_dir))
         captured = capsys.readouterr()
         assert rc == 3
-        assert "path space exceeds cap" in captured.err
+        assert "lattice nodes exceed cap 100" in captured.err
 
 
 class TestSelfCheck:

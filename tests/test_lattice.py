@@ -32,13 +32,17 @@ from lecam import (
     market_to_json,
     path_prices,
     path_probabilities,
+    payoff_barrier_up_out,
+    price_direct,
     solve_martingale_measures,
     terminal_law,
     verify_mm_criterion,
     verify_representation,
 )
+from lecam import limits
 from lecam.lattice import (
     as_step_measures,
+    backward_induction,
     count_distribution,
     path_products,
 )
@@ -338,6 +342,60 @@ class TestLikelihoodStructure:
         m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
         assert verify_representation(m, [np.array([1 / 3, 2 / 3])] * 2)
         assert not verify_representation(m, [np.array([0.5, 0.5])] * 2)
+
+    def test_representation_beyond_path_space_sizes(self):
+        three = ((1.04, 0.3), (1.0, 0.4), (0.97, 0.3))
+        two = ((1.03, 0.5), (0.98, 0.5))
+        markets = [build_crr(1.05, 0.96, 1.001, 0.5, 40, 100.0),
+                   LatticeMarket(24, 1.0, 100.0, (three, two) * 12, (0.001,) * 24)]
+        for m in markets:
+            assert math.prod(m.support_sizes()) > limits.DEFAULT_MAX_PATHS
+            qs = solve_martingale_measures(m).designated()
+            assert verify_representation(m, qs)
+            bad = [v.copy() for v in qs]
+            bad[17][:2] += (0.05, -0.05)
+            assert not verify_representation(m, bad)
+            # a second tilt that restores E(X_T) leaves only inner nodes wrong
+            up, down = m.step_values(18)[:2]
+            mean_17 = float(bad[17] @ m.step_values(17))
+            bad[18][:2] += np.array([1.0, -1.0]) * (1.0 / mean_17 - 1.0) / (up - down)
+            root = math.prod(float(v @ m.step_values(j)) for j, v in enumerate(bad))
+            assert abs(root - 1.0) <= 1e-14
+            assert not verify_representation(m, bad)
+
+
+def multi_class_market():
+    """Two-point classes 1.1 and 2.2 and a three-point class, interleaved."""
+    a = ((1.1, 0.5), (1 / 1.1, 0.5))
+    b = ((1.3, 0.3), (0.9, 0.4), (0.7, 0.3))
+    c = ((2.2, 0.5), (1 / 2.2, 0.5))
+    steps = (a, b, a, c, b, a, b, c)
+    return LatticeMarket(len(steps), 1.0, 100.0, steps, (0.01,) * len(steps))
+
+
+class TestBackwardInduction:
+    def test_terminal_nodes_are_the_grouped_atoms(self):
+        markets = [build_crr(u, 1.0 / u, 1.0, 0.5, n, 100.0)
+                   for u in np.round(np.arange(1.01, 1.495, 0.01), 2)
+                   for n in range(2, 13, 2)]
+        assert len(markets) == 294
+        for m in markets + [multi_class_market()]:
+            qs = solve_martingale_measures(m).designated()
+            t, x, _ = next(backward_induction(m, qs, lambda x: x))
+            assert t == m.steps
+            np.testing.assert_array_equal(np.unique(x), np.unique(terminal_law(m, qs)[0]))
+
+    def test_unrecombined_lattice_hits_the_state_cap(self):
+        steps = tuple(((1.0 + 0.01 * j, 0.5), (1.0 / (1.0 + 0.01 * j), 0.5))
+                      for j in range(1, 41))
+        m = LatticeMarket(40, 1.0, 100.0, steps, (0.0,) * 40)
+        qs = solve_martingale_measures(m).designated()
+        with pytest.raises(SizeLimit, match="lattice nodes exceed cap"):
+            next(backward_induction(m, qs, lambda x: x))
+        with pytest.raises(SizeLimit, match="lattice nodes exceed cap"):
+            verify_representation(m, qs)
+        with pytest.raises(SizeLimit, match="lattice nodes exceed cap"):
+            price_direct(m, qs, payoff_barrier_up_out(100.0, 150.0))
 
 
 class TestComplementaryMarket:

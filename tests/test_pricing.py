@@ -3,8 +3,9 @@
 The central property — prices computed through test powers equal discounted
 expectations — is exercised across all payoff constructors, random markets,
 and both complete and incomplete solution sets.  The production routes work
-on the grouped law of ``X_T``; the path-space experiment
-(``induced_experiment``) is the oracle they are checked against.
+on the grouped law of ``X_T`` and, for barriers, on the recombined lattice;
+the path-space experiment (``induced_experiment``) and plain-python path
+loops are the oracles they are checked against.
 """
 
 import itertools
@@ -20,12 +21,12 @@ from lecam import (
     LatticeMarket,
     NotACall,
     PathDependenceUnsupported,
+    Payoff,
     PathState,
     Partition,
     bayes_risk,
     build_crr,
     dynamic_price,
-    enumerate_paths,
     induced_experiment,
     np_decomposition,
     payoff_barrier_up_out,
@@ -44,7 +45,7 @@ from lecam import (
     terminal_experiment,
 )
 from lecam import Test as RTest
-from lecam.lattice import path_prices, path_probabilities
+from lecam.lattice import path_prices
 
 from test_lattice import brute_paths, brute_prob, brute_ratio, random_market
 
@@ -99,6 +100,61 @@ def brute_price(m, qs, payoff_fn, barrier=None):
         h = payoff_fn(spot) if alive else 0.0
         total += brute_prob(m, qs, w) * h
     return disc * total
+
+
+def brute_term_powers(m, qs, payoff):
+    """Per-term ``(E_Q1(phi), E_Q(phi))`` and the discounted price, path by
+    path in plain python, each barrier applied by its definition: the term's
+    terminal test while every price (the start included) stays below it."""
+    powers = [[0.0, 0.0] for _ in payoff.terms]
+    value = 0.0
+    for w in brute_paths(m):
+        prices = [m.s0]
+        for j, i in enumerate(w):
+            prices.append(prices[-1] * m.returns[j][i][0] * (1.0 + m.bond_rates[j]))
+        pw = brute_prob(m, qs, w)
+        x = brute_ratio(m, w)
+        for acc, term in zip(powers, payoff.terms):
+            if term.terminal is not None:
+                phi = term.terminal(prices[-1])
+            elif max(prices) >= term.path_test.barrier:
+                phi = 0.0
+            else:
+                phi = term.path_test.terminal(prices[-1])
+            acc[0] += pw * x * phi
+            acc[1] += pw * phi
+            value += pw * (term.coeff * prices[-1] - term.strike) * phi
+    return powers, value / m.bond_factor(m.steps)
+
+
+def crr_knock_out_price(u, d, r, n, s0, strike, level):
+    """Up-and-out call on a CRR market by a knock-out recursion over the
+    number of up moves at each date (the start included)."""
+    q = (r - d) / (u - d)
+    alive = [1.0 if s0 < level else 0.0]
+    for t in range(1, n + 1):
+        alive = [((alive[k - 1] * q if k > 0 else 0.0)
+                  + (alive[k] * (1.0 - q) if k < t else 0.0))
+                 if s0 * u ** k * d ** (t - k) < level else 0.0
+                 for k in range(t + 1)]
+    return sum(p * max(s0 * u ** k * d ** (n - k) - strike, 0.0)
+               for k, p in enumerate(alive)) / r ** n
+
+
+def random_class_market(rng, max_steps=5):
+    """Steps drawn from two or three return classes with 2-4 point
+    supports, so that nodes recombine within a class and across classes."""
+    classes = []
+    for _ in range(int(rng.integers(2, 4))):
+        k = int(rng.integers(2, 5))
+        vals = [rng.uniform(0.3, 0.9), rng.uniform(1.1, 2.5), *rng.uniform(0.5, 2.0, k - 2)]
+        probs = rng.random(k) + 0.1
+        classes.append(tuple(zip(map(float, vals), map(float, probs / probs.sum()))))
+    n = int(rng.integers(2, max_steps + 1))
+    picks = rng.permutation([0, 1, *rng.integers(0, len(classes), n - 2)])
+    rates = tuple(float(rng.uniform(0.0, 0.05)) for _ in range(n))
+    return LatticeMarket(n, 1.0, float(rng.uniform(1.0, 10.0)),
+                         tuple(classes[i] for i in picks), rates)
 
 
 PAYOFF_KINDS = ("call", "put", "digital", "straddle", "strangle")
@@ -193,6 +249,34 @@ class TestPricingTheorem:
             oracle = brute_price(m, qs, lambda s: max(s - K, 0.0), barrier=B)
             assert abs(direct - report.price) <= 1e-12
             assert abs(direct - oracle) <= 1e-12
+        # recombining classes; a call plus two barriers, one knocked out at t = 0
+        for _ in range(40):
+            m = random_class_market(rng)
+            qs = solve_martingale_measures(m).designated()
+            low = float(m.s0 * rng.choice([1.0, rng.uniform(0.5, 1.0)]))
+            high = float(m.s0 * rng.uniform(1.1, 3.0))
+            K1, K2, K3 = (float(m.s0 * k) for k in rng.uniform(0.5, 1.5, 3))
+            payoff = Payoff(payoff_european_call(K1).terms
+                            + payoff_barrier_up_out(K2, high).terms
+                            + payoff_barrier_up_out(K3, low).terms)
+            powers, oracle = brute_term_powers(m, qs, payoff)
+            report = price_via_tests(m, qs, payoff)
+            for term, (alt, base) in zip(report.terms, powers):
+                assert abs(term.power_alt - alt) <= 1e-12
+                assert abs(term.power_base - base) <= 1e-12
+            assert report.terms[2].power_alt == report.terms[2].power_base == 0.0
+            assert abs(price_direct(m, qs, payoff) - oracle) <= 1e-12
+            assert abs(report.price - oracle) <= 1e-12
+
+    def test_barrier_matches_knock_out_recursion(self):
+        for u, d, r, n, s0, K, B in ((1.05, 0.96, 1.001, 30, 100.0, 101.3, 150.0),
+                                     (1.01, 0.99, 1.0001, 200, 100.0, 101.3, 117.5)):
+            m = build_crr(u, d, r, 0.5, n, s0)
+            qs = solve_martingale_measures(m).designated()
+            payoff = payoff_barrier_up_out(K, B)
+            want = crr_knock_out_price(u, d, r, n, s0, K, B)
+            assert abs(price_direct(m, qs, payoff) - want) <= 1e-11 * want
+            assert abs(price_via_tests(m, qs, payoff).price - want) <= 1e-11 * want
 
     def test_infinite_barrier_is_a_plain_call(self):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 3, 4.0)
@@ -271,8 +355,8 @@ def path_space_powers(m, qs, payoff):
     exp = induced_experiment(m, qs)
     paths = np.array(exp.outcomes, dtype=np.int64).reshape(exp.size, m.steps)
     prices = path_prices(m, paths)
-    return [(float(t.test_values(prices) @ exp.measure("Q1")),
-             float(t.test_values(prices) @ exp.measure("Q")))
+    return [(float(t.terminal.eval_many(prices[:, -1]) @ exp.measure("Q1")),
+             float(t.terminal.eval_many(prices[:, -1]) @ exp.measure("Q")))
             for t in payoff.terms]
 
 
@@ -342,22 +426,6 @@ class TestGroupedRoute:
 
 
 class TestBarrierTest:
-    def scalar(self, row, K, B):
-        if max(row) >= B:
-            return 0.0
-        return 1.0 if row[-1] > K else 0.0
-
-    def test_eval_many_matches_the_path_definition(self):
-        rng = np.random.default_rng(RNG_SEED)
-        for _ in range(20):
-            m = random_market(rng, max_steps=4)
-            prices = path_prices(m, enumerate_paths(m))
-            K = float(m.s0 * rng.uniform(0.5, 1.5))
-            B = float(m.s0 * rng.choice([rng.uniform(0.9, 3.0), math.inf]))
-            test = payoff_barrier_up_out(K, B).terms[0].path_test
-            want = [self.scalar(row, K, B) for row in prices]
-            np.testing.assert_array_equal(test.eval_many(prices), want)
-
     def test_barrier_validated(self):
         with pytest.raises(InvalidParams):
             payoff_barrier_up_out(5.0, 0.0)
