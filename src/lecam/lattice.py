@@ -508,9 +508,11 @@ def _compositions(n: int, k: int) -> np.ndarray:
 
 def _multinomial_log_probs(counts: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = int(counts[0].sum())
-    logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -np.inf)
-    terms = np.where(counts > 0, counts * logq, 0.0)
-    return gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + terms.sum(axis=1)
+    logq = np.log(np.where(q > 0.0, q, 1.0))
+    out = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + (counts * logq).sum(axis=1)
+    # a count on a zero-mass outcome has probability zero (no 0 * log 0 above)
+    out[counts[:, q == 0.0].any(axis=1)] = -np.inf
+    return out
 
 
 def _dp_pair(qs: Sequence[np.ndarray]) -> np.ndarray:
@@ -580,8 +582,7 @@ def count_distribution(qs: Sequence[np.ndarray],
     identical = all(np.array_equal(q, qs[0]) for q in qs[1:])
     if identical and n > 32:
         counts = _compositions(n, k)
-        with np.errstate(divide="ignore"):
-            probs = np.exp(_multinomial_log_probs(counts, np.asarray(qs[0], dtype=float)))
+        probs = np.exp(_multinomial_log_probs(counts, np.asarray(qs[0], dtype=float)))
         return counts, probs
     return _dp_general(qs, cap)
 

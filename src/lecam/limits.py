@@ -1,10 +1,11 @@
 """Enumeration caps.
 
 All exhaustive enumerations in the package (path spaces, product outcome
-spaces, grouped convolution states, recombined-lattice nodes) are guarded
-by a cap and raise :class:`~lecam.errors.SizeLimit` beyond it.  The
-environment variable ``LECAM_MAX_PATHS`` overrides every cap at once;
-individual call sites can also pass an explicit bound.
+spaces, grouped convolution states, recombined-lattice nodes, the vertex
+multisets of ``price_bounds``) are guarded by a cap and raise
+:class:`~lecam.errors.SizeLimit` beyond it.  The environment variable
+``LECAM_MAX_PATHS`` overrides every cap at once; individual call sites can
+also pass an explicit bound.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ DEFAULT_MAX_OUTCOMES = 1 << 24
 #: Grouped states in terminal-value / convolution laws, and the nodes of
 #: all dates of the recombined lattice in backward induction.
 DEFAULT_MAX_STATES = 10_000_000
+
+#: Product martingale measures priced by ``price_bounds``: vertex multisets
+#: per return class, multiplied over the classes.
+DEFAULT_MAX_COMBOS = 1 << 16
 
 ENV_VAR = "LECAM_MAX_PATHS"
 
@@ -59,3 +64,7 @@ def max_product_outcomes(given: int | None = None) -> int:
 
 def max_states(given: int | None = None) -> int:
     return _resolve(given, DEFAULT_MAX_STATES)
+
+
+def max_combos(given: int | None = None) -> int:
+    return _resolve(given, DEFAULT_MAX_COMBOS)

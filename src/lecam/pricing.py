@@ -34,6 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import limits
 from .errors import (
     InvalidParams,
     NotACall,
@@ -45,6 +46,7 @@ from .experiments import BinaryPriors, Test, bayes_risk, neyman_pearson
 from .lattice import (
     LatticeMarket,
     PathState,
+    _classes,
     as_step_measures,
     backward_induction,
     complementary_market,
@@ -507,34 +509,49 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState,
 
 def price_bounds(m: LatticeMarket, payoff: Payoff,
                  max_states: int | None = None,
-                 max_combos: int = 1 << 16) -> tuple[float, float]:
+                 max_combos: int | None = None) -> tuple[float, float]:
     """Range of prices over product martingale measures: one measure of the
     closed per-step polytope per step, used at every node of that step.
 
     The price is multilinear in the per-step measures, so both extremes are
-    attained at step-constant vertex choices; these are enumerated
-    exhaustively.  This is not the no-arbitrage (superhedging) interval,
-    which also allows node-dependent choices and can be wider: for digitals
-    at ``N = 4`` by up to 0.16.  Equal bounds mean the market prices the
-    payoff completely.
+    attained at step-constant vertex choices.  Steps of one return class
+    (see :func:`lecam.lattice.terminal_log_law`) share their polytope and
+    are exchangeable: the law of ``X_T`` depends on the class's step
+    measures only through their multiset.  So each class ranges over the
+    multisets of its vertices, ``C(n_c + V_c - 1, V_c - 1)`` for ``n_c``
+    steps and ``V_c`` vertices, and the product over classes is priced once
+    per assignment; the min and max range over the same prices as an
+    enumeration of every ordered vertex tuple.  ``max_combos`` caps the
+    number of assignments (``LECAM_MAX_PATHS`` overrides it, as it does
+    every cap) and is checked before any law is built.
+
+    This is not the no-arbitrage (superhedging) interval, which also allows
+    node-dependent choices and can be wider: for digitals at ``N = 4`` by up
+    to 0.16.  Equal bounds mean the market prices the payoff completely.
     """
     if not payoff.terminal_only:
         raise PathDependenceUnsupported(
             "price bounds are implemented for terminal-value payoffs"
         )
+    cap = limits.max_combos(max_combos)
     solutions = solve_martingale_measures(m)
-    vertex_lists = [
-        [np.array(v) for v in sol.vertices] for sol in solutions.per_step
-    ]
+    classes = [(members, [np.array(v) for v in solutions.per_step[members[0]].vertices])
+               for _, members in _classes(m)]
     combos = 1
-    for vl in vertex_lists:
-        combos *= len(vl)
-        if combos > max_combos:
-            raise SizeLimit(f"vertex combinations exceed cap {max_combos}")
+    for members, vertices in classes:
+        combos *= math.comb(len(members) + len(vertices) - 1, len(vertices) - 1)
+        if combos > cap:
+            raise SizeLimit(f"vertex multisets exceed cap {cap}")
+    per_class = [itertools.combinations_with_replacement(vertices, len(members))
+                 for members, vertices in classes]
+    step_measures = [None] * m.steps
     lower = math.inf
     upper = -math.inf
-    for combo in itertools.product(*vertex_lists):
-        p = _discounted_value(m, payoff, list(combo), max_states)
+    for assignment in itertools.product(*per_class):
+        for (members, _), picks in zip(classes, assignment):
+            for j, v in zip(members, picks):
+                step_measures[j] = v
+        p = _discounted_value(m, payoff, step_measures, max_states)
         lower = min(lower, p)
         upper = max(upper, p)
     return float(lower), float(upper)

@@ -227,6 +227,49 @@ class TestLargeLattice:
         assert "lattice nodes exceed cap 100" in captured.err
 
 
+def tri_bounds(n):
+    """Call bounds at K = 1 on TRI over n steps: the vertices are the point
+    mass at 1.0 and the even split of 1.5 / 0.5, so k steps on the split
+    give a binomial law of S_T; the product measures are ranged over k."""
+    prices = [sum(math.comb(k, i) * 0.5 ** k * max(1.5 ** i * 0.5 ** (k - i) - 1.0, 0.0)
+                  for i in range(k + 1))
+              for k in range(n + 1)]
+    return min(prices), max(prices)
+
+
+class TestBounds:
+    """``bounds`` prices one measure per vertex multiset of each return
+    class: TRI over 17 steps has 2^17 ordered vertex choices but 18
+    multisets."""
+
+    def write_tri(self, spec_dir, n):
+        path = spec_dir["dir"] / f"tri{n}.json"
+        path.write_text(json.dumps(dict(TRI, N=n)))
+        return str(path)
+
+    def test_trinomial_n17_matches_binomial_sums(self, spec_dir, capsys):
+        rc = main(["bounds", "--market", self.write_tri(spec_dir, 17),
+                   "--payoff", spec_dir["call1"], "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        lower, upper = tri_bounds(17)
+        assert doc["lower"] == pytest.approx(lower, rel=1e-11, abs=1e-15)
+        assert doc["upper"] == pytest.approx(upper, rel=1e-11)
+
+    def test_cap_env_var_counts_multisets(self, spec_dir, capsys, monkeypatch):
+        market = self.write_tri(spec_dir, 5)
+        argv = ["bounds", "--market", market, "--payoff", spec_dir["call1"]]
+        monkeypatch.setenv("LECAM_MAX_PATHS", "4")
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "vertex multisets exceed cap 4" in captured.err
+        monkeypatch.delenv("LECAM_MAX_PATHS")
+        rc = main(argv)
+        capsys.readouterr()
+        assert rc == 0
+
+
 class TestSelfCheck:
     def test_price_routes_disagreeing_exit_5(self, spec_dir, capsys, monkeypatch):
         import dataclasses

@@ -33,6 +33,7 @@ from lecam import (
     path_prices,
     path_probabilities,
     payoff_barrier_up_out,
+    payoff_european_call,
     price_direct,
     solve_martingale_measures,
     terminal_law,
@@ -257,6 +258,22 @@ class TestEnumeration:
         got_var = float(probs @ np.log(vals) ** 2) - got_mean**2
         assert abs(got_mean - mean) <= 1e-9
         assert abs(got_var - var) <= 1e-9
+
+    def test_multinomial_branch_with_zero_mass_outcome(self):
+        """40 identical steps whose measure leaves one value unused take the
+        multinomial branch without a numeric warning (tier-1 turns
+        RuntimeWarning into an error) and match a binomial sum."""
+        step = ((1.05, 1 / 3), (1.0, 1 / 3), (0.95, 1 / 3))
+        n = 40
+        m = LatticeMarket(n, 1.0, 1.0, (step,) * n, (0.0,) * n)
+        q = np.array([0.5, 0.0, 0.5])
+        counts, probs = count_distribution([q] * n)
+        assert np.all(probs[counts[:, 1] > 0] == 0.0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        want = sum(math.comb(n, k) * 0.5 ** n * max(1.05 ** k * 0.95 ** (n - k) - 1.0, 0.0)
+                   for k in range(n + 1))
+        got = price_direct(m, [q] * n, payoff_european_call(1.0))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_count_distribution_branches_agree(self):
         rng = np.random.default_rng(RNG_SEED)

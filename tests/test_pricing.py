@@ -24,9 +24,11 @@ from lecam import (
     Payoff,
     PathState,
     Partition,
+    SizeLimit,
     bayes_risk,
     build_crr,
     dynamic_price,
+    enumerate_paths,
     induced_experiment,
     np_decomposition,
     payoff_barrier_up_out,
@@ -37,6 +39,7 @@ from lecam import (
     payoff_straddle,
     payoff_strangle,
     payoff_to_json,
+    path_probabilities,
     price_bounds,
     price_direct,
     price_via_tests,
@@ -45,6 +48,7 @@ from lecam import (
     terminal_experiment,
 )
 from lecam import Test as RTest
+from lecam import limits, pricing
 from lecam.lattice import path_prices
 
 from test_lattice import brute_paths, brute_prob, brute_ratio, random_market
@@ -621,6 +625,162 @@ class TestPriceBounds:
         m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
         with pytest.raises(PathDependenceUnsupported):
             price_bounds(m, payoff_barrier_up_out(5.0, 10.0))
+
+
+def table_market(tables, rates, s0=2.0):
+    """Market whose step ``j`` has the values ``tables[j]`` (uniform
+    real-world probabilities) and simple bond rate ``rates[j]``."""
+    returns = tuple(tuple((v, 1.0 / len(vals)) for v in vals) for vals in tables)
+    return LatticeMarket(len(tables), 1.0, s0, returns, tuple(rates))
+
+
+def alternating(a, b, n):
+    return [a if j % 2 == 0 else b for j in range(n)]
+
+
+def count_laws(monkeypatch):
+    """Count the law builds of ``price_bounds`` (one per priced assignment)."""
+    calls = []
+    inner = pricing._discounted_value
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "_discounted_value", counted)
+    return calls
+
+
+def multiset_count(m):
+    """Product over return classes of ``C(n_c + V_c - 1, V_c - 1)``."""
+    sols = solve_martingale_measures(m)
+    classes = {}
+    for j in range(m.steps):
+        key = tuple(v for v, _ in m.returns[j])
+        classes.setdefault(key, []).append(len(sols.per_step[j].vertices))
+    return math.prod(math.comb(len(vs) + vs[0] - 1, vs[0] - 1)
+                     for vs in classes.values())
+
+
+TRI_A = (1.05, 1.0, 0.95)            # two vertices, one a point mass
+TRI_B = (1.08, 0.97, 0.93)           # two vertices of support two
+QUAD_3 = (1.1, 1.0, 0.95, 0.9)       # three vertices
+QUAD_4 = (1.1, 1.04, 0.96, 0.9)      # four vertices
+RATES6 = (0.0, 0.01, 0.003, 0.02, 0.0, 0.005)
+
+
+class TestPriceBoundsMultisets:
+    """Steps of one return class are exchangeable, so ``price_bounds``
+    prices one measure per vertex multiset per class; these checks compare
+    it with the ordered enumeration of one vertex per step and with closed
+    forms far beyond its reach."""
+
+    MARKETS = (
+        ([TRI_A] * 6, (0.0,) * 6),
+        ([TRI_B] * 5, (0.004,) * 5),
+        ([QUAD_3] * 5, (0.0,) * 5),
+        ([QUAD_4] * 5, (0.002,) * 5),
+        (alternating(TRI_B, QUAD_4, 6), (0.0,) * 6),
+        (alternating(QUAD_3, TRI_A, 6), RATES6),
+        (alternating(TRI_B, QUAD_4, 6), RATES6),
+    )
+
+    @staticmethod
+    def ordered_bounds(m, strike):
+        """Min and max over every ordered tuple of one vertex per step, each
+        priced on the enumerated paths, for call, put, digital, straddle."""
+        paths = enumerate_paths(m)
+        s_T = path_prices(m, paths)[:, -1]
+        call = np.maximum(s_T - strike, 0.0)
+        put = np.maximum(strike - s_T, 0.0)
+        values = np.stack([call, put, (s_T > strike).astype(float), call + put], axis=1)
+        prices = np.array([
+            m.discount * (path_probabilities(m, paths, [np.array(v) for v in combo])
+                          @ values)
+            for combo in itertools.product(*[s.vertices for s in
+                                             solve_martingale_measures(m).per_step])
+        ])
+        return prices.min(axis=0), prices.max(axis=0)
+
+    def test_multisets_match_ordered_enumeration(self, monkeypatch):
+        payoffs = (payoff_european_call, payoff_european_put, payoff_digital,
+                   payoff_straddle)
+        for tables, rates in self.MARKETS:
+            m = table_market(tables, rates)
+            strike = m.s0 * m.bond_factor(m.steps) * 1.0137
+            lows, highs = self.ordered_bounds(m, strike)
+            calls = count_laws(monkeypatch)
+            for make, lo_want, hi_want in zip(payoffs, lows, highs):
+                lo, hi = price_bounds(m, make(strike))
+                assert abs(lo - lo_want) <= 1e-12
+                assert abs(hi - hi_want) <= 1e-12
+            assert len(calls) == len(payoffs) * multiset_count(m)
+            monkeypatch.undo()
+
+    def test_large_n_against_binomial_convolution(self, monkeypatch):
+        """Three values, none equal to one: both vertices have support two,
+        so k steps on the first vertex and n - k on the second give X_T by
+        the up counts of two independent binomials.  2^40 ordered choices,
+        41 multisets."""
+        up, mid, low, n, r = 1.1, 0.95, 0.9, 40, 0.001
+        m = table_market([(up, mid, low)] * n, (r,) * n, s0=1.0)
+        forward = (1.0 + r) ** n
+        strike = forward * 1.0137
+        a = (1.0 - mid) / (up - mid)
+        b = (1.0 - low) / (up - low)
+
+        def pmf(k, p):
+            return np.array([math.comb(k, i) * p ** i * (1.0 - p) ** (k - i)
+                             for i in range(k + 1)])
+
+        spots = {}
+        for k in range(n + 1):
+            i = np.arange(k + 1)[:, None]
+            j = np.arange(n - k + 1)[None, :]
+            spots[k] = (forward * np.exp((i + j) * math.log(up) + (k - i) * math.log(mid)
+                                         + (n - k - j) * math.log(low)),
+                        np.outer(pmf(k, a), pmf(n - k, b)))
+        gap = min(np.abs(np.log(s / strike)).min() for s, _ in spots.values())
+        assert gap > 1e-6   # no terminal node near the strike
+        for make, fn in ((payoff_european_call, lambda s: np.maximum(s - strike, 0.0)),
+                         (payoff_european_put, lambda s: np.maximum(strike - s, 0.0)),
+                         (payoff_straddle, lambda s: np.abs(s - strike))):
+            prices = [float((w * fn(s)).sum()) / forward for s, w in spots.values()]
+            calls = count_laws(monkeypatch)
+            lo, hi = price_bounds(m, make(strike))
+            assert len(calls) == n + 1
+            monkeypatch.undo()
+            assert lo == pytest.approx(min(prices), rel=1e-11)
+            assert hi == pytest.approx(max(prices), rel=1e-11)
+
+    def test_law_builds_count_multisets(self, monkeypatch):
+        cases = (
+            (table_market([TRI_A] * 12, (0.0,) * 12), 13),
+            (table_market([QUAD_4] * 6, (0.0,) * 6), math.comb(9, 3)),
+            (table_market(alternating(TRI_B, QUAD_4, 7), (0.0,) * 7),
+             math.comb(5, 1) * math.comb(6, 3)),
+            (table_market(alternating(QUAD_3, TRI_A, 6), RATES6),
+             math.comb(5, 2) * math.comb(4, 1)),
+        )
+        for m, want in cases:
+            assert multiset_count(m) == want
+            calls = count_laws(monkeypatch)
+            price_bounds(m, payoff_european_call(m.s0))
+            assert len(calls) == want
+            monkeypatch.undo()
+
+    def test_cap_counts_multisets_before_any_law(self, monkeypatch):
+        calls = count_laws(monkeypatch)
+        big = table_market([QUAD_4] * 80, (0.0,) * 80)
+        assert math.comb(83, 3) == 91881 > limits.DEFAULT_MAX_COMBOS
+        with pytest.raises(SizeLimit, match="vertex multisets exceed cap 65536"):
+            price_bounds(big, payoff_european_call(2.0))
+        m = table_market([QUAD_4] * 6, (0.0,) * 6)
+        with pytest.raises(SizeLimit, match="cap 83"):
+            price_bounds(m, payoff_european_call(2.0), max_combos=83)
+        assert calls == []
+        price_bounds(m, payoff_european_call(2.0), max_combos=84)
+        assert len(calls) == 84
 
 
 # ---------------------------------------------------------------------------
