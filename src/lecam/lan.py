@@ -261,14 +261,12 @@ class Schedule:
         if abs(limit_rate.horizon - horizon) > 1e-12:
             raise InvalidParams("sigma and rate schedules disagree on the horizon")
         dt = horizon / N
-        sigmas = []
-        rhos = []
-        for j in range(N):
-            mid = (j + 0.5) * dt
-            sigmas.append(limit_sigma.value_at(mid))
-            r = limit_rate.value_at(mid)
-            rhos.append((math.exp(r * dt) - 1.0) / dt)
-        return cls(N=N, horizon=horizon, sigmas=tuple(sigmas), rhos=tuple(rhos),
+        mids = (np.arange(N) + 0.5) * dt
+        sigma_at, rate_at = (np.minimum(np.searchsorted(f.ends, mids), len(f.ends) - 1)
+                             for f in (limit_sigma, limit_rate))
+        rhos = np.array([(math.exp(r * dt) - 1.0) / dt for r in limit_rate.values])
+        return cls(N=N, horizon=horizon, rhos=tuple(rhos[rate_at].tolist()),
+                   sigmas=tuple(np.array(limit_sigma.values)[sigma_at].tolist()),
                    limit_sigma=limit_sigma, limit_rate=limit_rate, **bounds)
 
 

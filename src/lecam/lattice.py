@@ -23,9 +23,11 @@ experiments of :mod:`lecam.experiments`:
   space, and with ``enumerate_paths`` and ``induced_experiment`` serve as
   small-``N`` oracles.
 
-The atoms of the grouped law and the nodes of backward induction take
-their spots from one rule (``_count_logs``): per return class
-``counts @ log(values)``, summed in class order.
+Per return class the grouped law rests on the law of the outcome counts,
+in closed form (binomial pmfs) per group of equal step measures.  Its atoms
+and the nodes of backward induction take their spots from one rule
+(``_count_logs``): per return class ``counts @ log(values)``, summed in
+class order.
 
 Martingale measures are solved per step by vertex enumeration of the
 polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; with at most two active
@@ -35,13 +37,13 @@ exact and needs no LP solver.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special._ufuncs import _binom_pmf  # scipy.stats.binom's pmf, without its import
 
 from . import limits
 from .errors import (
@@ -55,6 +57,13 @@ from .experiments import FiniteExperiment
 ATOL = 1e-12
 
 StepMeasures = Sequence[Sequence[float]]
+
+
+def _first_index(items: Sequence) -> dict:
+    """Each distinct item mapped to its first index, in that order: checks run
+    once per distinct step and still name the first offending one."""
+    first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
+    return dict(sorted(first.items(), key=lambda item: item[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +106,15 @@ class LatticeMarket:
             raise InvalidParams(f"horizon must be positive, got {self.horizon!r}")
         if not self.s0 > 0.0:
             raise InvalidParams(f"s0 must be positive, got {self.s0!r}")
-        returns = tuple(tuple((float(v), float(p)) for v, p in step) for step in self.returns)
+        steps = {step: tuple((float(v), float(p)) for v, p in step)
+                 for step in dict.fromkeys(self.returns)}
+        returns = tuple(map(steps.__getitem__, self.returns))
         object.__setattr__(self, "returns", returns)
         rates = tuple(float(r) for r in self.bond_rates)
         object.__setattr__(self, "bond_rates", rates)
         if len(returns) != self.steps or len(rates) != self.steps:
             raise InvalidParams("returns and bond_rates must have one entry per step")
-        for j, step in enumerate(returns):
+        for step, j in _first_index(returns).items():
             if not step:
                 raise InvalidParams(f"step {j} has no return values")
             vals = [v for v, _ in step]
@@ -205,7 +216,8 @@ class MartingaleMeasureSet:
 
     def designated(self) -> list[np.ndarray]:
         """A canonical strictly positive element: per-step barycenters."""
-        return [s.barycenter() for s in self.per_step]
+        centers = {s: s.barycenter() for s in dict.fromkeys(self.per_step)}
+        return list(map(centers.__getitem__, self.per_step))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +293,8 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
         u = float(ret["u"])
         d = float(ret["d"])
         p = float(ret.get("p", 0.5))
-        steps_returns = tuple(_crr_step(u, d, p, 1.0 + r) for r in rates)
+        crr = {r: _crr_step(u, d, p, 1.0 + r) for r in dict.fromkeys(rates)}
+        steps_returns = tuple(map(crr.__getitem__, rates))
     elif kind == "table":
         values = ret["values"]
         probs = ret["probs"]
@@ -352,9 +365,9 @@ def solve_martingale_measures(m: LatticeMarket) -> MartingaleMeasureSet:
     no strictly positive solution (all returns on one side of 1, or a
     coordinate forced to zero across the whole polytope).
     """
-    per_step = []
-    for j in range(m.steps):
-        values = m.step_values(j)
+    solutions = {}
+    for step, j in _first_index(m.returns).items():
+        values = np.array([v for v, _ in step])
         vertices = _step_vertices(values)
         if not vertices:
             raise NoArbitrageViolation(
@@ -369,8 +382,8 @@ def solve_martingale_measures(m: LatticeMarket) -> MartingaleMeasureSet:
                 f"step {j}: no equivalent martingale measure "
                 f"(coordinates {dead} forced to zero)"
             )
-        per_step.append(StepSolution(tuple(tuple(v) for v in vertices)))
-    return MartingaleMeasureSet(tuple(per_step))
+        solutions[step] = StepSolution(tuple(tuple(v) for v in vertices))
+    return MartingaleMeasureSet(tuple(map(solutions.__getitem__, m.returns)))
 
 
 def is_complete(m: LatticeMarket) -> bool:
@@ -397,22 +410,26 @@ def as_step_measures(m: LatticeMarket, q) -> list[np.ndarray]:
             vectors = [np.asarray(v, dtype=float) for v in seq]
     if len(vectors) != m.steps:
         raise InvalidParams(f"expected {m.steps} step measures, got {len(vectors)}")
-    out = []
-    for j, v in enumerate(vectors):
-        if v.shape != (len(m.returns[j]),):
+    keys = [(v.shape, v.tobytes(), len(step)) for v, step in zip(vectors, m.returns)]
+    checked = {}
+    for key, j in _first_index(keys).items():
+        v = vectors[j]
+        if v.shape != (key[2],):
             raise InvalidParams(f"step {j} measure has wrong length")
         if np.any(v < 0.0):
             raise InvalidParams(f"step {j} measure has negative mass")
         if abs(float(v.sum()) - 1.0) > ATOL:
             raise InvalidParams(f"step {j} measure sums to {float(v.sum())!r}")
-        out.append(v.astype(float))
-    return out
+        checked[key] = v.astype(float)
+    return list(map(checked.__getitem__, keys))
 
 
 def require_martingale(m: LatticeMarket, step_measures: Sequence[np.ndarray],
                        strict: bool = False) -> None:
     """Check the one-step pricing identity ``sum q*u = 1`` per step."""
-    for j, v in enumerate(step_measures):
+    keys = [(v.tobytes(), step) for v, step in zip(step_measures, m.returns)]
+    for j in _first_index(keys).values():
+        v = step_measures[j]
         gap = abs(float(v @ m.step_values(j)) - 1.0)
         if gap > ATOL:
             raise InvalidParams(
@@ -487,65 +504,39 @@ def path_prices(m: LatticeMarket, paths: np.ndarray) -> np.ndarray:
 # grouped (recombining) laws
 # ---------------------------------------------------------------------------
 
-def _compositions(n: int, k: int) -> np.ndarray:
-    """All nonnegative integer ``k``-vectors summing to ``n``, shape ``(M, k)``."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    if k == 2:
-        a = np.arange(n + 1, dtype=np.int64)
-        return np.stack([a, n - a], axis=1)
-    if k == 3:
-        lengths = np.arange(n + 1, 0, -1)
-        n1 = np.repeat(np.arange(n + 1, dtype=np.int64), lengths)
-        n2 = np.concatenate([np.arange(l, dtype=np.int64) for l in lengths])
-        return np.stack([n1, n2, n - n1 - n2], axis=1)
-    rows = []
-    for head in range(n + 1):
-        tail = _compositions(n - head, k - 1)
-        rows.append(np.column_stack([np.full(len(tail), head, dtype=np.int64), tail]))
-    return np.concatenate(rows, axis=0)
-
-
-def _multinomial_log_probs(counts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = int(counts[0].sum())
-    logq = np.log(np.where(q > 0.0, q, 1.0))
-    out = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + (counts * logq).sum(axis=1)
-    # a count on a zero-mass outcome has probability zero (no 0 * log 0 above)
-    out[counts[:, q == 0.0].any(axis=1)] = -np.inf
-    return out
-
-
-def _dp_pair(qs: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact law of the first-outcome count for two-point steps."""
-    n = len(qs)
-    probs = np.zeros(n + 1)
-    probs[0] = 1.0
-    for j, q in enumerate(qs):
-        nxt = np.zeros(n + 1)
-        nxt[: j + 2] = probs[: j + 2] * q[1]
-        nxt[1: j + 2] += probs[: j + 1] * q[0]
-        probs = nxt
-    return probs
-
-
-def _dp_general(qs: Sequence[np.ndarray], cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact dict-based count law for arbitrary supports (small step counts)."""
-    k = len(qs[0])
-    states: dict[tuple[int, ...], float] = {tuple([0] * k): 1.0}
-    for q in qs:
-        nxt: dict[tuple[int, ...], float] = {}
-        for state, p in states.items():
-            for i in range(k):
-                if q[i] == 0.0:
-                    continue
-                key = state[:i] + (state[i] + 1,) + state[i + 1:]
-                nxt[key] = nxt.get(key, 0.0) + p * q[i]
-        states = nxt
-        if len(states) > cap:
-            raise SizeLimit(f"count states exceed cap {cap}")
-    counts = np.array(sorted(states), dtype=np.int64)
-    probs = np.array([states[tuple(c)] for c in counts])
+def _identical_law(n: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial law of the outcome counts of ``n`` steps with measure
+    ``q``, rows in lexicographic order.  Each live outcome but the last draws
+    from ``Bin(rest, q_i / (q_i + mass of the live ones after it))``; the
+    last takes the remainder, and zero-mass outcomes carry no count."""
+    live = np.flatnonzero(q > 0.0)
+    tails = np.cumsum(q[live][::-1])[::-1]
+    counts = np.zeros((1, len(q)), dtype=np.int64)
+    probs = np.ones(1)
+    rest = np.full(1, n, dtype=np.int64)
+    for i, tail in zip(live[:-1], tails):
+        width = rest + 1
+        row = np.repeat(np.arange(len(rest)), width)
+        draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        counts = counts[row]
+        counts[:, i] = draw
+        probs = probs[row] * _binom_pmf(draw, rest[row], min(q[i] / tail, 1.0))
+        rest = rest[row] - draw
+    counts[:, live[-1]] = rest
     return counts, probs
+
+
+def _composition_rank(counts: np.ndarray) -> np.ndarray:
+    """Rank of each row among the compositions of its total ``n`` into ``k``
+    parts, an exact key below ``C(n + k - 1, k - 1)``: ``sum_i C(s_i + i,
+    i + 1)`` over prefix sums ``s_i``, each table of ``C(s + i, i + 1)``
+    the running sum of the one before it."""
+    table = np.arange(counts[0].sum() + 1, dtype=np.int64)
+    rank = np.zeros(len(counts), dtype=np.int64)
+    for ends in np.cumsum(counts[:, :-1], axis=1).T:
+        rank += table[ends]
+        table = np.cumsum(table)
+    return rank
 
 
 def count_distribution(qs: Sequence[np.ndarray],
@@ -560,31 +551,41 @@ def count_distribution(qs: Sequence[np.ndarray],
     Returns
     -------
     counts, probs:
-        ``counts`` has shape ``(M, k)`` (every composition of ``n`` into
-        ``k`` parts); ``probs`` the corresponding probabilities.  Exact
-        convolution is used where feasible, the multinomial closed form for
-        long runs of identical steps.
+        ``counts`` has shape ``(M, k)``, one reachable count vector per row
+        (every split of ``n`` for ``k = 2``); ``probs`` their probabilities,
+        a closed-form multinomial per group of equal step measures
+        (Loader's saddle-point binomial pmfs), the groups convolved.  Raises
+        :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
+        pairwise sums that merge two groups, exceed ``max_states``.
     """
     cap = limits.max_states(max_states)
     n = len(qs)
     k = len(qs[0])
-    if any(len(q) != k for q in qs):
-        raise InvalidParams("all steps in a class must share the support size")
-    if k == 1:
-        return np.array([[n]], dtype=np.int64), np.ones(1)
-    if k == 2:
-        probs = _dp_pair(qs)
-        a = np.arange(n + 1, dtype=np.int64)
-        return np.stack([a, n - a], axis=1), probs
+    groups: dict[bytes, list] = {}
+    for q in qs:
+        q = np.asarray(q, dtype=float)
+        if len(q) != k:
+            raise InvalidParams("all steps in a class must share the support size")
+        groups.setdefault(q.tobytes(), [q, 0])[1] += 1
     states = math.comb(n + k - 1, k - 1)
     if states > cap:
         raise SizeLimit(f"count states {states} exceed cap {cap}")
-    identical = all(np.array_equal(q, qs[0]) for q in qs[1:])
-    if identical and n > 32:
-        counts = _compositions(n, k)
-        probs = np.exp(_multinomial_log_probs(counts, np.asarray(qs[0], dtype=float)))
-        return counts, probs
-    return _dp_general(qs, cap)
+    if k == 2:  # convolve the pmfs of the first outcome's count
+        probs = functools.reduce(np.convolve, (_binom_pmf(np.arange(size + 1), size, q[0])
+                                               for q, size in groups.values()))
+        a = np.arange(n + 1, dtype=np.int64)
+        return np.stack([a, n - a], axis=1), probs
+    laws = (_identical_law(size, q) for q, size in groups.values())
+    counts, probs = next(laws)
+    for more, more_probs in laws:  # pairwise sums, equal count vectors merged
+        if len(counts) * len(more) > cap:
+            raise SizeLimit(f"count states exceed cap {cap}")
+        counts = (counts[:, None] + more[None]).reshape(-1, k)
+        _, first, inverse = np.unique(_composition_rank(counts),
+                                      return_index=True, return_inverse=True)
+        counts = counts[first]
+        probs = np.bincount(inverse, weights=np.outer(probs, more_probs).ravel())
+    return counts, probs
 
 
 def combine_additive_laws(laws: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -633,7 +634,7 @@ def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     sorted increasingly.
 
     Steps with identical return supports are grouped, so the state space
-    stays polynomial in ``N``.
+    stays polynomial in ``N`` (:func:`count_distribution` per class).
     """
     laws = []
     for values, members in _classes(m):

@@ -162,6 +162,22 @@ class TestPrice:
         assert captured.err.startswith("error:")
 
 
+def binomial_tail(n, k, p):
+    """``P(Bin(n, p) >= k)`` to 30 digits (mpmath): the terms from ``k`` up,
+    each from the one before it, until past the mode they drop below 1e-40
+    of the sum."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        term = mp.binomial(n, k) * p ** k * (1 - p) ** (n - k)
+        total = mp.mpf(0)
+        while k <= n and (k <= n * p or term > 1e-40 * total):
+            total += term
+            term = term * (n - k) / (k + 1) * p / (1 - p)
+            k += 1
+        return float(total)
+
+
 def crr30_call(strike):
     """Price of a call on CRR30 as a binomial sum."""
     n, r = CRR30["N"], 1.0 + CRR30["bond"]["const"]
@@ -218,6 +234,29 @@ class TestLargeLattice:
             1.0 + CRR30["bond"]["const"], CRR30["N"], CRR30["s0"], self.K, 400.0)
         assert doc["price_direct"] == pytest.approx(want, rel=1e-11)
         assert doc["price_via_tests"] == pytest.approx(want, rel=1e-11)
+
+    def test_crr_65536_price_matches_binomial_tails(self, spec_dir, capsys):
+        """CRR N = 65536: the grouped law is one binomial, and both routes
+        match the closed form ``s0 P_{q u}(k >= k*) - K B_N^-1 P_q(k >= k*)``
+        (discounted ``u``, tails summed in 30 digits)."""
+        n, u, d, bond = 65536, 1.001, 0.999, 1.0 + 5e-7
+        doc = {"N": n, "T": 1.0, "s0": 100.0, "bond": {"const": bond - 1.0},
+               "returns": {"type": "crr", "u": u, "d": d, "p": 0.5}}
+        k_star = 32800
+        # half-way (in log) between the nodes with k_star - 1 and k_star ups
+        strike = 100.0 * u ** (k_star - 0.5) * d ** (n - k_star + 0.5)
+        market = self.write(spec_dir, "crr65536.json", doc)
+        call = self.write(spec_dir, "call.json", {"type": "call", "K": strike})
+        rc = main(["price", "--market", market, "--payoff", call, "--format", "json"])
+        got = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        up, down = u / bond, d / bond
+        q = (1.0 - down) / (up - down)
+        want = (100.0 * binomial_tail(n, k_star, q * up)
+                - strike * bond ** -n * binomial_tail(n, k_star, q))
+        assert got["diff"] <= 1e-12 * want
+        assert got["price_direct"] == pytest.approx(want, rel=1e-11)
+        assert got["price_via_tests"] == pytest.approx(want, rel=1e-11)
 
     def test_barrier_hits_the_state_cap(self, spec_dir, capsys, monkeypatch):
         monkeypatch.setenv("LECAM_MAX_PATHS", "100")
@@ -509,6 +548,18 @@ class TestDeterminism:
                      "--payoff", spec_dir["call5"], "--out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_text() == stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` doubles the start-up time of every command; the count
+    laws take their binomial pmf from ``scipy.special`` instead."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lecam.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(spec_dir):

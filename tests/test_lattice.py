@@ -7,6 +7,7 @@ paths are certified by the slowest possible oracle.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from lecam.lattice import (
     backward_induction,
     count_distribution,
     path_products,
+    require_martingale,
 )
 
 RNG_SEED = 42
@@ -77,6 +79,88 @@ def brute_ratio(m, path, t=None):
 
 def brute_expect_terminal(m, qs, f):
     return sum(brute_prob(m, qs, w) * f(brute_ratio(m, w)) for w in brute_paths(m))
+
+
+def dp_pair(qs):
+    """Law of the first-outcome count over two-point steps, one step at a time."""
+    n = len(qs)
+    probs = np.zeros(n + 1)
+    probs[0] = 1.0
+    for j, q in enumerate(qs):
+        nxt = np.zeros(n + 1)
+        nxt[: j + 2] = probs[: j + 2] * q[1]
+        nxt[1: j + 2] += probs[: j + 1] * q[0]
+        probs = nxt
+    return probs
+
+
+def dp_general(qs):
+    """Law of the outcome counts, one step at a time over a dict of count
+    vectors; outcomes without mass are never taken.  Rows sorted."""
+    k = len(qs[0])
+    states = {(0,) * k: 1.0}
+    for q in qs:
+        nxt = {}
+        for state, p in states.items():
+            for i in range(k):
+                if q[i] == 0.0:
+                    continue
+                key = state[:i] + (state[i] + 1,) + state[i + 1:]
+                nxt[key] = nxt.get(key, 0.0) + p * q[i]
+        states = nxt
+    counts = np.array(sorted(states), dtype=np.int64)
+    return counts, np.array([states[tuple(c)] for c in counts])
+
+
+def _over_common_denominator(q):
+    """Integers ``a`` and ``den`` with ``q == a / den`` exactly (floats are
+    dyadic, so the largest denominator is a common one)."""
+    fracs = [Fraction(float(x)) for x in q]
+    den = max(f.denominator for f in fracs)
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def exact_binomial(n, p):
+    """``P(Bin(n, p) = i)`` for ``i = 0..n``, exact for the float ``p`` and
+    rounded once: ``C(n, i) a^i b^(n-i) / den^n`` in integers, each term from
+    the one before it."""
+    (a, b), den = _over_common_denominator([p, 1.0 - Fraction(float(p))])
+    total = den ** n
+    term = b ** n
+    out = [term / total]
+    for i in range(n):
+        term = term * a * (n - i) // ((i + 1) * b)
+        out.append(term / total)
+    return np.array(out)
+
+
+def exact_count_law(n, q):
+    """Exact law of the outcome counts of ``n`` steps with measure ``q``
+    (taken as exact rationals), each probability rounded once:
+    ``{counts: prob}`` over every composition of ``n``."""
+    nums, den = _over_common_denominator(q)
+    k = len(q)
+    total = den ** n
+    fact = [math.factorial(i) for i in range(n + 1)]
+    powers = [[a ** c for c in range(n + 1)] for a in nums]
+    out = {}
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1,) + bars + (n + k - 1,)
+        counts = tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+        num = fact[n]
+        for c in counts:
+            num //= fact[c]
+        for pw, c in zip(powers, counts):
+            num *= pw[c]
+        out[counts] = num / total
+    return out
+
+
+def law_l1(counts, probs, exact):
+    """L1 distance between a count law and an exact ``{counts: prob}`` law."""
+    got = {tuple(int(x) for x in c): float(p) for c, p in zip(counts, probs)}
+    assert len(got) == len(counts)
+    return sum(abs(got.get(c, 0.0) - exact.get(c, 0.0)) for c in set(got) | set(exact))
 
 
 def random_market(rng, max_steps=4, max_support=3, allow_flat=True):
@@ -260,9 +344,10 @@ class TestEnumeration:
         assert abs(got_var - var) <= 1e-9
 
     def test_multinomial_branch_with_zero_mass_outcome(self):
-        """40 identical steps whose measure leaves one value unused take the
-        multinomial branch without a numeric warning (tier-1 turns
-        RuntimeWarning into an error) and match a binomial sum."""
+        """40 identical steps whose measure leaves one value unused build
+        their law without a numeric warning (tier-1 turns RuntimeWarning
+        into an error), give the unused value no count and match a
+        binomial sum."""
         step = ((1.05, 1 / 3), (1.0, 1 / 3), (0.95, 1 / 3))
         n = 40
         m = LatticeMarket(n, 1.0, 1.0, (step,) * n, (0.0,) * n)
@@ -275,21 +360,106 @@ class TestEnumeration:
         got = price_direct(m, [q] * n, payoff_european_call(1.0))
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_count_distribution_branches_agree(self):
+    def test_count_distribution_matches_dp_oracle(self):
         rng = np.random.default_rng(RNG_SEED)
         q = rng.random(3) + 0.2
         q /= q.sum()
-        # identical-step shortcut (n > 32) vs the generic convolution
+        # identical-step chain of binomials vs the step-by-step convolution
         n = 34
         counts_a, probs_a = count_distribution([q] * n)
         order = np.lexsort(counts_a.T)
-        from lecam.lattice import _dp_general
-
-        counts_b, probs_b = _dp_general([q] * n, cap=10_000_000)
+        counts_b, probs_b = dp_general([q] * n)
         order_b = np.lexsort(counts_b.T)
         np.testing.assert_array_equal(counts_a[order], counts_b[order_b])
         np.testing.assert_allclose(probs_a[order], probs_b[order_b],
                                    rtol=0.0, atol=1e-13)
+
+
+class TestCountLaws:
+    """``count_distribution`` against exact laws: integer arithmetic on the
+    measures' exact rational values, rounded once."""
+
+    def test_two_point_laws_match_exact_binomials(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for n in (1, 2, 7, 64, 513, 2048):
+            for p in (rng.uniform(0.05, 0.95), (1.0 - 0.99) / (1.01 - 0.99)):
+                q = np.array([p, 1.0 - p])
+                counts, probs = count_distribution([q] * n)
+                np.testing.assert_array_equal(counts[:, 0], np.arange(n + 1))
+                np.testing.assert_array_equal(counts.sum(axis=1), n)
+                assert np.abs(probs - exact_binomial(n, p)).sum() <= 1e-13
+
+    @pytest.mark.parametrize("q, sizes", [
+        ((0.25, 0.5, 0.25), (1, 2, 17, 64)),
+        ((0.3, 0.0, 0.7), (5, 64)),
+        ((0.1, 0.2, 0.3, 0.4), (1, 3, 24, 64)),
+        ((0.0, 0.45, 0.0, 0.55), (9, 40)),
+        ((0.2, 0.0, 0.35, 0.45), (40,)),
+    ])
+    def test_identical_step_laws_match_exact(self, q, sizes):
+        q = np.array(q)
+        for n in sizes:
+            counts, probs = count_distribution([q] * n)
+            assert law_l1(counts, probs, exact_count_law(n, q)) <= 1e-13
+            # zero-mass outcomes carry no count
+            assert not counts[:, q == 0.0].any()
+
+    @pytest.mark.parametrize("members", [
+        # price_bounds multisets: vertices of support one or two
+        [((0.0, 1.0, 0.0), 5), ((0.5, 0.0, 0.5), 7)],
+        [((0.6, 0.0, 0.4), 3), ((0.0, 0.3, 0.7), 4), ((0.0, 1.0, 0.0), 2)],
+        [((0.2, 0.0, 0.8, 0.0), 4), ((0.0, 0.4, 0.0, 0.6), 3),
+         ((0.7, 0.0, 0.0, 0.3), 2)],
+        # full supports and a two-point class
+        [((0.2, 0.3, 0.5), 6), ((0.4, 0.4, 0.2), 5)],
+        [((0.3, 0.7), 9), ((0.55, 0.45), 4), ((1.0, 0.0), 3)],
+    ])
+    def test_mixed_classes_match_dp_oracles(self, members):
+        qs = [np.array(q) for q, count in members for _ in range(count)]
+        rng = np.random.default_rng(RNG_SEED)
+        qs = [qs[i] for i in rng.permutation(len(qs))]
+        counts, probs = count_distribution(qs)
+        if len(qs[0]) == 2:
+            np.testing.assert_allclose(probs, dp_pair(qs), rtol=1e-13, atol=1e-300)
+            return
+        want_counts, want = dp_general(qs)
+        order = np.lexsort(counts.T[::-1])
+        np.testing.assert_array_equal(counts[order], want_counts)
+        np.testing.assert_allclose(probs[order], want, rtol=1e-13, atol=0.0)
+
+    def test_random_mixed_classes_match_dp_oracle(self):
+        rng = np.random.default_rng(RNG_SEED + 1)
+        for _ in range(20):
+            k = int(rng.integers(3, 5))
+            distinct = rng.random((int(rng.integers(2, 4)), k))
+            distinct[rng.random(distinct.shape) < 0.3] = 0.0
+            distinct[:, 0] += 0.1
+            distinct /= distinct.sum(axis=1, keepdims=True)
+            qs = [distinct[i] for i in rng.integers(0, len(distinct), int(rng.integers(2, 12)))]
+            counts, probs = count_distribution(qs)
+            want_counts, want = dp_general(qs)
+            order = np.lexsort(counts.T[::-1])
+            np.testing.assert_array_equal(counts[order], want_counts)
+            np.testing.assert_allclose(probs[order], want, rtol=1e-13, atol=0.0)
+
+    def test_total_mass(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for n in (1, 1000, 65536):
+            p = rng.uniform(0.2, 0.8)
+            _, probs = count_distribution([np.array([p, 1.0 - p])] * n)
+            assert abs(probs.sum() - 1.0) <= 1e-14
+        halves = [np.array([0.3, 0.7]), np.array([0.45, 0.55])]
+        _, probs = count_distribution([halves[j % 2] for j in range(4096)])
+        assert abs(probs.sum() - 1.0) <= 1e-14
+        _, probs = count_distribution([np.array([0.25, 0.5, 0.25])] * 1024)
+        assert abs(probs.sum() - 1.0) <= 1e-14
+
+    def test_cap_checked_before_building(self):
+        with pytest.raises(SizeLimit):
+            count_distribution([np.array([0.2, 0.3, 0.5])] * 100, max_states=5000)
+        mixed = [np.array([0.2, 0.3, 0.5])] * 30 + [np.array([0.4, 0.4, 0.2])] * 30
+        with pytest.raises(SizeLimit):
+            count_distribution(mixed, max_states=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -605,3 +775,74 @@ class TestMeasureCoercion:
             as_step_measures(m, [np.array([0.5, 0.5])])
         with pytest.raises(InvalidParams):
             as_step_measures(m, [0.4, 0.4])
+
+
+class TestDistinctStepChecks:
+    """Per-step checks run once per distinct step or measure and still name
+    the first offending step."""
+
+    GOOD = ((2.0, 0.5), (0.5, 0.5))
+    TRI = ((1.5, 0.25), (1.0, 0.5), (0.5, 0.25))
+
+    def test_market_names_first_bad_step(self):
+        twice = ((1.5, 0.5), (1.5, 0.5))
+        bad_sum = ((2.0, 0.5), (0.5, 0.6))
+        steps = (self.GOOD, self.GOOD, bad_sum, self.GOOD, twice, bad_sum)
+        with pytest.raises(InvalidParams, match="^step 2 probabilities sum"):
+            LatticeMarket(6, 1.0, 1.0, steps, (0.0,) * 6)
+        steps = (self.GOOD, self.GOOD, self.GOOD, twice, bad_sum, twice)
+        with pytest.raises(InvalidParams, match="^step 3 repeats a return value"):
+            LatticeMarket(6, 1.0, 1.0, steps, (0.0,) * 6)
+        with pytest.raises(InvalidParams, match="^step 4 bond rate is negative"):
+            LatticeMarket(5, 1.0, 1.0, (self.GOOD,) * 5, (0.0, 0.1, 0.0, 0.1, -0.1))
+
+    def test_equal_steps_share_one_normalized_step(self):
+        steps = tuple(((2, 1 / 2), (1 / 2, 1 / 2)) for _ in range(4))
+        m = LatticeMarket(4, 1.0, 1.0, steps, (0,) * 4)
+        assert all(step is m.returns[0] for step in m.returns)
+        assert m.returns[0] == ((2.0, 0.5), (0.5, 0.5))
+        assert all(type(r) is float for r in m.bond_rates)
+
+    def test_crr_json_builds_one_step_per_rate(self):
+        m = market_from_json({"N": 4, "T": 1.0, "s0": 1.0,
+                              "bond": {"r_simple_per_step": [0.0, 0.25, 0.0, 0.25]},
+                              "returns": {"type": "crr", "u": 2.0, "d": 0.5}})
+        assert m.returns[0] is m.returns[2] and m.returns[1] is m.returns[3]
+        np.testing.assert_allclose(m.step_values(1), [1.6, 0.4])
+
+    def test_solver_names_first_bad_step_and_shares_solutions(self):
+        one_sided = ((2.0, 0.5), (1.5, 0.5))
+        steps = (self.GOOD, self.TRI, self.GOOD, one_sided, self.TRI, one_sided)
+        with pytest.raises(NoArbitrageViolation, match="^step 3:"):
+            solve_martingale_measures(LatticeMarket(6, 1.0, 1.0, steps, (0.0,) * 6))
+        # equal steps share one solution; equal values give equal solutions
+        other = ((2.0, 0.25), (0.5, 0.75))
+        sols = solve_martingale_measures(
+            LatticeMarket(3, 1.0, 1.0, (self.GOOD, other, self.GOOD), (0.0,) * 3))
+        assert sols.per_step[0] is sols.per_step[2]
+        assert sols.per_step[1] == sols.per_step[0]
+        centers = sols.designated()
+        np.testing.assert_allclose(centers[1], [1 / 3, 2 / 3])
+
+    def test_measures_name_first_bad_step(self):
+        m = LatticeMarket(4, 1.0, 1.0, (self.GOOD, self.TRI, self.GOOD, self.TRI),
+                          (0.0,) * 4)
+        good2, good3 = np.array([1 / 3, 2 / 3]), np.array([0.25, 0.5, 0.25])
+        # the same vector passes at a three-point step, fails at a two-point one
+        with pytest.raises(InvalidParams, match="^step 2 measure has wrong length"):
+            as_step_measures(m, [good2, good3, good3, good3])
+        negative = np.array([1.5, -0.5])
+        with pytest.raises(InvalidParams, match="^step 2 measure has negative mass"):
+            as_step_measures(m, [good2, good3, negative, good3])
+        off = np.array([0.5, 0.5])
+        with pytest.raises(InvalidParams, match="^step 2 measure is not a martingale"):
+            require_martingale(m, [good2, good3, off, good3])
+        # the same vector is a martingale measure at one step, not the next
+        wide = LatticeMarket(2, 1.0, 1.0, (self.GOOD, ((3.0, 0.5), (0.5, 0.5))),
+                             (0.0,) * 2)
+        with pytest.raises(InvalidParams, match="^step 1 measure is not a martingale"):
+            require_martingale(wide, [good2, good2])
+        edge = np.array([0.0, 1.0, 0.0])
+        require_martingale(m, [good2, edge, good2, edge])
+        with pytest.raises(InvalidParams, match="^step 1 measure is not strictly"):
+            require_martingale(m, [good2, edge, good2, edge], strict=True)
