@@ -117,7 +117,11 @@ def _resolve_measure(market: LatticeMarket, selector: str | None):
         return solutions.designated()
     if selector.startswith("@"):
         doc = _load_json(selector[1:])
-        return [np.array([float(x) for x in row]) for row in doc]
+        try:
+            return [np.array([float(x) for x in row]) for row in doc]
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"{selector[1:]} must hold one list of numbers "
+                                f"per step: {exc}") from exc
     try:
         vec = [float(tok) for tok in selector.split(",")]
     except ValueError as exc:

@@ -342,13 +342,13 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
     return int(n)
 
 
-def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]], n: int,
-                   max_states: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of ``log(S_n / S_0)`` over the market's first ``n`` steps:
     the grouped law of ``log(X_n / X_0)`` shifted by ``log B_n``."""
     head = replace(market, steps=n, horizon=n * market.horizon / market.steps,
                    returns=market.returns[:n], bond_rates=market.bond_rates[:n])
-    values, probs = terminal_log_law(head, [np.array(q) for q in measures[:n]], max_states)
+    values, probs = terminal_log_law(head, [np.array(q) for q in measures[:n]])
     return values + math.log(head.bond_factor(n)), probs
 
 
@@ -410,8 +410,7 @@ class LanReport:
 
 
 def lan_diagnostics(path: TangentPath, schedule: Schedule,
-                    t: float | None = None,
-                    max_states: int | None = None) -> LanReport:
+                    t: float | None = None) -> LanReport:
     """Compare the exact law of ``log S_t`` under ``P0``-products with the
     Gaussian local expansion.
 
@@ -422,7 +421,7 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     market = _discrete_market(path, schedule, 1.0)
-    values, probs = _log_price_law(market, [path.probs] * n, n, max_states)
+    values, probs = _log_price_law(market, [path.probs] * n, n)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
     noether = max(schedule.step_vol(j) for j in range(n))
@@ -470,8 +469,7 @@ class ThirdLemmaReport:
 
 
 def third_lemma_check(path: TangentPath, schedule: Schedule,
-                      t: float | None = None,
-                      max_states: int | None = None) -> ThirdLemmaReport:
+                      t: float | None = None) -> ThirdLemmaReport:
     """Exact measure-changed laws against the shifted Gaussian limit.
 
     The measures are those of :func:`build_discrete_model`, so every step of
@@ -480,7 +478,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     model = build_discrete_model(path, schedule)
-    values, probs = _log_price_law(model.market, model.measures, n, max_states)
+    values, probs = _log_price_law(model.market, model.measures, n)
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     measures = np.array(model.measures[:n])
@@ -528,8 +526,8 @@ def schedule_family(bs: BSModel) -> Callable[[int], Schedule]:
 
 
 def convergence_study(path: TangentPath, family: Callable[[int], Schedule],
-                      payoff: Payoff, bs: BSModel, Ns: Sequence[int],
-                      max_states: int | None = None) -> list[ConvergenceRow]:
+                      payoff: Payoff, bs: BSModel,
+                      Ns: Sequence[int]) -> list[ConvergenceRow]:
     """Exact lattice prices along ``Ns`` against the closed-form limit.
 
     Each row carries the price gap plus the step-size statistic and the
@@ -543,8 +541,7 @@ def convergence_study(path: TangentPath, family: Callable[[int], Schedule],
     for N in Ns:
         schedule = family(int(N))
         model = build_discrete_model(path, schedule, s0=bs.s0)
-        p_n = price_direct(model.market, list(map(np.array, model.measures)), payoff,
-                           max_states=max_states)
+        p_n = price_direct(model.market, list(map(np.array, model.measures)), payoff)
         _, var = _moment_sums(np.array(model.measures),
                               np.log(1.0 + _step_moves(path, schedule, schedule.N)))
         rows.append(ConvergenceRow(
@@ -605,8 +602,8 @@ def study_from_json(doc: Mapping) -> StudySpec:
         bs = model_from_json(doc["bs"])
         payoff = payoff_from_json(doc["payoff"])
         Ns = tuple(int(n) for n in doc["Ns"])
-    except (KeyError, TypeError, ValueError) as exc:
+        threshold = doc.get("threshold")
+        threshold = None if threshold is None else float(threshold)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"study spec malformed: {exc}") from exc
-    threshold = doc.get("threshold")
-    return StudySpec(path=path, bs=bs, payoff=payoff, Ns=Ns,
-                     threshold=None if threshold is None else float(threshold))
+    return StudySpec(path=path, bs=bs, payoff=payoff, Ns=Ns, threshold=threshold)

@@ -268,7 +268,7 @@ def market_from_json(doc: Mapping) -> LatticeMarket:
     """
     try:
         return _market_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"market spec malformed: {exc}") from exc
 
 
@@ -303,11 +303,11 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
             if len(values) != steps or len(probs) != steps:
                 raise InvalidParams("per-step tables must have N entries")
             steps_returns = tuple(
-                tuple(zip(map(float, vs), map(float, ps)))
+                tuple(zip(map(float, vs), map(float, ps), strict=True))
                 for vs, ps in zip(values, probs)
             )
         else:
-            one = tuple(zip(map(float, values), map(float, probs)))
+            one = tuple(zip(map(float, values), map(float, probs), strict=True))
             steps_returns = (one,) * steps
     else:
         raise InvalidParams(f"unknown returns type {kind!r}")
@@ -628,8 +628,8 @@ def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
     return counts @ np.log(values)
 
 
-def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
-                     max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def terminal_log_law(m: LatticeMarket,
+                     step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of ``log(X_T / X_0)`` under per-step measures, values
     sorted increasingly.
 
@@ -638,15 +638,15 @@ def terminal_log_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     """
     laws = []
     for values, members in _classes(m):
-        counts, probs = count_distribution([step_measures[j] for j in members], max_states)
+        counts, probs = count_distribution([step_measures[j] for j in members])
         laws.append((_count_logs(counts, values), probs))
-    return combine_additive_laws(laws, max_states)
+    return combine_additive_laws(laws)
 
 
-def terminal_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
-                 max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def terminal_law(m: LatticeMarket,
+                 step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of ``X_T / X_0`` (values sorted by their logarithm)."""
-    logs, probs = terminal_log_law(m, step_measures, max_states)
+    logs, probs = terminal_log_law(m, step_measures)
     return np.exp(logs), probs
 
 
@@ -657,7 +657,6 @@ def terminal_law(m: LatticeMarket, step_measures: Sequence[np.ndarray],
 def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
                        terminal: Callable[[np.ndarray], np.ndarray],
                        knocked: Callable[[int, np.ndarray], np.ndarray] | None = None,
-                       max_states: int | None = None,
                        ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Roll node values back over the recombined lattice.
 
@@ -673,9 +672,9 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
 
     Yields ``(t, x_t, v_t)`` for ``t = N`` down to ``0``.  Raises
     :class:`~lecam.errors.SizeLimit`, before building anything, when the
-    nodes of all dates exceed ``max_states``.
+    nodes of all dates exceed the state cap (:func:`lecam.limits.max_states`).
     """
-    cap = limits.max_states(max_states)
+    cap = limits.max_states()
     classes = _classes(m)
     where = {j: (c, n) for c, (_, members) in enumerate(classes)
              for n, j in enumerate(members)}
@@ -693,14 +692,12 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
         counts = np.zeros((1, k), dtype=np.int64)
         logs.append([_count_logs(counts, values)])
         children.append([])
-        for _ in members:
-            # the count vectors one step on, ranked in lexicographic order
+        for n in range(1, len(members) + 1):
+            # every composition of n is one of n - 1 plus a unit: rank them all
             moved = (counts[None] + np.eye(k, dtype=np.int64)[:, None]).reshape(-1, k)
-            order = np.lexsort(moved.T[::-1])
-            new = np.r_[True, np.any(np.diff(moved[order], axis=0) != 0, axis=1)]
-            child = np.empty(len(moved), dtype=np.int64)
-            child[order] = np.cumsum(new) - 1
-            counts = moved[order][new]
+            child = _composition_rank(moved)
+            counts = np.empty((math.comb(n + k - 1, k - 1), k), dtype=np.int64)
+            counts[child] = moved
             logs[-1].append(_count_logs(counts, values))
             children[-1].append(child.reshape(k, -1))
 
@@ -728,8 +725,7 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
 # likelihood structure
 # ---------------------------------------------------------------------------
 
-def discounted_likelihood_process(m: LatticeMarket, q,
-                                  max_paths: int | None = None) -> list[dict[tuple[int, ...], float]]:
+def discounted_likelihood_process(m: LatticeMarket, q) -> list[dict[tuple[int, ...], float]]:
     """Node values of ``X_t / X_0`` for every lattice node.
 
     Returns one dict per time ``t = 0..N`` mapping the move prefix to the
@@ -747,14 +743,13 @@ def discounted_likelihood_process(m: LatticeMarket, q,
             for prefix, x in prev.items()
             for i in range(len(values))
         }
-        if len(level) > limits.max_paths(max_paths):
+        if len(level) > limits.max_paths():
             raise SizeLimit("node enumeration exceeds cap")
         out.append(level)
     return out
 
 
-def induced_experiment(m: LatticeMarket, q,
-                       max_outcomes: int | None = None) -> FiniteExperiment:
+def induced_experiment(m: LatticeMarket, q) -> FiniteExperiment:
     """Path-space experiment ``{Q1, Q, P}`` with base ``Q``.
 
     Outcomes are move-index tuples; ``Q`` is the product of the chosen
@@ -763,7 +758,7 @@ def induced_experiment(m: LatticeMarket, q,
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    paths = enumerate_paths(m, limits.max_product_outcomes(max_outcomes))
+    paths = enumerate_paths(m, limits.max_product_outcomes())
     base = path_probabilities(m, paths, step_measures)
     ratio = path_products(m, paths)[:, -1]
     real = path_probabilities(m, paths, m.real_world_measures())
@@ -775,8 +770,7 @@ def induced_experiment(m: LatticeMarket, q,
     )
 
 
-def terminal_experiment(m: LatticeMarket, q,
-                        max_states: int | None = None) -> FiniteExperiment:
+def terminal_experiment(m: LatticeMarket, q) -> FiniteExperiment:
     """The induced experiment restricted to ``sigma(X_T)``: ``{Q1, Q}`` on
     the atoms of ``X_T / X_0``.
 
@@ -788,7 +782,7 @@ def terminal_experiment(m: LatticeMarket, q,
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    ratio, probs = terminal_law(m, step_measures, max_states)
+    ratio, probs = terminal_law(m, step_measures)
     # distinct log atoms can round to one ratio; merge them so labels stay unique
     ratio, inverse = np.unique(ratio, return_inverse=True)
     probs = np.bincount(inverse, weights=probs, minlength=len(ratio))
@@ -799,8 +793,7 @@ def terminal_experiment(m: LatticeMarket, q,
     )
 
 
-def verify_representation(m: LatticeMarket, q, atol: float = ATOL,
-                          max_states: int | None = None) -> bool:
+def verify_representation(m: LatticeMarket, q, atol: float = ATOL) -> bool:
     """Backward-induction check that normalized prices are a density process.
 
     For per-step measures ``q`` this tests, node by node, whether the
@@ -808,12 +801,11 @@ def verify_representation(m: LatticeMarket, q, atol: float = ATOL,
     equals ``X_t / X_0``.  True exactly when every step satisfies the
     one-step equation, but established here by full induction rather than by
     the per-step criterion: ``X_T / X_0`` is rolled back over the recombined
-    lattice (:func:`backward_induction`, at most ``max_states`` nodes) and
-    compared with ``X_t / X_0`` at every node of every date.
+    lattice (:func:`backward_induction`, within the state cap) and compared
+    with ``X_t / X_0`` at every node of every date.
     """
     step_measures = as_step_measures(m, q)
-    for _, x, value in backward_induction(m, step_measures, lambda x: x,
-                                          max_states=max_states):
+    for _, x, value in backward_induction(m, step_measures, lambda x: x):
         if not np.allclose(value, x, rtol=0.0, atol=atol):
             return False
     return True
@@ -871,8 +863,7 @@ def _node_blocks(sizes: Sequence[int], t: int) -> int:
 
 
 def verify_mm_criterion(m: LatticeMarket, q, g,
-                        atol: float = ATOL,
-                        max_paths: int | None = None) -> CriterionReport:
+                        atol: float = ATOL) -> CriterionReport:
     """Check the two sides of the change-of-measure criterion for ``g``.
 
     Side one: for every node, the conditional expectation of ``g`` under the
@@ -884,7 +875,7 @@ def verify_mm_criterion(m: LatticeMarket, q, g,
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    paths = enumerate_paths(m, max_paths)
+    paths = enumerate_paths(m)
     total = paths.shape[0]
     if callable(g):
         gvec = np.array([float(g(tuple(int(i) for i in row))) for row in paths])
@@ -936,8 +927,7 @@ def verify_mm_criterion(m: LatticeMarket, q, g,
 
 def image_experiment_check(m: LatticeMarket, q,
                            times: Iterable[int] | None = None,
-                           atol: float = ATOL,
-                           max_paths: int | None = None) -> bool:
+                           atol: float = ATOL) -> bool:
     """Push the path experiment through the normalized price trajectory.
 
     Paths with identical trajectories (restricted to ``times``) are grouped;
@@ -956,7 +946,7 @@ def image_experiment_check(m: LatticeMarket, q,
     if times_list[0] < 0 or times_list[-1] > m.steps:
         raise InvalidParams("times must lie on the grid 0..N")
 
-    paths = enumerate_paths(m, max_paths)
+    paths = enumerate_paths(m)
     products = path_products(m, paths)
     base = path_probabilities(m, paths, step_measures)
     alt = base * products[:, -1]

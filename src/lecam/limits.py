@@ -4,8 +4,13 @@ All exhaustive enumerations in the package (path spaces, product outcome
 spaces, grouped convolution states, recombined-lattice nodes, the vertex
 multisets of ``price_bounds``) are guarded by a cap and raise
 :class:`~lecam.errors.SizeLimit` beyond it.  The environment variable
-``LECAM_MAX_PATHS`` overrides every cap at once; individual call sites can
-also pass an explicit bound.
+``LECAM_MAX_PATHS`` overrides every cap at once.  Functions that build
+states read their cap from here; five builders also take an explicit
+bound, which wins over both: ``experiments.product(max_outcomes)``,
+``lattice.enumerate_paths(max_paths)``,
+``lattice.count_distribution(max_states)``,
+``lattice.combine_additive_laws(max_states)`` and
+``pricing.price_bounds(max_combos)``.
 """
 
 from __future__ import annotations

@@ -94,10 +94,7 @@ class TerminalTest:
                 raise InvalidParams(f"test value {v!r} outside [0, 1]")
 
     def __call__(self, s: float) -> float:
-        i = int(np.searchsorted(self.cuts, s, side="left"))
-        if i < len(self.cuts) and s == self.cuts[i]:
-            return self.point_values[i]
-        return self.open_values[i]
+        return float(self.eval_many(np.asarray(s)))
 
     def eval_many(self, s: np.ndarray) -> np.ndarray:
         cuts = np.array(self.cuts)
@@ -333,7 +330,7 @@ class PriceReport:
 # ---------------------------------------------------------------------------
 
 def _expectations(m: LatticeMarket, payoff: Payoff,
-                  step_measures: Sequence[np.ndarray], max_states: int | None,
+                  step_measures: Sequence[np.ndarray],
                   integrand: Callable[[PayoffTerm, np.ndarray, np.ndarray, np.ndarray],
                                       np.ndarray],
                   ) -> np.ndarray:
@@ -343,7 +340,7 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
     Terminal payoffs are integrated on the grouped law of ``X_T``; payoffs
     with a barrier term by backward induction on the recombined lattice,
     each term knocked out at its own level (an infinite one for terminal
-    terms).  Either way at most ``max_states`` states are built.
+    terms).  Either way the state cap bounds the states built.
     """
     tests = [t.terminal if t.path_test is None else t.path_test.terminal
              for t in payoff.terms]
@@ -355,7 +352,7 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
                 for term, test in zip(payoff.terms, tests)]
 
     if payoff.terminal_only:
-        ratio, probs = terminal_law(m, step_measures, max_states)
+        ratio, probs = terminal_law(m, step_measures)
         return np.array([probs @ v for v in values(ratio)])
     levels = np.array([math.inf if t.path_test is None else t.path_test.barrier
                        for t in payoff.terms])
@@ -366,35 +363,32 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
 
     for _, x, v in backward_induction(m, step_measures,
                                       lambda x: np.stack(values(x), axis=x.ndim),
-                                      knocked, max_states):
+                                      knocked):
         pass
     return v[(0,) * x.ndim]
 
 
 def _discounted_value(m: LatticeMarket, payoff: Payoff,
-                      step_measures: Sequence[np.ndarray],
-                      max_states: int | None = None) -> float:
-    terms = _expectations(m, payoff, step_measures, max_states,
+                      step_measures: Sequence[np.ndarray]) -> float:
+    terms = _expectations(m, payoff, step_measures,
                           lambda term, x, s_T, phi: (term.coeff * s_T - term.strike) * phi)
     return float(m.discount * terms.sum())
 
 
-def price_direct(m: LatticeMarket, q, payoff: Payoff,
-                 max_states: int | None = None) -> float:
+def price_direct(m: LatticeMarket, q, payoff: Payoff) -> float:
     """Exact discounted expectation of the payoff under ``q``.
 
     Terminal-value payoffs are priced on the grouped terminal law, barrier
     payoffs by backward induction on the recombined lattice; both are
-    bounded by ``max_states`` states, so large recombining markets stay
-    cheap.
+    bounded by the state cap (:func:`lecam.limits.max_states`), so large
+    recombining markets stay cheap.
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures)
-    return _discounted_value(m, payoff, step_measures, max_states)
+    return _discounted_value(m, payoff, step_measures)
 
 
-def price_via_tests(m: LatticeMarket, q, payoff: Payoff,
-                    max_outcomes: int | None = None) -> PriceReport:
+def price_via_tests(m: LatticeMarket, q, payoff: Payoff) -> PriceReport:
     """Price through the experiment: powers of each term's test.
 
     The powers are ``E_Q(phi)`` and ``E_{Q1}(phi) = E_Q(x * phi)``, with
@@ -402,12 +396,12 @@ def price_via_tests(m: LatticeMarket, q, payoff: Payoff,
     they are sums over the atoms of the grouped law of ``X_T`` (the path
     experiment restricted to ``sigma(X_T)``); for barriers ``phi`` and
     ``x * phi`` are rolled back over the recombined lattice with the term's
-    knock-out.  ``max_outcomes`` caps the atoms or lattice nodes.  Agrees
+    knock-out.  The state cap bounds the atoms or lattice nodes.  Agrees
     with :func:`price_direct` to within 1e-12.
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    powers = _expectations(m, payoff, step_measures, max_outcomes,
+    powers = _expectations(m, payoff, step_measures,
                            lambda term, x, s_T, phi: np.stack([x * phi, phi], axis=-1))
     disc = m.discount
     price = 0.0
@@ -446,8 +440,7 @@ class CallDecomposition:
     price: float
 
 
-def np_decomposition(m: LatticeMarket, q, payoff: Payoff,
-                     max_outcomes: int | None = None) -> CallDecomposition:
+def np_decomposition(m: LatticeMarket, q, payoff: Payoff) -> CallDecomposition:
     """Write a call price as one minus a scaled minimal Bayes risk.
 
     The call's indicator is the likelihood-ratio test of ``Q`` against
@@ -459,11 +452,10 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff,
     which is re-verified here before returning
     (:class:`~lecam.errors.SelfCheckFailed` otherwise).  The testing problem
     is posed on the terminal experiment: the grouped law of ``X_T`` with
-    ``Q1 = (X_T/X_0) . Q``, at most ``max_outcomes`` atoms.
+    ``Q1 = (X_T/X_0) . Q``, its atoms bounded by the state cap.
     """
     strike = _call_strike(payoff)
-    step_measures = as_step_measures(m, q)
-    exp = terminal_experiment(m, step_measures, max_outcomes)
+    exp = terminal_experiment(m, q)
     disc = m.discount
     c = strike * disc / m.s0
     test = neyman_pearson(exp, "Q", "Q1", c, gamma=0.0)
@@ -482,8 +474,7 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff,
                              risk=risk, price=float(price))
 
 
-def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState,
-                  max_states: int | None = None) -> float:
+def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState) -> float:
     """Arbitrage price at an interior node, via the re-based market.
 
     Only terminal-value payoffs are supported: re-basing the market at a
@@ -502,13 +493,11 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState,
         for term in payoff.terms:
             total += (term.coeff * spot - term.strike) * term.terminal(spot)
         return float(total)
-    rest = complementary_market(m, q, state)
-    rest_measures = step_measures[state.t:]
-    return price_direct(rest, rest_measures, payoff, max_states=max_states)
+    rest = complementary_market(m, step_measures, state)
+    return _discounted_value(rest, payoff, step_measures[state.t:])
 
 
 def price_bounds(m: LatticeMarket, payoff: Payoff,
-                 max_states: int | None = None,
                  max_combos: int | None = None) -> tuple[float, float]:
     """Range of prices over product martingale measures: one measure of the
     closed per-step polytope per step, used at every node of that step.
@@ -551,7 +540,7 @@ def price_bounds(m: LatticeMarket, payoff: Payoff,
         for (members, _), picks in zip(classes, assignment):
             for j, v in zip(members, picks):
                 step_measures[j] = v
-        p = _discounted_value(m, payoff, step_measures, max_states)
+        p = _discounted_value(m, payoff, step_measures)
         lower = min(lower, p)
         upper = max(upper, p)
     return float(lower), float(upper)

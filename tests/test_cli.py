@@ -139,6 +139,12 @@ class TestPrice:
         rc = main(["price", "--market", spec_dir["tri"],
                    "--payoff", spec_dir["call1"], "--measure", "half,half"])
         assert rc == 3
+        for bad in ([0.25, 0.5, 0.25], {"step": [0.25, 0.5, 0.25]}, [["a", "b", "c"]]):
+            per_step.write_text(json.dumps(bad))
+            rc = main(["price", "--market", spec_dir["tri"],
+                       "--payoff", spec_dir["call1"], "--measure", f"@{per_step}"])
+            assert rc == 3
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_bounds_flag_matches_bounds_command(self, spec_dir, capsys):
         rc = main(["price", "--market", spec_dir["tri"],
@@ -511,6 +517,31 @@ class TestErrorPaths:
         rc = main(["price", "--market", str(bad), "--payoff", spec_dir["call5"]])
         capsys.readouterr()
         assert rc == 3
+        # wrong shapes: a list where an object belongs, a non-numeric threshold
+        bad.write_text(json.dumps(dict(CRR1, returns=[2.0, 0.5])))
+        rc = main(["price", "--market", str(bad), "--payoff", spec_dir["call5"]])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: market spec malformed")
+        for study in (dict(STUDY, tangent=[1.0, 1.0]), dict(STUDY, threshold="abc")):
+            bad.write_text(json.dumps(study))
+            rc = main(["converge", "--study", str(bad)])
+            assert rc == 3
+            assert capsys.readouterr().err.startswith("error: study spec malformed")
+
+    def test_table_lengths_must_match(self, spec_dir, capsys):
+        """A table with more values than probs is rejected, not truncated."""
+        bad = spec_dir["dir"] / "table.json"
+        bad.write_text(json.dumps(dict(TRI, returns={
+            "type": "table", "values": [1.2, 0.9, 0.5], "probs": [0.5, 0.5]})))
+        rc = main(["price", "--market", str(bad), "--payoff", spec_dir["call1"]])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: market spec malformed")
+        bad.write_text(json.dumps(dict(TRI, N=2, returns={
+            "type": "table", "values": [[1.5, 0.5], [1.1, 0.8, 0.7]],
+            "probs": [[0.5, 0.5], [0.5, 0.5]]})))
+        rc = main(["complete", "--market", str(bad)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: market spec malformed")
 
     def test_path_cap_env_var(self, spec_dir, capsys, monkeypatch):
         monkeypatch.setenv("LECAM_MAX_PATHS", "4")

@@ -16,24 +16,34 @@ from lecam import (
     InvalidParams,
     InvalidTangent,
     LemmaHypothesisViolated,
+    PathState,
     Schedule,
+    SizeLimit,
     StepFunction,
     ThetaOutOfRange,
+    build_crr,
     build_discrete_model,
     convergence_study,
     crr_tangent,
     lan_diagnostics,
     limit_price_terminal,
+    dynamic_price,
     make_tangent,
+    np_decomposition,
     one_period_mm,
     path_measure,
     payoff_european_call,
+    price_direct,
+    price_via_tests,
     schedule_family,
+    solve_martingale_measures,
     study_from_json,
     symmetric_trinomial_tangent,
     tangent_from_json,
+    terminal_experiment,
     terminal_law,
     third_lemma_check,
+    verify_representation,
 )
 from lecam.lan import _cdf_sup_distance
 
@@ -478,6 +488,32 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidParams):
             convergence_study(path, schedule_family(bs),
                               payoff_european_call(100.0), bs, [])
+
+
+class TestEnvCap:
+    def test_env_var_caps_every_builder(self, monkeypatch):
+        """Builders without a cap parameter stop at ``LECAM_MAX_PATHS``."""
+        m = build_crr(1.1, 0.9, 1.0, 0.5, 8, 100.0)
+        qs = solve_martingale_measures(m).designated()
+        call = payoff_european_call(100.0)
+        path = crr_tangent(1.0, 1.0)
+        bs = BSModel(100.0, 1.0, 0.2, 0.0)
+        builders = [
+            lambda: price_direct(m, qs, call),
+            lambda: price_via_tests(m, qs, call),
+            lambda: np_decomposition(m, qs, call),
+            lambda: dynamic_price(m, qs, call, PathState(1, (0,))),
+            lambda: terminal_experiment(m, qs),
+            lambda: verify_representation(m, qs),
+            lambda: lan_diagnostics(path, flat_schedule(16)),
+            lambda: convergence_study(path, schedule_family(bs), call, bs, [16]),
+        ]
+        for build in builders:
+            build()
+        monkeypatch.setenv("LECAM_MAX_PATHS", "4")
+        for build in builders:
+            with pytest.raises(SizeLimit):
+                build()
 
 
 class TestJson:
