@@ -44,8 +44,9 @@ class StepFunction:
         object.__setattr__(self, "values", values)
         if not ends or len(ends) != len(values):
             raise InvalidParams("step function needs one value per piece end")
-        if ends[0] <= 0.0 or any(b <= a for a, b in zip(ends, ends[1:])):
-            raise InvalidParams("piece ends must be positive and increasing")
+        if not (0.0 < ends[0] and all(a < b for a, b in zip(ends, ends[1:]))
+                and ends[-1] < math.inf):
+            raise InvalidParams("piece ends must be positive, increasing and finite")
 
     @classmethod
     def const(cls, value: float, horizon: float) -> "StepFunction":
@@ -103,16 +104,16 @@ class BSModel:
     rate: StepFunction
 
     def __post_init__(self) -> None:
-        if not self.s0 > 0.0:
-            raise InvalidParams(f"s0 must be positive, got {self.s0!r}")
-        if not self.horizon > 0.0:
-            raise InvalidParams(f"horizon must be positive, got {self.horizon!r}")
+        if not 0.0 < self.s0 < math.inf:
+            raise InvalidParams(f"s0 must be positive and finite, got {self.s0!r}")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParams(f"horizon must be positive and finite, got {self.horizon!r}")
         object.__setattr__(self, "sigma", _coerce_schedule(self.sigma, self.horizon, "sigma"))
         object.__setattr__(self, "rate", _coerce_schedule(self.rate, self.horizon, "rate"))
-        if any(v < 0.0 for v in self.rate.values):
-            raise InvalidParams("rates must be nonnegative")
-        if any(v < 0.0 for v in self.sigma.values):
-            raise InvalidParams("volatilities must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in self.rate.values):
+            raise InvalidParams("rates must be nonnegative and finite")
+        if not all(0.0 <= v < math.inf for v in self.sigma.values):
+            raise InvalidParams("volatilities must be nonnegative and finite")
         if not self.total_variance() > 0.0:
             raise InvalidParams("integrated squared volatility must be positive")
 
@@ -232,7 +233,7 @@ def limit_price_terminal(model: BSModel, payoff: Payoff) -> float:
     exp = GaussianBinaryExperiment(v)
     price = 0.0
     for term in payoff.terms:
-        if term.terminal is None:
+        if not term.terminal_only:
             raise UnsupportedTest(
                 f"term {term.label!r} is path-dependent; the limit model prices "
                 "terminal-value tests only"
@@ -276,6 +277,6 @@ def model_from_json(doc: Mapping) -> BSModel:
         horizon = float(doc["T"])
         sigma = _schedule_from_json(doc["sigma"], "sigma")
         rate = _schedule_from_json(doc["rate"], "rate")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidParams(f"model spec malformed: {exc}") from exc
     return BSModel(s0=s0, horizon=horizon, sigma=sigma, rate=rate)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -181,7 +182,7 @@ def _cmd_price(args) -> int:
                 f"power_base = {fmt(term.power_base)}"
             )
         _emit(lines, args.out)
-    if diff > ROUTE_RTOL * max(1.0, abs(direct)):
+    if not diff <= ROUTE_RTOL * max(1.0, abs(direct)):
         raise SelfCheckFailed(
             f"price_direct and price_via_tests differ by {fmt(diff)}"
         )
@@ -269,6 +270,9 @@ def _cmd_np(args) -> int:
 
 def _cmd_converge(args) -> int:
     study = study_from_json(_load_json(args.study))
+    threshold = args.threshold if args.threshold is not None else study.threshold
+    if threshold is not None and not math.isfinite(threshold):
+        raise InvalidParams(f"threshold must be finite, got {threshold!r}")
     rows = convergence_study(study.path, study.family(), study.payoff,
                              study.bs, study.Ns)
     if args.format == "json":
@@ -288,14 +292,12 @@ def _cmd_converge(args) -> int:
                 fmt(r.noether_max), fmt(r.var_gap),
             ]))
         _emit(lines, args.out)
-    threshold = args.threshold if args.threshold is not None else study.threshold
-    if threshold is not None and len(rows) > 1:
-        if rows[-1].abs_gap > threshold:
-            sys.stderr.write(
-                f"threshold violated: |p_N - p_BS| = {fmt(rows[-1].abs_gap)} "
-                f"> {fmt(threshold)} at N = {rows[-1].N}\n"
-            )
-            return EXIT_THRESHOLD
+    if threshold is not None and not rows[-1].abs_gap <= threshold:
+        sys.stderr.write(
+            f"threshold violated: |p_N - p_BS| = {fmt(rows[-1].abs_gap)} "
+            f"> {fmt(threshold)} at N = {rows[-1].N}\n"
+        )
+        return EXIT_THRESHOLD
     return EXIT_OK
 
 

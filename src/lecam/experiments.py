@@ -132,19 +132,11 @@ class Test:
             raise InvalidParams("test vector length does not match experiment")
         return cls(dict(zip(exp.outcomes, vec)))
 
-    @classmethod
-    def indicator(cls, exp: FiniteExperiment, accepted: Iterable) -> "Test":
-        accepted = set(accepted)
-        return cls({w: 1.0 if w in accepted else 0.0 for w in exp.outcomes})
-
     def vector(self, exp: FiniteExperiment) -> np.ndarray:
         try:
             return np.array([self.values[w] for w in exp.outcomes], dtype=float)
         except KeyError as exc:
             raise InvalidParams(f"test is undefined at outcome {exc.args[0]!r}") from None
-
-    def complement(self) -> "Test":
-        return Test({w: 1.0 - v for w, v in self.values.items()})
 
 
 @dataclass(frozen=True)
@@ -177,14 +169,6 @@ class Partition:
         for w in outcomes:
             grouped.setdefault(key(w), []).append(w)
         return cls(tuple(tuple(ws) for ws in grouped.values()))
-
-    def block_of(self) -> dict:
-        """Outcome -> index of the block containing it."""
-        out: dict = {}
-        for i, b in enumerate(self.blocks):
-            for w in b:
-                out[w] = i
-        return out
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,7 @@ class Schedule:
     ``sigmas[j]`` is the un-scaled volatility of step ``j`` (the per-step
     perturbation is ``sigmas[j] * sqrt(T/N)``); ``rhos[j]`` the un-scaled
     simple rate (per-step rate ``rhos[j] * T/N``).  The limit functions are
-    kept alongside so diagnostics can compute their integrals.  Optional
-    bounds are validated when given.
+    kept alongside so diagnostics can compute their integrals.
     """
 
     N: int
@@ -191,9 +190,6 @@ class Schedule:
     rhos: tuple[float, ...]
     limit_sigma: StepFunction
     limit_rate: StepFunction
-    sigma_low: float | None = None
-    sigma_high: float | None = None
-    rate_high: float | None = None
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -206,16 +202,10 @@ class Schedule:
         object.__setattr__(self, "rhos", rhos)
         if len(sigmas) != self.N or len(rhos) != self.N:
             raise InvalidParams("need one sigma and one rho per step")
-        if any(s <= 0.0 for s in sigmas):
-            raise InvalidParams("volatilities must be strictly positive")
-        if any(r < 0.0 for r in rhos):
-            raise InvalidParams("rates must be nonnegative")
-        if self.sigma_low is not None and any(s < self.sigma_low for s in sigmas):
-            raise InvalidParams(f"some sigma drops below the bound {self.sigma_low!r}")
-        if self.sigma_high is not None and any(s > self.sigma_high for s in sigmas):
-            raise InvalidParams(f"some sigma exceeds the bound {self.sigma_high!r}")
-        if self.rate_high is not None and any(r > self.rate_high for r in rhos):
-            raise InvalidParams(f"some rho exceeds the bound {self.rate_high!r}")
+        if not all(0.0 < s < math.inf for s in sigmas):
+            raise InvalidParams("volatilities must be strictly positive and finite")
+        if not all(0.0 <= r < math.inf for r in rhos):
+            raise InvalidParams("rates must be nonnegative and finite")
         if abs(self.limit_sigma.horizon - self.horizon) > 1e-12:
             raise InvalidParams("limit sigma horizon does not match the grid")
         if abs(self.limit_rate.horizon - self.horizon) > 1e-12:
@@ -250,7 +240,7 @@ class Schedule:
 
     @classmethod
     def from_limits(cls, limit_sigma: StepFunction, limit_rate: StepFunction,
-                    N: int, **bounds) -> "Schedule":
+                    N: int) -> "Schedule":
         """Sample the limit functions at step midpoints.
 
         Rates are mapped through ``rho = (N/T) * (exp(r*T/N) - 1)`` so the
@@ -267,7 +257,7 @@ class Schedule:
         rhos = np.array([(math.exp(r * dt) - 1.0) / dt for r in limit_rate.values])
         return cls(N=N, horizon=horizon, rhos=tuple(rhos[rate_at].tolist()),
                    sigmas=tuple(np.array(limit_sigma.values)[sigma_at].tolist()),
-                   limit_sigma=limit_sigma, limit_rate=limit_rate, **bounds)
+                   limit_sigma=limit_sigma, limit_rate=limit_rate)
 
 
 @dataclass(frozen=True)
@@ -604,6 +594,6 @@ def study_from_json(doc: Mapping) -> StudySpec:
         Ns = tuple(int(n) for n in doc["Ns"])
         threshold = doc.get("threshold")
         threshold = None if threshold is None else float(threshold)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidParams(f"study spec malformed: {exc}") from exc
     return StudySpec(path=path, bs=bs, payoff=payoff, Ns=Ns, threshold=threshold)

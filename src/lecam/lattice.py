@@ -102,10 +102,10 @@ class LatticeMarket:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise InvalidParams(f"steps must be >= 1, got {self.steps}")
-        if not self.horizon > 0.0:
-            raise InvalidParams(f"horizon must be positive, got {self.horizon!r}")
-        if not self.s0 > 0.0:
-            raise InvalidParams(f"s0 must be positive, got {self.s0!r}")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParams(f"horizon must be positive and finite, got {self.horizon!r}")
+        if not 0.0 < self.s0 < math.inf:
+            raise InvalidParams(f"s0 must be positive and finite, got {self.s0!r}")
         steps = {step: tuple((float(v), float(p)) for v, p in step)
                  for step in dict.fromkeys(self.returns)}
         returns = tuple(map(steps.__getitem__, self.returns))
@@ -119,17 +119,17 @@ class LatticeMarket:
                 raise InvalidParams(f"step {j} has no return values")
             vals = [v for v, _ in step]
             probs = [p for _, p in step]
-            if any(v <= 0.0 for v in vals):
-                raise InvalidParams(f"step {j} has a nonpositive return value")
+            if not all(0.0 < v < math.inf for v in vals):
+                raise InvalidParams(f"step {j} has a nonpositive or non-finite return value")
             if len(set(vals)) != len(vals):
                 raise InvalidParams(f"step {j} repeats a return value")
-            if any(p <= 0.0 for p in probs):
-                raise InvalidParams(f"step {j} has a nonpositive probability")
-            if abs(sum(probs) - 1.0) > ATOL:
+            if not all(0.0 < p <= 1.0 for p in probs):
+                raise InvalidParams(f"step {j} has a probability outside (0, 1]")
+            if not abs(sum(probs) - 1.0) <= ATOL:
                 raise InvalidParams(f"step {j} probabilities sum to {sum(probs)!r}")
         for j, r in enumerate(rates):
-            if r < 0.0:
-                raise InvalidParams(f"step {j} bond rate is negative")
+            if not 0.0 <= r < math.inf:
+                raise InvalidParams(f"step {j} bond rate is negative or not finite")
 
     # -- accessors ---------------------------------------------------------
     def step_values(self, j: int) -> np.ndarray:
@@ -268,7 +268,7 @@ def market_from_json(doc: Mapping) -> LatticeMarket:
     """
     try:
         return _market_from_json(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidParams(f"market spec malformed: {exc}") from exc
 
 
@@ -819,7 +819,7 @@ def node_spot(m: LatticeMarket, state: PathState) -> float:
     return spot
 
 
-def complementary_market(m: LatticeMarket, q, state: PathState) -> LatticeMarket:
+def complementary_market(m: LatticeMarket, state: PathState) -> LatticeMarket:
     """The market seen from a node: remaining steps, spot price re-based.
 
     The new market keeps the remaining return distributions and bond rates;
@@ -831,7 +831,6 @@ def complementary_market(m: LatticeMarket, q, state: PathState) -> LatticeMarket
     t = state.t
     if t >= m.steps:
         raise InvalidState("no steps remain after the observed node")
-    as_step_measures(m, q)  # validates shape early
     remaining = m.steps - t
     return LatticeMarket(
         steps=remaining,

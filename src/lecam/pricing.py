@@ -5,7 +5,10 @@ Every payoff handled here is a finite sum of terms
     (coeff * S_T - strike) * phi(path),
 
 where ``phi`` is a randomized test of the price path with values in
-``[0, 1]``.  For such payoffs the arbitrage price splits into test powers:
+``[0, 1]``: a test of ``S_T`` times the survival indicator
+``1{max_t S_t < B}`` of the term's knock-out level ``B`` (infinite for a
+term that depends on ``S_T`` alone).  For such payoffs the arbitrage price
+splits into test powers:
 
     price = sum over terms of
             coeff * s0 * E_{Q1}(phi)  -  discount * strike * E_Q(phi),
@@ -16,13 +19,12 @@ agree with the direct discounted expectation ``price_direct`` to within
 1e-12.  Both routes evaluate the tests on the same nodes.  Terminal payoffs
 are integrated on the grouped law of ``X_T`` (``dQ1/dQ = X_T/X_0`` is
 ``sigma(X_T)``-measurable, so restricting the path experiment to that
-field loses nothing).  Barrier payoffs are rolled back over the recombined
-lattice (:func:`lecam.lattice.backward_induction`), each term knocked out
-at its own level; no production route enumerates paths.
+field loses nothing).  Payoffs with a finite level are rolled back over the
+recombined lattice (:func:`lecam.lattice.backward_induction`), each term
+knocked out at its own level; no production route enumerates paths.
 
 Tests are structural: terminal tests are piecewise constant in ``S_T`` with
-explicit cuts, so that limit models can integrate them in closed form, and
-barrier tests are a level plus a terminal test.
+explicit cuts, so that limit models can integrate them in closed form.
 """
 
 from __future__ import annotations
@@ -106,41 +108,28 @@ class TerminalTest:
 
 
 @dataclass(frozen=True)
-class BarrierTest:
-    """Up-and-out test of the price path: ``terminal(S_T)`` while the path
-    stays strictly below ``barrier`` at every grid time (the start
-    included), zero once it reaches the level."""
+class PayoffTerm:
+    """One term ``(coeff * S_T - strike) * phi``, with ``phi`` the terminal
+    test of ``S_T`` while the price path stays strictly below ``barrier`` at
+    every grid time (the start included), and zero once it reaches that
+    level.  The default infinite barrier never knocks out: the term is a
+    test of ``S_T`` alone.
+    """
 
-    barrier: float
+    coeff: float
+    strike: float
     terminal: TerminalTest
+    barrier: float = math.inf
+    label: str = "term"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "barrier", float(self.barrier))
         if not self.barrier > 0.0:
             raise InvalidParams(f"barrier must be positive, got {self.barrier!r}")
 
-
-@dataclass(frozen=True)
-class PayoffTerm:
-    """One term ``(coeff * S_T - strike) * test``.
-
-    Exactly one of ``terminal`` (a test of ``S_T`` alone) and ``path_test``
-    (a barrier test of the whole undiscounted price path) is set.
-    """
-
-    coeff: float
-    strike: float
-    terminal: TerminalTest | None = None
-    path_test: BarrierTest | None = None
-    label: str = "term"
-
-    def __post_init__(self) -> None:
-        if (self.terminal is None) == (self.path_test is None):
-            raise InvalidParams("term needs exactly one of terminal / path_test")
-
     @property
     def terminal_only(self) -> bool:
-        return self.terminal is not None
+        return math.isinf(self.barrier)
 
 
 @dataclass(frozen=True)
@@ -166,19 +155,22 @@ def _indicator_below(threshold: float) -> TerminalTest:
     return TerminalTest((threshold,), (1.0, 0.0), (0.0,))
 
 
+def _check_strike(strike: float) -> None:
+    if not 0.0 <= strike < math.inf:
+        raise InvalidParams(f"strike must be finite and nonnegative, got {strike!r}")
+
+
 def payoff_european_call(strike: float) -> Payoff:
     """``(S_T - K)+`` as ``(S_T - K) * 1{S_T > K}``."""
-    if strike < 0.0:
-        raise InvalidParams(f"strike must be nonnegative, got {strike!r}")
-    term = PayoffTerm(1.0, strike, terminal=_indicator_above(strike), label="call")
+    _check_strike(strike)
+    term = PayoffTerm(1.0, strike, _indicator_above(strike), label="call")
     return Payoff((term,))
 
 
 def payoff_european_put(strike: float) -> Payoff:
     """``(K - S_T)+`` as ``(-S_T + K) * 1{S_T < K}``."""
-    if strike < 0.0:
-        raise InvalidParams(f"strike must be nonnegative, got {strike!r}")
-    term = PayoffTerm(-1.0, -strike, terminal=_indicator_below(strike), label="put")
+    _check_strike(strike)
+    term = PayoffTerm(-1.0, -strike, _indicator_below(strike), label="put")
     return Payoff((term,))
 
 
@@ -196,9 +188,8 @@ def payoff_strangle(low: float, high: float) -> Payoff:
 
 def payoff_digital(strike: float) -> Payoff:
     """Pays one unit when ``S_T > K``: coefficient zero, strike minus one."""
-    if strike < 0.0:
-        raise InvalidParams(f"strike must be nonnegative, got {strike!r}")
-    term = PayoffTerm(0.0, -1.0, terminal=_indicator_above(strike), label="digital")
+    _check_strike(strike)
+    term = PayoffTerm(0.0, -1.0, _indicator_above(strike), label="digital")
     return Payoff((term,))
 
 
@@ -208,10 +199,9 @@ def payoff_barrier_up_out(strike: float, barrier: float) -> Payoff:
     The monitoring is strict (``max_t S_t < B``) over all grid times, so an
     infinite barrier reduces to the plain call.
     """
-    if strike < 0.0:
-        raise InvalidParams(f"strike must be nonnegative, got {strike!r}")
-    test = BarrierTest(barrier, _indicator_above(strike))
-    term = PayoffTerm(1.0, strike, path_test=test, label="barrier_up_out")
+    _check_strike(strike)
+    term = PayoffTerm(1.0, strike, _indicator_above(strike), barrier,
+                      label="barrier_up_out")
     return Payoff((term,))
 
 
@@ -219,7 +209,7 @@ def payoff_from_json(doc: Mapping) -> Payoff:
     """Build a payoff from a plain dict, e.g. ``{"type": "call", "K": 5.0}``."""
     try:
         return _payoff_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidParams(f"payoff spec malformed: {exc}") from exc
 
 
@@ -262,9 +252,8 @@ def payoff_to_json(payoff: Payoff) -> dict:
         elif t.label == "digital":
             docs.append({"type": "digital", "K": t.terminal.cuts[0]})
         elif t.label == "barrier_up_out":
-            b = t.path_test.barrier
             docs.append({"type": "barrier_up_out", "K": t.strike,
-                         "B": "inf" if math.isinf(b) else b})
+                         "B": "inf" if t.terminal_only else t.barrier})
         else:
             raise InvalidParams(f"cannot serialize payoff term {t.label!r}")
     if len(docs) == 1:
@@ -315,15 +304,6 @@ class PriceReport:
             ],
         }
 
-    @staticmethod
-    def csv_header() -> str:
-        return "price,discount,powers_alt,powers_base"
-
-    def csv_row(self, fmt: Callable[[float], str] = repr) -> str:
-        alts = ";".join(fmt(t.power_alt) for t in self.terms)
-        bases = ";".join(fmt(t.power_base) for t in self.terms)
-        return f"{fmt(self.price)},{fmt(self.discount)},{alts},{bases}"
-
 
 # ---------------------------------------------------------------------------
 # pricing
@@ -338,24 +318,21 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
     ``x = X_T/X_0`` and ``phi`` the term's terminal test at ``S_T``.
 
     Terminal payoffs are integrated on the grouped law of ``X_T``; payoffs
-    with a barrier term by backward induction on the recombined lattice,
-    each term knocked out at its own level (an infinite one for terminal
-    terms).  Either way the state cap bounds the states built.
+    with a finite knock-out level by backward induction on the recombined
+    lattice, each term knocked out at its own level (an infinite one for
+    terminal terms).  Either way the state cap bounds the states built.
     """
-    tests = [t.terminal if t.path_test is None else t.path_test.terminal
-             for t in payoff.terms]
     bond_T = m.bond_factor(m.steps)
 
     def values(x: np.ndarray) -> list[np.ndarray]:
         s_T = m.s0 * bond_T * x
-        return [integrand(term, x, s_T, test.eval_many(s_T))
-                for term, test in zip(payoff.terms, tests)]
+        return [integrand(term, x, s_T, term.terminal.eval_many(s_T))
+                for term in payoff.terms]
 
     if payoff.terminal_only:
         ratio, probs = terminal_law(m, step_measures)
         return np.array([probs @ v for v in values(ratio)])
-    levels = np.array([math.inf if t.path_test is None else t.path_test.barrier
-                       for t in payoff.terms])
+    levels = np.array([t.barrier for t in payoff.terms])
     bonds = np.cumprod([1.0, *(1.0 + r for r in m.bond_rates)])
 
     def knocked(t: int, x: np.ndarray) -> np.ndarray:
@@ -416,7 +393,7 @@ def _call_strike(payoff: Payoff) -> float:
     if len(payoff.terms) != 1:
         raise NotACall("decomposition requires a single-term call payoff")
     term = payoff.terms[0]
-    if (term.terminal is None or term.coeff != 1.0
+    if (not term.terminal_only or term.coeff != 1.0
             or term.terminal != _indicator_above(term.strike)):
         raise NotACall(f"payoff {term.label!r} is not a plain European call")
     if term.strike < 0.0:
@@ -493,7 +470,7 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState) -> floa
         for term in payoff.terms:
             total += (term.coeff * spot - term.strike) * term.terminal(spot)
         return float(total)
-    rest = complementary_market(m, step_measures, state)
+    rest = complementary_market(m, state)
     return _discounted_value(rest, payoff, step_measures[state.t:])
 
 

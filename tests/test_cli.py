@@ -282,6 +282,40 @@ def tri_bounds(n):
     return min(prices), max(prices)
 
 
+class TestInfiniteBarrier:
+    """``barrier_up_out`` without ``B`` (or with ``"inf"``) never knocks out:
+    every command prints what it prints for the call at the same strike."""
+
+    def outputs(self, spec_dir, capsys, payoff):
+        path = spec_dir["dir"] / "payoff.json"
+        path.write_text(json.dumps(payoff))
+        study = spec_dir["dir"] / "payoff_study.json"
+        study.write_text(json.dumps(dict(STUDY, payoff=payoff)))
+        docs = []
+        for argv in (
+            ["price", "--market", spec_dir["crr2"], "--payoff", str(path)],
+            ["np", "--market", spec_dir["crr2"], "--payoff", str(path)],
+            ["dynamics", "--market", spec_dir["crr2"], "--payoff", str(path),
+             "--state", "u"],
+            ["bounds", "--market", spec_dir["tri"], "--payoff", str(path)],
+            ["converge", "--study", str(study)],
+        ):
+            rc = main(argv + ["--format", "json"])
+            captured = capsys.readouterr()
+            assert rc == 0, (argv, captured.err)
+            docs.append(json.loads(captured.out))
+        for term in docs[0]["report"]["terms"]:
+            term.pop("label")
+        return docs
+
+    def test_every_command_prices_the_call(self, spec_dir, capsys):
+        for strike in (1.0, 5.0):
+            call = self.outputs(spec_dir, capsys, {"type": "call", "K": strike})
+            for barrier in ({"type": "barrier_up_out", "K": strike},
+                            {"type": "barrier_up_out", "K": strike, "B": "inf"}):
+                assert self.outputs(spec_dir, capsys, barrier) == call
+
+
 class TestBounds:
     """``bounds`` prices one measure per vertex multiset of each return
     class: TRI over 17 steps has 2^17 ordered vertex choices but 18
@@ -331,6 +365,23 @@ class TestSelfCheck:
         captured = capsys.readouterr()
         assert rc == 5
         assert "price_direct = 1" in captured.out
+        assert "self-check failed" in captured.err
+
+    def test_nan_route_price_exit_5(self, spec_dir, capsys, monkeypatch):
+        """A NaN price never passes the route check."""
+        import dataclasses
+        import lecam.cli
+        from lecam.pricing import price_via_tests
+
+        def nan_price(*args, **kwargs):
+            return dataclasses.replace(price_via_tests(*args, **kwargs), price=math.nan)
+
+        monkeypatch.setattr(lecam.cli, "price_via_tests", nan_price)
+        rc = main(["price", "--market", spec_dir["crr1"],
+                   "--payoff", spec_dir["call5"]])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert "diff = nan" in captured.out
         assert "self-check failed" in captured.err
 
     def test_bayes_risk_identity_exit_5(self, spec_dir, capsys, monkeypatch):
@@ -457,6 +508,13 @@ class TestConverge:
                    "--threshold", "10.0"])
         capsys.readouterr()
         assert rc == 0
+        # a single-size study is gated too
+        single = spec_dir["dir"] / "single.json"
+        single.write_text(json.dumps(dict(STUDY, Ns=[16])))
+        rc = main(["converge", "--study", str(single), "--threshold", "1e-12"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "threshold violated" in captured.err
 
     def test_study_threshold_used_by_default(self, spec_dir, capsys):
         tight = dict(STUDY, threshold=1e-9)
@@ -542,6 +600,47 @@ class TestErrorPaths:
         rc = main(["complete", "--market", str(bad)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: market spec malformed")
+
+    def test_non_finite_inputs_exit_3(self, spec_dir, capsys):
+        """NaN or infinite strikes, rates and probabilities are spec errors,
+        in every command that reads them."""
+        nan, inf = math.nan, math.inf
+        table = dict(TRI, N=8, returns={"type": "table",
+                                        "values": [1.3, 1.1, 0.9, 0.6],
+                                        "probs": [0.25] * 4})
+        specs = {
+            "crr15": dict(CRR30, N=15),
+            "table": table,
+            "nan_bond": dict(table, bond={"const": nan}),
+            "nan_prob": dict(TRI, returns={"type": "table", "values": [1.5, 0.5],
+                                           "probs": [nan, 0.5]}),
+            "k_nan": {"type": "call", "K": nan},
+            "k_inf": {"type": "call", "K": inf},
+            "study": dict(STUDY, payoff={"type": "call", "K": nan}),
+            "nan_threshold": dict(STUDY, threshold=nan),
+            "inf_steps": dict(CRR1, N=inf),
+        }
+        path = {}
+        for name, doc in specs.items():
+            path[name] = spec_dir["dir"] / f"{name}.json"
+            path[name].write_text(json.dumps(doc))
+        for argv in (
+            ["price", "--market", path["crr15"], "--payoff", path["k_nan"]],
+            ["price", "--market", path["crr15"], "--payoff", path["k_inf"]],
+            ["bounds", "--market", path["table"], "--payoff", path["k_nan"]],
+            ["price", "--market", path["nan_bond"], "--payoff", spec_dir["call1"],
+             "--measure", "designated"],
+            ["complete", "--market", path["nan_prob"]],
+            ["converge", "--study", path["study"]],
+            ["converge", "--study", path["nan_threshold"]],
+            ["converge", "--study", spec_dir["study"], "--threshold", "inf"],
+            ["price", "--market", path["inf_steps"], "--payoff", spec_dir["call5"]],
+        ):
+            rc = main([str(a) for a in argv])
+            captured = capsys.readouterr()
+            assert rc == 3, argv
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
 
     def test_path_cap_env_var(self, spec_dir, capsys, monkeypatch):
         monkeypatch.setenv("LECAM_MAX_PATHS", "4")

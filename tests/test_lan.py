@@ -260,18 +260,8 @@ class TestSchedule:
             Schedule(N=1, horizon=1.0, sigmas=(0.2,), rhos=(-0.1,),
                      limit_sigma=lim_s, limit_rate=lim_r)
         with pytest.raises(InvalidParams):
-            Schedule(N=1, horizon=1.0, sigmas=(0.2,), rhos=(0.0,),
-                     limit_sigma=lim_s, limit_rate=lim_r, sigma_high=0.1)
-        with pytest.raises(InvalidParams):
             Schedule(N=1, horizon=2.0, sigmas=(0.2,), rhos=(0.0,),
                      limit_sigma=lim_s, limit_rate=lim_r)
-
-    def test_bounds_accepted_when_satisfied(self):
-        sched = Schedule.from_limits(
-            StepFunction((1.0,), (0.2,)), StepFunction((1.0,), (0.05,)),
-            4, sigma_low=0.1, sigma_high=0.3, rate_high=0.1,
-        )
-        assert sched.sigma_low == 0.1
 
 
 class TestDiscreteModel:

@@ -205,6 +205,21 @@ class TestConstruction:
         with pytest.raises(InvalidParams):
             LatticeMarket(1, 1.0, 4.0, (((0.0, 0.5), (2.0, 0.5)),), (0.0,))
 
+    def test_rejects_non_finite_inputs(self):
+        good = ((1.5, 0.5), (0.5, 0.5))
+        nan, inf = math.nan, math.inf
+        for s0, horizon, step, rate in (
+            (nan, 1.0, good, 0.0), (inf, 1.0, good, 0.0),
+            (4.0, nan, good, 0.0), (4.0, inf, good, 0.0),
+            (4.0, 1.0, ((nan, 0.5), (0.5, 0.5)), 0.0),
+            (4.0, 1.0, ((inf, 0.5), (0.5, 0.5)), 0.0),
+            (4.0, 1.0, ((1.5, nan), (0.5, 0.5)), 0.0),
+            (4.0, 1.0, ((1.5, inf), (0.5, 0.5)), 0.0),
+            (4.0, 1.0, good, nan), (4.0, 1.0, good, inf),
+        ):
+            with pytest.raises(InvalidParams):
+                LatticeMarket(1, horizon, s0, (step,), (rate,))
+
     def test_rejects_duplicate_values(self):
         with pytest.raises(InvalidParams):
             LatticeMarket(1, 1.0, 4.0, (((1.5, 0.5), (1.5, 0.5)),), (0.0,))
@@ -588,17 +603,15 @@ class TestBackwardInduction:
 class TestComplementaryMarket:
     def test_spot_and_shape_after_up(self):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
-        q = solve_martingale_measures(m).designated()
-        sub = complementary_market(m, q, PathState(1, (0,)))
+        sub = complementary_market(m, PathState(1, (0,)))
         assert sub.steps == 1
         assert sub.s0 == pytest.approx(8.0)
         np.testing.assert_allclose(sub.step_values(0), [2.0, 0.5])
 
     def test_terminal_state_rejected(self):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
-        q = solve_martingale_measures(m).designated()
         with pytest.raises(InvalidState):
-            complementary_market(m, q, PathState(2, (0, 0)))
+            complementary_market(m, PathState(2, (0, 0)))
 
     def test_matches_complementary_experiment(self):
         """Sub-market experiment == complementary experiment at the node.
@@ -619,7 +632,7 @@ class TestComplementaryMarket:
             comp = complementary(exp, part)
             for prefix in sorted({w[:t] for w in exp.outcomes}):
                 state = PathState(t, prefix)
-                sub = complementary_market(m, qs, state)
+                sub = complementary_market(m, state)
                 sub_qs = qs[t:]
                 sub_exp = induced_experiment(sub, sub_qs)
                 idx = exp.index()

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from lecam import (
-    BarrierTest,
     BinaryPriors,
     InvalidParams,
     LatticeMarket,
     NotACall,
     PathDependenceUnsupported,
     Payoff,
+    PayoffTerm,
     PathState,
     Partition,
     SizeLimit,
@@ -119,12 +119,7 @@ def brute_term_powers(m, qs, payoff):
         pw = brute_prob(m, qs, w)
         x = brute_ratio(m, w)
         for acc, term in zip(powers, payoff.terms):
-            if term.terminal is not None:
-                phi = term.terminal(prices[-1])
-            elif max(prices) >= term.path_test.barrier:
-                phi = 0.0
-            else:
-                phi = term.path_test.terminal(prices[-1])
+            phi = 0.0 if max(prices) >= term.barrier else term.terminal(prices[-1])
             acc[0] += pw * x * phi
             acc[1] += pw * phi
             value += pw * (term.coeff * prices[-1] - term.strike) * phi
@@ -429,12 +424,28 @@ class TestGroupedRoute:
         assert abs(direct - oracle) <= 1e-9 * oracle
 
 
-class TestBarrierTest:
+class TestBarrierLevel:
     def test_barrier_validated(self):
         with pytest.raises(InvalidParams):
             payoff_barrier_up_out(5.0, 0.0)
         with pytest.raises(InvalidParams):
-            BarrierTest(-1.0, payoff_european_call(5.0).terms[0].terminal)
+            PayoffTerm(1.0, 5.0, payoff_european_call(5.0).terms[0].terminal, -1.0)
+
+    def test_one_term_shape(self):
+        """A term is a terminal test plus a knock-out level; an infinite
+        level (the default) makes it a test of ``S_T`` alone."""
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(PayoffTerm)]
+        assert names == ["coeff", "strike", "terminal", "barrier", "label"]
+        call = payoff_european_call(5.0).terms[0]
+        assert call.barrier == math.inf and call.terminal_only
+        assert payoff_barrier_up_out(5.0, math.inf).terminal_only
+        knock = payoff_barrier_up_out(5.0, 20.0).terms[0]
+        assert knock.barrier == 20.0 and not knock.terminal_only
+        assert knock.terminal == call.terminal
+        with pytest.raises(InvalidParams):
+            PayoffTerm(1.0, 5.0, call.terminal, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +815,15 @@ class TestPayoffs:
     def test_negative_strike_rejected(self):
         with pytest.raises(InvalidParams):
             payoff_european_call(-1.0)
+
+    def test_non_finite_strikes_rejected(self):
+        for strike in (math.nan, math.inf, -math.inf):
+            for make in (payoff_european_call, payoff_european_put, payoff_digital,
+                         lambda k: payoff_barrier_up_out(k, 20.0)):
+                with pytest.raises(InvalidParams, match="finite and nonnegative"):
+                    make(strike)
+            with pytest.raises(InvalidParams):
+                payoff_strangle(strike, 6.0)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(RNG_SEED)
