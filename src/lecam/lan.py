@@ -35,6 +35,7 @@ from .errors import (
     InvalidParams,
     InvalidTangent,
     LemmaHypothesisViolated,
+    SizeLimit,
     ThetaOutOfRange,
 )
 from .lattice import LatticeMarket, terminal_log_law
@@ -60,11 +61,11 @@ class TangentPath:
     C: float
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        g = tuple(float(x) for x in self.g)
+        probs = _finite_all("probs", self.probs)
+        g = _finite_all("g", self.g)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "C", float(self.C))
+        object.__setattr__(self, "C", _finite("C", self.C))
         if len(probs) != len(g) or not probs:
             raise InvalidTangent("probs and g must be nonempty and aligned")
         if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > ATOL:
@@ -93,12 +94,25 @@ class TangentPath:
         return float(np.min(np.array(self.g)[p > 0.0]))
 
 
+def _finite(name: str, value: float) -> float:
+    """``value`` as a float, or :class:`~lecam.errors.InvalidTangent` naming
+    it when it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidTangent(f"tangent {name} = {value!r} is not finite")
+    return value
+
+
+def _finite_all(name: str, values: Sequence[float]) -> tuple[float, ...]:
+    return tuple(_finite(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
 def make_tangent(probs: Sequence[float], g: Sequence[float],
                  C: float | None = None) -> TangentPath:
     """Validate a direction; ``C`` defaults to the essential infimum bound."""
     if C is None:
-        p = np.array([float(x) for x in probs])
-        garr = np.array([float(x) for x in g])
+        p = np.array(_finite_all("probs", probs))
+        garr = np.array(_finite_all("g", g))
         if p.shape != garr.shape or p.size == 0:
             raise InvalidTangent("probs and g must be nonempty and aligned")
         support = p > 0.0
@@ -112,6 +126,7 @@ def make_tangent(probs: Sequence[float], g: Sequence[float],
 def crr_tangent(a: float, b: float) -> TangentPath:
     """Two-point direction: up with probability ``b/(a+b)`` and value
     ``sqrt(a/b)``, down with value ``-sqrt(b/a)``."""
+    a, b = _finite("a", a), _finite("b", b)
     if not (a > 0.0 and b > 0.0):
         raise InvalidTangent(f"need a, b > 0, got a={a!r}, b={b!r}")
     root = math.sqrt(a * b)
@@ -338,7 +353,10 @@ def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
     the grouped law of ``log(X_n / X_0)`` shifted by ``log B_n``."""
     head = replace(market, steps=n, horizon=n * market.horizon / market.steps,
                    returns=market.returns[:n], bond_rates=market.bond_rates[:n])
-    values, probs = terminal_log_law(head, [np.array(q) for q in measures[:n]])
+    try:
+        values, probs = terminal_log_law(head, [np.array(q) for q in measures[:n]])
+    except SizeLimit as exc:
+        raise SizeLimit(f"{exc}: the CDF sup-distance needs the sorted law of log S_t") from exc
     return values + math.log(head.bond_factor(n)), probs
 
 

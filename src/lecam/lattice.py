@@ -12,7 +12,11 @@ experiments of :mod:`lecam.experiments`:
   real-world measure ``P``; it enumerates every path and serves as the
   small-``N`` oracle;
 * ``terminal_experiment`` is its restriction to ``sigma(X_T)``, built on the
-  grouped terminal law, which loses nothing for tests of ``S_T``;
+  sorted grouped law of ``X_T``, which loses nothing for tests of ``S_T``;
+* ``terminal_log_masses`` gives the test powers of terminal payoffs without
+  any law of ``X_T``: the masses below, at and above given levels of
+  ``log(X_T/X_0)`` under ``Q`` and ``Q1``, from binomial tails, with ties
+  decided in count units;
 * ``backward_induction`` rolls node values back over the recombined
   lattice, whose nodes are integer count vectors per return class, so it
   visits polynomially many nodes in ``N``; it prices barriers and serves
@@ -25,9 +29,13 @@ experiments of :mod:`lecam.experiments`:
 
 Per return class the grouped law rests on the law of the outcome counts,
 in closed form (binomial pmfs) per group of equal step measures.  Its atoms
-and the nodes of backward induction take their spots from one rule
-(``_count_logs``): per return class ``counts @ log(values)``, summed in
-class order.
+and the nodes of backward induction take their spots from ``_count_logs``
+(per return class ``counts @ log(values)``, summed over the classes) and
+are compared as floats, so a level exactly on a node is decided by
+rounding there.  ``terminal_log_masses`` places its enumerated atoms by the
+same sums, but adds the closed-form draw as ``draws * log(v_lo) + c *
+delta`` and decides ties in count units of that draw, so terminal prices
+do not depend on that rounding.
 
 Martingale measures are solved per step by vertex enumeration of the
 polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; with at most two active
@@ -43,7 +51,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special._ufuncs import _binom_pmf  # scipy.stats.binom's pmf, without its import
+# scipy.stats.binom's pmf and cdf, without its import
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 from . import limits
 from .errors import (
@@ -504,24 +513,35 @@ def path_prices(m: LatticeMarket, paths: np.ndarray) -> np.ndarray:
 # grouped (recombining) laws
 # ---------------------------------------------------------------------------
 
-def _identical_law(n: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multinomial law of the outcome counts of ``n`` steps with measure
-    ``q``, rows in lexicographic order.  Each live outcome but the last draws
-    from ``Bin(rest, q_i / (q_i + mass of the live ones after it))``; the
-    last takes the remainder, and zero-mass outcomes carry no count."""
-    live = np.flatnonzero(q > 0.0)
-    tails = np.cumsum(q[live][::-1])[::-1]
+def _chain(n: int, q: np.ndarray,
+           outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first draws of the multinomial chain of ``n`` steps with measure
+    ``q``: each outcome of ``outcomes`` in turn draws its count from
+    ``Bin(rest, q_i / (q_i + mass of the outcomes after it))``.  Returns the
+    count rows (undrawn outcomes at zero), their probabilities and the
+    counts left to the outcomes after the last one drawn."""
+    tails = np.cumsum(q[::-1])[::-1]
     counts = np.zeros((1, len(q)), dtype=np.int64)
     probs = np.ones(1)
     rest = np.full(1, n, dtype=np.int64)
-    for i, tail in zip(live[:-1], tails):
+    for i in outcomes:
         width = rest + 1
         row = np.repeat(np.arange(len(rest)), width)
         draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
         counts = counts[row]
         counts[:, i] = draw
-        probs = probs[row] * _binom_pmf(draw, rest[row], min(q[i] / tail, 1.0))
+        probs = probs[row] * _binom_pmf(draw, rest[row], min(q[i] / tails[i], 1.0))
         rest = rest[row] - draw
+    return counts, probs, rest
+
+
+def _identical_law(n: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multinomial law of the outcome counts of ``n`` steps with measure
+    ``q``, rows in lexicographic order: the chain over every live outcome
+    but the last, which takes the remainder; zero-mass outcomes carry no
+    count."""
+    live = np.flatnonzero(q > 0.0)
+    counts, probs, rest = _chain(n, q, live[:-1])
     counts[:, live[-1]] = rest
     return counts, probs
 
@@ -559,23 +579,40 @@ def count_distribution(qs: Sequence[np.ndarray],
         pairwise sums that merge two groups, exceed ``max_states``.
     """
     cap = limits.max_states(max_states)
-    n = len(qs)
     k = len(qs[0])
+    groups = _measure_groups(qs, k)
+    _check_count_states(len(qs), k, cap)
+    return _grouped_count_law(groups, k, cap)
+
+
+def _measure_groups(qs: Sequence[np.ndarray], k: int) -> list[list]:
+    """The step measures ``qs``, each of ``k`` outcomes, grouped by equal
+    value as ``[q, steps]`` (first-seen order)."""
     groups: dict[bytes, list] = {}
     for q in qs:
         q = np.asarray(q, dtype=float)
         if len(q) != k:
             raise InvalidParams("all steps in a class must share the support size")
         groups.setdefault(q.tobytes(), [q, 0])[1] += 1
+    return list(groups.values())
+
+
+def _check_count_states(n: int, k: int, cap: int) -> None:
     states = math.comb(n + k - 1, k - 1)
     if states > cap:
         raise SizeLimit(f"count states {states} exceed cap {cap}")
+
+
+def _grouped_count_law(groups: Sequence[list], k: int,
+                       cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`count_distribution` over groups ``[q, steps]`` of equal step
+    measures, each a multinomial, the groups convolved."""
     if k == 2:  # convolve the pmfs of the first outcome's count
         probs = functools.reduce(np.convolve, (_binom_pmf(np.arange(size + 1), size, q[0])
-                                               for q, size in groups.values()))
-        a = np.arange(n + 1, dtype=np.int64)
-        return np.stack([a, n - a], axis=1), probs
-    laws = (_identical_law(size, q) for q, size in groups.values())
+                                               for q, size in groups))
+        a = np.arange(len(probs), dtype=np.int64)
+        return np.stack([a, a[-1] - a], axis=1), probs
+    laws = (_identical_law(size, q) for q, size in groups)
     counts, probs = next(laws)
     for more, more_probs in laws:  # pairwise sums, equal count vectors merged
         if len(counts) * len(more) > cap:
@@ -610,10 +647,10 @@ def combine_additive_laws(laws: Sequence[tuple[np.ndarray, np.ndarray]],
 
 def _classes(m: LatticeMarket) -> list[tuple[tuple[float, ...], list[int]]]:
     """Group step indices by identical return-value tuples (order preserved)."""
+    keys = {step: tuple(v for v, _ in step) for step in dict.fromkeys(m.returns)}
     grouped: dict[tuple[float, ...], list[int]] = {}
-    for j in range(m.steps):
-        key = tuple(v for v, _ in m.returns[j])
-        grouped.setdefault(key, []).append(j)
+    for j, step in enumerate(m.returns):
+        grouped.setdefault(keys[step], []).append(j)
     return list(grouped.items())
 
 
@@ -622,8 +659,9 @@ def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
     vectors (one row each).
 
     The grouped law's atoms and the backward-induction nodes are these
-    contributions summed over the classes in class order, so a rule for
-    ties between nodes has this one place to change.
+    contributions summed over the classes in class order, and so are the
+    atoms that :func:`terminal_log_masses` enumerates, before it adds its
+    closed-form draw.
     """
     return counts @ np.log(values)
 
@@ -648,6 +686,109 @@ def terminal_law(m: LatticeMarket,
     """Exact law of ``X_T / X_0`` (values sorted by their logarithm)."""
     logs, probs = terminal_log_law(m, step_measures)
     return np.exp(logs), probs
+
+
+#: Tie tolerance in count units: a level within this distance of an integer
+#: count of the last draw sits at that atom.  Rounding in the log sums is
+#: below 1e-13 there, and atoms lie one unit apart.
+TIE_TOL = 1e-9
+
+
+def terminal_log_masses(m: LatticeMarket, step_measures: Sequence[np.ndarray],
+                        levels: Sequence[float]) -> np.ndarray:
+    """Masses of ``log(X_T / X_0)`` strictly below, exactly at and strictly
+    above each of ``levels``, under ``Q`` and under ``Q1 = (X_T/X_0) . Q``.
+
+    Returns an array of shape ``(2, 3, len(levels))``: ``[Q, Q1]`` by
+    ``[below, at, above]``.  No law of ``X_T`` is built or sorted.  Steps
+    split into independent groups (a return class times an equal step
+    measure), each a multinomial chain of binomial draws.  One group's last
+    draw ``Bin(n, rho)`` stays in closed form; everything else is enumerated
+    as unsorted atoms, the groups of a class convolved on integer count
+    vectors.  Over an atom with log ``base`` the last draw
+    adds ``c * delta`` for ``c`` counts of its larger value, so each level
+    reads binomial tails at ``t = (level - base) / delta``.  Ties are decided
+    there, in count units: a level within :data:`TIE_TOL` of an integer
+    ``t`` sits at that atom.  Under ``Q1`` the draw is tilted in log space:
+    with ``lam`` the log of its mean return ``mu``, an atom of log ``a``
+    weighs ``e^(a + n lam)`` and draws from ``Bin(n, rho v_hi / mu)``.
+
+    Raises :class:`~lecam.errors.SizeLimit` when a class's count states
+    ``C(n + k - 1, k - 1)`` exceed the state cap, checked before anything is
+    built, or when the enumerated atoms do.
+    """
+    cap = limits.max_states()
+    classes = []
+    last, saving = None, 1.0
+    for values, members in _classes(m):
+        groups = _measure_groups([step_measures[j] for j in members], len(values))
+        _check_count_states(len(members), len(values), cap)
+        classes.append((values, groups))
+        # the closed-form draw: the group whose law it shrinks the most, from
+        # C(n + l - 1, l - 1) rows to C(n + l - 2, l - 2) for l live outcomes
+        for group in groups:
+            live = np.count_nonzero(group[0])
+            if live > 1 and (group[1] + live - 1) / (live - 1) > saving:
+                last, last_values, saving = group, values, (group[1] + live - 1) / (live - 1)
+
+    logs, probs, draws = np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64)
+    log_lo, delta, rho, tilt, drift = 0.0, 1.0, 0.0, 0.0, 0.0  # no random step: a draw of none
+    if last is not None:
+        q, size = last
+        live = np.flatnonzero(q)
+        draws[0] = size
+        if len(live) > 2:
+            counts, probs, draws = _chain(size, q, live[:-2])
+            logs = _count_logs(counts, last_values)
+        (v_lo, q_lo), (v_hi, q_hi) = sorted((last_values[i], float(q[i])) for i in live[-2:])
+        log_lo, delta = math.log(v_lo), math.log(v_hi) - math.log(v_lo)
+        rho = q_hi / (q_lo + q_hi)
+        # log of the draw's mean return, from its mean excess over one
+        drift = math.log1p((q_lo * (v_lo - 1.0) + q_hi * (v_hi - 1.0)) / (q_lo + q_hi))
+        tilt = min(rho * v_hi * math.exp(-drift), 1.0)
+    for values, groups in classes:
+        rest = [g for g in groups if g is not last]
+        if rest:
+            counts, more = _grouped_count_law(rest, len(values), cap)
+            if len(logs) * len(more) > cap:
+                raise SizeLimit(f"terminal atoms exceed cap {cap}")
+            logs = (logs[:, None] + _count_logs(counts, values)).ravel()
+            probs = (probs[:, None] * more).ravel()
+            draws = draws.repeat(len(more))
+    base = logs + draws * log_lo
+    weights = np.array([probs, probs * np.exp(logs + draws * drift)])
+    p = np.array([rho, 1.0 - rho, tilt, 1.0 - tilt]).reshape(2, 2, 1, 1)
+    levels = np.asarray(levels, dtype=float)
+    return sum(_draw_tails(levels, base[s:s + _TAIL_CHUNK], draws[s:s + _TAIL_CHUNK],
+                           weights[:, s:s + _TAIL_CHUNK], delta, p)
+               for s in range(0, len(logs), _TAIL_CHUNK))
+
+
+#: Atoms whose tails are evaluated at once, bounding the temporaries.
+_TAIL_CHUNK = 1 << 15
+
+
+def _draw_tails(levels: np.ndarray, base: np.ndarray, draws: np.ndarray,
+                weights: np.ndarray, delta: float, p: np.ndarray) -> np.ndarray:
+    """The masses of :func:`terminal_log_masses` over atoms of log ``base``,
+    each followed by ``draws`` steps of ``delta`` taken with probability
+    ``p[0, 0]`` under ``Q`` and ``p[1, 0]`` under ``Q1`` (``p[:, 1]`` the
+    complements); ``weights`` holds the atoms' masses under both.  Both
+    tails are lower tails, the upper one of the mirrored draw.  Levels
+    clipped half a count outside ``[0, n]`` keep their tails and sit at no
+    atom."""
+    n = draws[:, None]
+    t = np.minimum(np.maximum((levels - base[:, None]) / delta, -0.5), n + 0.5)
+    r = np.rint(t)
+    tie = np.abs(t - r) <= TIE_TOL
+    high = np.where(tie, r, np.floor(t))    # last count not above the level
+    ends = np.array([high - tie, n - 1.0 - high])
+    tails = np.where(ends >= 0.0, _binom_cdf(ends, n, p), 0.0)
+    at = np.where(tie, _binom_pmf(r, n, p[:, 0]), 0.0)
+    out = np.empty((2, 3, len(levels)))
+    out[:, ::2] = (weights[:, None, None] @ tails)[:, :, 0]
+    out[:, 1] = (weights[:, None] @ at)[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +923,11 @@ def terminal_experiment(m: LatticeMarket, q) -> FiniteExperiment:
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    ratio, probs = terminal_law(m, step_measures)
+    try:
+        ratio, probs = terminal_law(m, step_measures)
+    except SizeLimit as exc:
+        raise SizeLimit(f"{exc}: the terminal experiment (np) needs the sorted law "
+                        f"of X_T") from exc
     # distinct log atoms can round to one ratio; merge them so labels stay unique
     ratio, inverse = np.unique(ratio, return_inverse=True)
     probs = np.bincount(inverse, weights=probs, minlength=len(ratio))

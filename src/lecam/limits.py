@@ -26,8 +26,10 @@ DEFAULT_MAX_PATHS = 5_000_000
 #: Outcome count of product experiments.
 DEFAULT_MAX_OUTCOMES = 1 << 24
 
-#: Grouped states of terminal-value, convolution and count laws (merges too),
-#: and the nodes of all dates of the recombined lattice in backward induction.
+#: Count states of each return class, the atoms enumerated for terminal test
+#: powers, grouped states of the sorted law of ``X_T`` and of convolution and
+#: count laws (merges too), and the nodes of all dates of the recombined
+#: lattice in backward induction.
 DEFAULT_MAX_STATES = 10_000_000
 
 #: Product martingale measures priced by ``price_bounds``: vertex multisets

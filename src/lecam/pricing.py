@@ -16,11 +16,15 @@ splits into test powers:
 with ``Q1`` the measure whose density process is the normalized discounted
 price.  ``price_via_tests`` computes exactly that decomposition and must
 agree with the direct discounted expectation ``price_direct`` to within
-1e-12.  Both routes evaluate the tests on the same nodes.  Terminal payoffs
-are integrated on the grouped law of ``X_T`` (``dQ1/dQ = X_T/X_0`` is
-``sigma(X_T)``-measurable, so restricting the path experiment to that
-field loses nothing).  Payoffs with a finite level are rolled back over the
-recombined lattice (:func:`lecam.lattice.backward_induction`), each term
+1e-12.  Both routes evaluate the tests on the same nodes.  For terminal
+payoffs (``dQ1/dQ = X_T/X_0`` is ``sigma(X_T)``-measurable) the powers are
+closed-form: the masses of ``log(X_T/X_0)`` below, at and above the level
+of every cut under ``Q`` and ``Q1``, read from binomial tails by
+:func:`lecam.lattice.terminal_log_masses` without building the law of
+``X_T``.  Whether a node sits at a cut is decided there, once, in count
+units of the closed-form draw, also for the terminal terms of a sum that
+has knock-out terms.  Terms with a finite level are rolled back over the
+recombined lattice (:func:`lecam.lattice.backward_induction`), each
 knocked out at its own level; no production route enumerates paths.
 
 Tests are structural: terminal tests are piecewise constant in ``S_T`` with
@@ -56,7 +60,7 @@ from .lattice import (
     require_martingale,
     solve_martingale_measures,
     terminal_experiment,
-    terminal_law,
+    terminal_log_masses,
 )
 
 ATOL = 1e-12
@@ -309,56 +313,108 @@ class PriceReport:
 # pricing
 # ---------------------------------------------------------------------------
 
-def _expectations(m: LatticeMarket, payoff: Payoff,
-                  step_measures: Sequence[np.ndarray],
-                  integrand: Callable[[PayoffTerm, np.ndarray, np.ndarray, np.ndarray],
-                                      np.ndarray],
-                  ) -> np.ndarray:
-    """``E_Q`` of ``integrand(term, x, s_T, phi)`` for every term, with
-    ``x = X_T/X_0`` and ``phi`` the term's terminal test at ``S_T``.
+def _terminal_powers(m: LatticeMarket, terms: Sequence[PayoffTerm],
+                     step_measures: Sequence[np.ndarray]) -> np.ndarray:
+    """``[E_Q(phi), E_Q(x * phi)]`` for each of ``terms``, all terminal, read
+    from the masses of ``log x`` around the levels of the term's cuts
+    (:func:`lecam.lattice.terminal_log_masses`), ties decided in count units.
 
-    Terminal payoffs are integrated on the grouped law of ``X_T``; payoffs
-    with a finite knock-out level by backward induction on the recombined
-    lattice, each term knocked out at its own level (an infinite one for
-    terminal terms).  Either way the state cap bounds the states built.
+    An open interval between two cuts takes its mass from the side with the
+    smaller tail, so every interval keeps the relative accuracy of a tail.
     """
+    scale = m.s0 * m.bond_factor(m.steps)
+    # a test without cuts gets one at zero, which every S_T lies above
+    cuts = [t.terminal.cuts or (0.0,) for t in terms]
+    levels = [math.log(c / scale) if c > 0.0 else -math.inf for term in cuts for c in term]
+    masses = terminal_log_masses(m, step_measures, levels)
+    out = []
+    start = 0
+    for term, term_cuts in zip(terms, cuts):
+        below, at, above = masses[:, :, start:start + len(term_cuts)].transpose(1, 0, 2)
+        start += len(term_cuts)
+        opens, points = term.terminal.open_values, term.terminal.point_values or (0.0,)
+        power = opens[0] * below[:, 0] + opens[-1] * above[:, -1] + at @ points
+        if len(opens) > 2:
+            inner = np.where(below[:, 1:] <= above[:, :-1],
+                             below[:, 1:] - below[:, :-1] - at[:, :-1],
+                             above[:, :-1] - above[:, 1:] - at[:, 1:])
+            power += inner @ opens[1:-1]
+        out.append(power)
+    return np.array(out)
+
+
+def _knocked_out_values(m: LatticeMarket, terms: Sequence[PayoffTerm],
+                        step_measures: Sequence[np.ndarray],
+                        coeffs: Sequence[tuple]) -> np.ndarray:
+    """``E_Q((a * x + b) * phi)`` for each of ``terms``, all with a finite
+    knock-out level, rolled back over the recombined lattice, each term
+    knocked out at its own level."""
     bond_T = m.bond_factor(m.steps)
-
-    def values(x: np.ndarray) -> list[np.ndarray]:
-        s_T = m.s0 * bond_T * x
-        return [integrand(term, x, s_T, term.terminal.eval_many(s_T))
-                for term in payoff.terms]
-
-    if payoff.terminal_only:
-        ratio, probs = terminal_law(m, step_measures)
-        return np.array([probs @ v for v in values(ratio)])
-    levels = np.array([t.barrier for t in payoff.terms])
+    levels = np.array([t.barrier for t in terms])
     bonds = np.cumprod([1.0, *(1.0 + r for r in m.bond_rates)])
+
+    def values(x: np.ndarray) -> np.ndarray:
+        s_T = m.s0 * bond_T * x
+        phis = [term.terminal.eval_many(s_T) for term in terms]
+        return np.stack([np.multiply.outer(x * phi, a) + np.multiply.outer(phi, b)
+                         for phi, (a, b) in zip(phis, coeffs)], axis=x.ndim)
 
     def knocked(t: int, x: np.ndarray) -> np.ndarray:
         return (m.s0 * bonds[t] * x)[..., None] >= levels
 
-    for _, x, v in backward_induction(m, step_measures,
-                                      lambda x: np.stack(values(x), axis=x.ndim),
-                                      knocked):
+    for _, x, v in backward_induction(m, step_measures, values, knocked):
         pass
     return v[(0,) * x.ndim]
 
 
+def _expectations(m: LatticeMarket, payoff: Payoff,
+                  step_measures: Sequence[np.ndarray],
+                  weights: Callable[[PayoffTerm], tuple],
+                  ) -> np.ndarray:
+    """``E_Q((a * x + b) * phi)`` for every term, with ``(a, b) =
+    weights(term)`` (scalars or equal-shaped arrays), ``x = X_T/X_0`` and
+    ``phi`` the term's test.
+
+    Terminal terms combine the powers ``E_Q(phi)`` and ``E_Q(x * phi)`` of
+    :func:`_terminal_powers`, also inside a sum with knock-out terms, so a
+    term's powers do not depend on the terms beside it.  Terms with a
+    finite knock-out level are rolled back by backward induction on the
+    recombined lattice.  Either way the state cap bounds the states built.
+    """
+    coeffs = [tuple(map(np.asarray, weights(term))) for term in payoff.terms]
+    terminal = [i for i, t in enumerate(payoff.terms) if t.terminal_only]
+    knock_out = [i for i, t in enumerate(payoff.terms) if not t.terminal_only]
+    out: list = [None] * len(coeffs)
+    if terminal:
+        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal], step_measures)
+        for i, (base, alt) in zip(terminal, powers):
+            a, b = coeffs[i]
+            out[i] = a * alt + b * base
+    if knock_out:
+        rolled = _knocked_out_values(m, [payoff.terms[i] for i in knock_out], step_measures,
+                                     [coeffs[i] for i in knock_out])
+        for i, v in zip(knock_out, rolled):
+            out[i] = v
+    return np.array(out)
+
+
 def _discounted_value(m: LatticeMarket, payoff: Payoff,
                       step_measures: Sequence[np.ndarray]) -> float:
+    scale = m.s0 * m.bond_factor(m.steps)
     terms = _expectations(m, payoff, step_measures,
-                          lambda term, x, s_T, phi: (term.coeff * s_T - term.strike) * phi)
+                          lambda term: (term.coeff * scale, -term.strike))
     return float(m.discount * terms.sum())
 
 
 def price_direct(m: LatticeMarket, q, payoff: Payoff) -> float:
     """Exact discounted expectation of the payoff under ``q``.
 
-    Terminal-value payoffs are priced on the grouped terminal law, barrier
-    payoffs by backward induction on the recombined lattice; both are
-    bounded by the state cap (:func:`lecam.limits.max_states`), so large
-    recombining markets stay cheap.
+    Terminal terms are priced from the closed-form powers of their tests
+    (masses of ``log(X_T/X_0)`` between the cuts, ties decided in count
+    units), terms with a barrier by backward induction on the recombined
+    lattice; both are bounded by the state cap
+    (:func:`lecam.limits.max_states`), so large recombining markets stay
+    cheap.
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures)
@@ -369,17 +425,18 @@ def price_via_tests(m: LatticeMarket, q, payoff: Payoff) -> PriceReport:
     """Price through the experiment: powers of each term's test.
 
     The powers are ``E_Q(phi)`` and ``E_{Q1}(phi) = E_Q(x * phi)``, with
-    ``x = X_T/X_0`` the likelihood ratio ``dQ1/dQ``.  For terminal payoffs
-    they are sums over the atoms of the grouped law of ``X_T`` (the path
-    experiment restricted to ``sigma(X_T)``); for barriers ``phi`` and
-    ``x * phi`` are rolled back over the recombined lattice with the term's
-    knock-out.  The state cap bounds the atoms or lattice nodes.  Agrees
-    with :func:`price_direct` to within 1e-12.
+    ``x = X_T/X_0`` the likelihood ratio ``dQ1/dQ``.  For terminal terms
+    they are closed-form: the ``Q``- and ``Q1``-masses of the intervals
+    between the test's cuts, from binomial tails of ``log x``
+    (:func:`lecam.lattice.terminal_log_masses`), a node at a cut decided in
+    count units; for terms with a barrier ``phi`` and ``x * phi`` are
+    rolled back over the recombined lattice with the term's knock-out.  The
+    state cap bounds the atoms or lattice nodes.  Agrees with
+    :func:`price_direct` to within 1e-12.
     """
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    powers = _expectations(m, payoff, step_measures,
-                           lambda term, x, s_T, phi: np.stack([x * phi, phi], axis=-1))
+    powers = _expectations(m, payoff, step_measures, lambda term: ((1.0, 0.0), (0.0, 1.0)))
     disc = m.discount
     price = 0.0
     terms = []

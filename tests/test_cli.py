@@ -534,6 +534,29 @@ class TestConverge:
                                "noether_max", "var_gap"}
 
 
+    def test_two_piece_crr_8192(self, spec_dir, capsys):
+        """Two 4097-atom class laws would combine to 16.8M states; the price
+        reads binomial tails over one class's atoms instead.  The lan-report
+        of the same study still needs the sorted law for its CDF distance,
+        and its cap error says so."""
+        study = dict(STUDY, Ns=[8192], threshold=None, bs={
+            "s0": 100.0, "T": 1.0,
+            "sigma": {"pieces": [[0.5, 0.2], [1.0, 0.3]]},
+            "rate": {"pieces": [[0.5, 0.01], [1.0, 0.03]]}})
+        path = spec_dir["dir"] / "two_piece.json"
+        path.write_text(json.dumps(study))
+        rc = main(["converge", "--study", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        (row,) = json.loads(captured.out)
+        assert row["N"] == 8192
+        assert row["abs_gap"] < 1e-3
+        rc = main(["lan-report", "--study", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "CDF sup-distance needs the sorted law" in captured.err
+
+
 class TestLanReport:
     def test_csv_shape(self, spec_dir, capsys):
         rc = main(["lan-report", "--study", spec_dir["study"]])
@@ -654,6 +677,30 @@ class TestErrorPaths:
         rc = main(["price", "--market", str(big), "--payoff", spec_dir["call5"]])
         capsys.readouterr()
         assert rc == 0
+
+
+    @pytest.mark.parametrize("tangent, named", [
+        ({"type": "crr", "a": 1.0, "b": math.inf}, "tangent b = inf"),
+        ({"type": "custom", "probs": [0.5, 0.5], "g": [1.0, -1.0], "C": math.inf},
+         "tangent C = inf"),
+        ({"type": "custom", "probs": [0.5, 0.5], "g": [math.nan, -1.0]}, "tangent g[0] = nan"),
+    ])
+    def test_non_finite_tangent_exits_3(self, spec_dir, capsys, tangent, named):
+        path = spec_dir["dir"] / "tangent.json"
+        path.write_text(json.dumps(dict(STUDY, tangent=tangent)))
+        rc = main(["converge", "--study", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{named} is not finite" in captured.err
+
+    def test_np_cap_error_names_the_sorted_law(self, spec_dir, capsys, monkeypatch):
+        monkeypatch.setenv("LECAM_MAX_PATHS", "4")
+        big = spec_dir["dir"] / "big.json"
+        big.write_text(json.dumps(dict(CRR1, N=8)))
+        rc = main(["np", "--market", str(big), "--payoff", spec_dir["call5"]])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "terminal experiment (np) needs the sorted law" in captured.err
 
 
 class TestDeterminism:

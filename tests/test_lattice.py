@@ -48,6 +48,8 @@ from lecam.lattice import (
     count_distribution,
     path_products,
     require_martingale,
+    terminal_log_law,
+    terminal_log_masses,
 )
 
 RNG_SEED = 42
@@ -859,3 +861,138 @@ class TestDistinctStepChecks:
         require_martingale(m, [good2, edge, good2, edge])
         with pytest.raises(InvalidParams, match="^step 1 measure is not strictly"):
             require_martingale(m, [good2, edge, good2, edge], strict=True)
+
+
+# ---------------------------------------------------------------------------
+# masses of log(X_T / X_0) around levels
+# ---------------------------------------------------------------------------
+
+def masses_oracle(logs, probs, ratios, levels, tol=1e-12):
+    """``[Q, Q1] x [below, at, above]`` masses of atoms ``logs`` with
+    ``Q``-masses ``probs`` and ``Q1``-masses ``probs * ratios``; an atom
+    within ``tol`` of a level sits at it (log sums of one node in another
+    order differ by far less, distinct nodes by far more)."""
+    out = np.zeros((2, 3, len(levels)))
+    for i, level in enumerate(levels):
+        sides = [logs < level - tol, np.abs(logs - level) <= tol, logs > level + tol]
+        for s, w in enumerate((probs, probs * ratios)):
+            out[s, :, i] = [w[side].sum() for side in sides]
+    return out
+
+
+def probe_levels(logs):
+    """Every distinct atom, the midpoints between neighbours, levels beyond
+    both ends and the infinite levels."""
+    atoms = np.unique(logs)
+    mids = (atoms[1:] + atoms[:-1]) / 2
+    return np.concatenate([atoms, mids, [atoms[0] - 1.0, atoms[-1] + 1.0, -np.inf, np.inf]])
+
+
+MASS_TABLES = {
+    2: (1.12, 0.9),
+    3: (1.3, 1.02, 0.8),
+    4: (1.25, 1.1, 0.92, 0.7),
+}
+
+
+def vertex_measures(values, n, rng):
+    """One vertex of the step polytope per step, as ``price_bounds`` picks
+    them: support at most two, the other coordinates exactly zero."""
+    m = LatticeMarket(1, 1.0, 1.0, (tuple((v, 1 / len(values)) for v in values),), (0.0,))
+    vertices = [np.array(v) for v in solve_martingale_measures(m).per_step[0].vertices]
+    return [vertices[int(rng.integers(len(vertices)))] for _ in range(n)]
+
+
+class TestTerminalLogMasses:
+    """``terminal_log_masses`` against path enumeration and the sorted law:
+    under ``Q`` and ``Q1``, levels on atoms and between them."""
+
+    def markets(self, rng):
+        for k, values in MASS_TABLES.items():
+            for n in (1, 3, 8 if k < 4 else 6):
+                step = tuple((v, 1 / k) for v in values)
+                yield LatticeMarket(n, 1.0, 1.0, (step,) * n, (0.0,) * n)
+        for _ in range(6):  # several classes, mixed supports
+            yield random_market(rng, max_steps=6)
+
+    def measure_sets(self, m, rng):
+        yield solve_martingale_measures(m).designated()
+        by_class = {}
+        for j in range(m.steps):
+            by_class.setdefault(tuple(v for v, _ in m.returns[j]), []).append(j)
+        picks = [None] * m.steps
+        for values, members in by_class.items():
+            for j, q in zip(members, vertex_measures(values, len(members), rng)):
+                picks[j] = q
+        yield picks
+
+    def test_matches_path_enumeration(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for m in self.markets(rng):
+            for qs in self.measure_sets(m, rng):
+                paths = brute_paths(m)
+                probs = np.array([brute_prob(m, qs, p) for p in paths])
+                ratios = np.array([brute_ratio(m, p) for p in paths])
+                logs = np.array([sum(math.log(m.returns[j][i][0]) for j, i in enumerate(p))
+                                 for p in paths])
+                levels = probe_levels(logs[probs > 0.0])
+                got = terminal_log_masses(m, qs, levels)
+                want = masses_oracle(logs, probs, ratios, levels)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_point_mass_steps_sit_at_one_atom(self):
+        """Every step a point mass: no draw is left in closed form and the
+        single atom is still found, below it nothing, above it nothing."""
+        values = (1.05, 1.0, 0.95)
+        step = tuple((v, 1 / 3) for v in values)
+        m = LatticeMarket(4, 1.0, 1.0, (step,) * 4, (0.0,) * 4)
+        got = terminal_log_masses(m, [np.array([0.0, 1.0, 0.0])] * 4, [-0.1, 0.0, 0.1])
+        want = [[[0, 0, 1], [0, 1, 0], [1, 0, 0]]] * 2  # below, at, above
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_matches_sorted_law_sums(self, n):
+        two = ((1.02, 0.5), (0.98, 0.5))
+        wide = ((1.05, 0.5), (0.96, 0.5))
+        three = ((1.03, 0.3), (1.0, 0.4), (0.97, 0.3))
+        halves = LatticeMarket(n, 1.0, 1.0, (two,) * (n // 2) + (wide,) * (n - n // 2),
+                               (0.0,) * n)
+        tri = LatticeMarket(n // 2, 1.0, 1.0, (three,) * (n // 2), (0.0,) * (n // 2))
+        mixed = LatticeMarket(n // 3, 1.0, 1.0, ((three, two) * n)[:n // 3], (0.0,) * (n // 3))
+        for m in (halves, tri, mixed):
+            qs = solve_martingale_measures(m).designated()
+            logs, probs = terminal_log_law(m, qs)
+            levels = probe_levels(logs)[:: max(1, len(logs) // 40)]
+            got = terminal_log_masses(m, qs, levels)
+            want = masses_oracle(logs, probs, np.exp(logs), levels)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_measures_as_lists_and_support_sizes_checked(self):
+        m = random_market(np.random.default_rng(RNG_SEED), max_steps=5)
+        qs = solve_martingale_measures(m).designated()
+        levels = [-0.1, 0.0, 0.1]
+        np.testing.assert_array_equal(
+            terminal_log_masses(m, [q.tolist() for q in qs], levels),
+            terminal_log_masses(m, qs, levels))
+        step = ((1.1, 0.5), (0.9, 0.5))
+        m = LatticeMarket(2, 1.0, 1.0, (step, step), (0.0, 0.0))
+        with pytest.raises(InvalidParams, match="share the support size"):
+            terminal_log_masses(m, [np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])], levels)
+
+    def test_cap_checks_class_states_and_atoms(self, monkeypatch):
+        m = build_crr(1.1, 0.9, 1.0, 0.5, 8, 1.0)
+        qs = solve_martingale_measures(m).designated()
+        monkeypatch.setenv("LECAM_MAX_PATHS", "8")
+        with pytest.raises(SizeLimit, match="count states 9 exceed cap 8"):
+            terminal_log_masses(m, qs, [0.0])
+        # two classes of 9 states each: 9 atoms enumerated, the other class in closed form
+        one, two = ((1.1, 0.5), (0.9, 0.5)), ((1.2, 0.5), (0.85, 0.5))
+        m = LatticeMarket(16, 1.0, 1.0, (one,) * 8 + (two,) * 8, (0.0,) * 16)
+        qs = solve_martingale_measures(m).designated()
+        monkeypatch.setenv("LECAM_MAX_PATHS", "9")
+        terminal_log_masses(m, qs, [0.0])
+        three = ((1.3, 0.5), (0.75, 0.5))
+        m = LatticeMarket(24, 1.0, 1.0, m.returns + (three,) * 8, (0.0,) * 24)
+        qs = solve_martingale_measures(m).designated()
+        with pytest.raises(SizeLimit, match="terminal atoms exceed cap 9"):
+            terminal_log_masses(m, qs, [0.0])

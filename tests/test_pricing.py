@@ -48,7 +48,8 @@ from lecam import (
     terminal_experiment,
 )
 from lecam import Test as RTest
-from lecam import limits, pricing
+from lecam import BSModel, convergence_study, crr_tangent, lattice, limits, pricing
+from lecam import schedule_family, symmetric_trinomial_tangent
 from lecam.lattice import path_prices
 
 from test_lattice import brute_paths, brute_prob, brute_ratio, random_market
@@ -636,6 +637,105 @@ class TestPriceBounds:
         m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
         with pytest.raises(PathDependenceUnsupported):
             price_bounds(m, payoff_barrier_up_out(5.0, 10.0))
+
+
+class TestClosedFormPowers:
+    """Terminal prices read test powers from binomial tails
+    (``lattice.terminal_log_masses``) instead of a sorted law of ``X_T``."""
+
+    @staticmethod
+    def large_cases():
+        u = math.exp(0.2 / 256)
+        crr = build_crr(u, 1 / u, 1 + 0.01 / 65536, 0.5, 65536, 100.0)
+        tri_step = ((1.006, 0.25), (1.0, 0.5), (0.994, 0.25))
+        tri = LatticeMarket(2048, 1.0, 100.0, (tri_step,) * 2048, (0.0,) * 2048)
+        first = ((1.0044 / 1.00001, 0.5), (0.9956 / 1.00001, 0.5))
+        second = ((1.0066, 0.5), (0.9934, 0.5))
+        two = LatticeMarket(2048, 1.0, 100.0, (first,) * 1024 + (second,) * 1024,
+                            (1e-5,) * 1024 + (0.0,) * 1024)
+        # prices summed over the sorted grouped law of X_T (a 2.1M-atom law
+        # for the trinomial market), the route these replace
+        return [
+            (crr, payoff_european_call(100.5), 8.198143726409379),
+            (crr, payoff_european_put(70.0), 0.2175980558080231),
+            (tri, payoff_european_call(100.3), 7.510817772122419),
+            (tri, payoff_digital(97.0), 0.5251880121774257),
+            (two, payoff_straddle(99.0), 20.05984602297861),
+        ]
+
+    def test_large_n_prices_match_sorted_law_sums(self):
+        for m, payoff, want in self.large_cases():
+            qs = solve_martingale_measures(m).designated()
+            assert price_direct(m, qs, payoff) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert price_via_tests(m, qs, payoff).price == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
+    def test_multi_cut_and_constant_tests_match_path_powers(self):
+        """Tests with several cuts (off the nodes, so a float comparison in
+        the oracle is exact) and tests without any cut."""
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(30):
+            m = random_market(rng, max_steps=5)
+            qs = solve_martingale_measures(m).designated()
+            nodes = np.unique([m.s0 * m.bond_factor(m.steps) * brute_ratio(m, w)
+                               for w in brute_paths(m)])
+            mids = (nodes[1:] + nodes[:-1]) / 2 if len(nodes) > 1 else nodes + 1.0
+            cuts = np.sort(rng.choice(mids, size=min(3, len(mids)), replace=False))
+            opens = rng.random(len(cuts) + 1)
+            tests = [pricing.TerminalTest(tuple(cuts), tuple(opens), tuple(rng.random(len(cuts)))),
+                     pricing.TerminalTest((), (float(opens[0]),), ())]
+            payoff = Payoff(tuple(PayoffTerm(float(rng.uniform(-1, 1)), float(rng.uniform(0, 3)), t)
+                                  for t in tests))
+            powers, value = brute_term_powers(m, qs, payoff)
+            report = price_via_tests(m, qs, payoff)
+            for term, (alt, base) in zip(report.terms, powers):
+                assert abs(term.power_alt - alt) <= 1e-12
+                assert abs(term.power_base - base) <= 1e-12
+            assert abs(price_direct(m, qs, payoff) - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_atm_digitals_match_count_oracle(self):
+        """Strikes on the at-the-money node: ``d = 1/u`` and ``K = s0``, so a
+        path ends above the strike exactly when it has more than ``N/2`` up
+        moves, whatever the rounding of the node price.  The digital's powers
+        stay the same inside a sum with a knock-out term."""
+        markets = 0
+        for u in np.round(np.arange(1.01, 1.495, 0.01), 2):
+            q = 1.0 / (u + 1.0)  # (1 - d) / (u - d)
+            for n in range(2, 13, 2):
+                m = build_crr(float(u), 1 / float(u), 1.0, 0.5, n, 100.0)
+                qs = solve_martingale_measures(m).designated()
+                digital = payoff_digital(100.0)
+                want = math.fsum(math.comb(n, k) * q ** k * (1 - q) ** (n - k)
+                                 for k in range(n // 2 + 1, n + 1))
+                assert abs(price_direct(m, qs, digital) - want) <= 1e-12, (u, n)
+                alone = price_via_tests(m, qs, digital)
+                assert abs(alone.price - want) <= 1e-12, (u, n)
+                both = Payoff(digital.terms + payoff_barrier_up_out(100.0, 100.0 * u ** 3).terms)
+                beside = price_via_tests(m, qs, both).terms[0]
+                assert (beside.power_alt, beside.power_base) == (
+                    alone.terms[0].power_alt, alone.terms[0].power_base), (u, n)
+                markets += 1
+        assert markets == 294
+
+    def test_terminal_routes_never_build_the_product_law(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("terminal prices must not build the law of X_T")
+
+        monkeypatch.setattr(lattice, "combine_additive_laws", forbidden)
+        monkeypatch.setattr(lattice, "terminal_law", forbidden)
+        crr = build_crr(1.1, 0.9, 1.01, 0.5, 12, 100.0)
+        qs = solve_martingale_measures(crr).designated()
+        straddle = payoff_straddle(101.0)
+        direct = price_direct(crr, qs, straddle)
+        assert price_via_tests(crr, qs, straddle).price == pytest.approx(direct, rel=1e-12)
+        assert dynamic_price(crr, qs, straddle, PathState(1, (0,))) > 0.0
+        tri = table_market([(1.3, 1.02, 0.8)] * 8, (0.0,) * 8)
+        lower, upper = price_bounds(tri, payoff_european_call(2.1))
+        assert lower < upper
+        bs = BSModel(100.0, 1.0, 0.2, 0.01)
+        for path in (crr_tangent(1.0, 2.0), symmetric_trinomial_tangent([0.25, 0.5, 0.25])):
+            rows = convergence_study(path, schedule_family(bs), straddle, bs, [16, 64])
+            assert rows[-1].abs_gap < rows[0].abs_gap
 
 
 def table_market(tables, rates, s0=2.0):
