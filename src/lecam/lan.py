@@ -6,11 +6,14 @@ with ``E(g) = 0``, ``E(g^2) = 1`` and ``g >= -C``; the perturbed laws
 ``0 <= theta < 1/C``.  Scaling the perturbation like ``sigma * sqrt(T/N)``
 per step and compounding returns ``(1 + sigma*sqrt(T/N)*g) / (1 + rho*T/N)``
 produces lattice markets whose log prices obey a local asymptotic normality
-expansion.  The diagnostics here take the *exact* finite-``N`` law of
-``log S_t`` from :func:`lecam.lattice.terminal_log_law` on the discrete
-model's market (grouping equal steps, so state counts grow polynomially),
-and means and variances as sums of per-step moments, exact because the steps
-are independent.  They report the distance from the Gaussian limit:
+expansion.  The diagnostics here take means and variances as sums of
+per-step moments, exact because the steps are independent, and the CDF
+sup-distance from the *exact* finite-``N`` sorted law of ``log S_t``
+(:func:`lecam.lattice.terminal_log_law` on the discrete model's market,
+grouping equal steps, so state counts grow polynomially), the one consumer
+of that law in the package.  Call prices come from
+:func:`lecam.pricing.price_direct`, which builds no law of ``S_T``.  The
+diagnostics report the distance from the Gaussian limit:
 
 * under the real-world products: mean/variance against ``(-v/2, v)`` with
   ``v`` the integrated squared volatility, plus a CDF sup-distance;
@@ -383,7 +386,7 @@ def _cdf_sup_distance(values: np.ndarray, probs: np.ndarray,
     """Kolmogorov distance ``sup_y |F(y) - Phi((y - mean)/sd)|``, exact to
     within 1e-17.
 
-    ``values`` must be sorted increasingly, as the grouped laws return them.
+    ``values`` must be sorted increasingly, as :func:`terminal_log_law` returns them.
     ``F`` is a step function and ``Phi`` increasing, so the sup is attained
     at an atom: by the right limit ``F(v)`` above ``Phi(v)``, or by the left
     limit ``F(v-) = F(v) - P(v)`` below it.  Atoms more than ``_TAIL_Z``

@@ -11,12 +11,12 @@ experiments of :mod:`lecam.experiments`:
   chosen martingale measure ``Q``, with ``Q1 = (X_T/X_0) . Q`` and the
   real-world measure ``P``; it enumerates every path and serves as the
   small-``N`` oracle;
-* ``terminal_experiment`` is its restriction to ``sigma(X_T)``, built on the
-  sorted grouped law of ``X_T``, which loses nothing for tests of ``S_T``;
 * ``terminal_log_masses`` gives the test powers of terminal payoffs without
   any law of ``X_T``: the masses below, at and above given levels of
   ``log(X_T/X_0)`` under ``Q`` and ``Q1``, from binomial tails, with ties
   decided in count units;
+* ``terminal_log_law`` is the sorted law of ``log(X_T/X_0)``, for the one
+  consumer that needs a sorted CDF (the sup-distance of :mod:`lecam.lan`);
 * ``backward_induction`` rolls node values back over the recombined
   lattice, whose nodes are integer count vectors per return class, so it
   visits polynomially many nodes in ``N``; it prices barriers and serves
@@ -27,15 +27,17 @@ experiments of :mod:`lecam.experiments`:
   space, and with ``enumerate_paths`` and ``induced_experiment`` serve as
   small-``N`` oracles.
 
-Per return class the grouped law rests on the law of the outcome counts,
-in closed form (binomial pmfs) per group of equal step measures.  Its atoms
-and the nodes of backward induction take their spots from ``_count_logs``
-(per return class ``counts @ log(values)``, summed over the classes) and
-are compared as floats, so a level exactly on a node is decided by
-rounding there.  ``terminal_log_masses`` places its enumerated atoms by the
-same sums, but adds the closed-form draw as ``draws * log(v_lo) + c *
-delta`` and decides ties in count units of that draw, so terminal prices
-do not depend on that rounding.
+Per return class the terminal atoms rest on the law of the outcome counts,
+in closed form (binomial pmfs) per group of equal step measures; one
+enumeration, ``combine_additive_laws``, forms their sums over the classes,
+unsorted and unmerged.  Atoms and the nodes of backward induction take
+their spots from ``_count_logs`` (per return class ``counts @
+log(values)``, summed over the classes) and are compared as floats, so a
+level exactly on a node is decided by rounding there.
+``terminal_log_masses`` adds its closed-form draw to these atoms as
+``draws * log(v_lo) + c * delta`` and decides ties in count units of that
+draw, so terminal prices do not depend on that rounding; the sorted law
+merges exactly equal atoms once, after its one sort.
 
 Martingale measures are solved per step by vertex enumeration of the
 polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; with at most two active
@@ -150,12 +152,17 @@ class LatticeMarket:
     def support_sizes(self) -> tuple[int, ...]:
         return tuple(len(step) for step in self.returns)
 
+    @functools.cached_property
+    def bond_path(self) -> np.ndarray:
+        """Gross bond values ``B_0 = 1, ..., B_N`` (read-only), the step
+        factors ``1 + r_j`` multiplied left to right."""
+        path = np.cumprod([1.0, *(1.0 + r for r in self.bond_rates)])
+        path.flags.writeable = False
+        return path
+
     def bond_factor(self, t: int) -> float:
         """Gross bond value after ``t`` steps (equals 1 at ``t = 0``)."""
-        out = 1.0
-        for r in self.bond_rates[:t]:
-            out *= 1.0 + r
-        return out
+        return float(self.bond_path[t])
 
     @property
     def discount(self) -> float:
@@ -503,10 +510,7 @@ def path_probabilities(m: LatticeMarket, paths: np.ndarray,
 
 def path_prices(m: LatticeMarket, paths: np.ndarray) -> np.ndarray:
     """Undiscounted asset prices along each path, shape ``(P, N+1)``."""
-    bonds = np.ones(m.steps + 1)
-    for j, r in enumerate(m.bond_rates):
-        bonds[j + 1] = bonds[j] * (1.0 + r)
-    return m.s0 * path_products(m, paths) * bonds
+    return m.s0 * path_products(m, paths) * m.bond_path
 
 
 # ---------------------------------------------------------------------------
@@ -625,23 +629,22 @@ def _grouped_count_law(groups: Sequence[list], k: int,
     return counts, probs
 
 
-def combine_additive_laws(laws: Sequence[tuple[np.ndarray, np.ndarray]],
-                          max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Law of an independent sum from per-class laws ``(values, probs)``.
+def combine_additive_laws(laws: Sequence[tuple[np.ndarray, np.ndarray]]
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms of an independent sum from per-class laws ``(values, probs)``:
+    one atom per choice of a state in each law, unsorted and unmerged, the
+    first law's states varying slowest.
 
-    States with exactly equal values are merged; merging only collapses
-    states, so results are exact either way.
+    Raises :class:`~lecam.errors.SizeLimit` when the sums of two or more
+    laws exceed the state cap (:func:`lecam.limits.max_states`).
     """
-    cap = limits.max_states(max_states)
-    vals = np.zeros(1)
-    probs = np.ones(1)
-    for cvals, cprobs in laws:
+    cap = limits.max_states()
+    (vals, probs), *rest = laws
+    for cvals, cprobs in rest:
         if len(vals) * len(cvals) > cap:
-            raise SizeLimit(f"combined states exceed cap {cap}")
-        vals = (vals[:, None] + np.asarray(cvals)[None, :]).ravel()
-        probs = (probs[:, None] * np.asarray(cprobs)[None, :]).ravel()
-        vals, inverse = np.unique(vals, return_inverse=True)
-        probs = np.bincount(inverse, weights=probs, minlength=len(vals))
+            raise SizeLimit(f"terminal atoms exceed cap {cap}")
+        vals = (vals[:, None] + cvals).ravel()
+        probs = (probs[:, None] * cprobs).ravel()
     return vals, probs
 
 
@@ -669,23 +672,22 @@ def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
 def terminal_log_law(m: LatticeMarket,
                      step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of ``log(X_T / X_0)`` under per-step measures, values
-    sorted increasingly.
+    strictly increasing.
 
     Steps with identical return supports are grouped, so the state space
-    stays polynomial in ``N`` (:func:`count_distribution` per class).
+    stays polynomial in ``N`` (:func:`count_distribution` per class).  The
+    atoms of :func:`combine_additive_laws` are sorted once and exactly
+    equal neighbours merged.
     """
     laws = []
     for values, members in _classes(m):
         counts, probs = count_distribution([step_measures[j] for j in members])
         laws.append((_count_logs(counts, values), probs))
-    return combine_additive_laws(laws)
-
-
-def terminal_law(m: LatticeMarket,
-                 step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of ``X_T / X_0`` (values sorted by their logarithm)."""
-    logs, probs = terminal_log_law(m, step_measures)
-    return np.exp(logs), probs
+    logs, probs = combine_additive_laws(laws)
+    order = np.argsort(logs)
+    logs, probs = logs[order], probs[order]
+    first = np.flatnonzero(np.r_[True, logs[1:] != logs[:-1]])
+    return logs[first], np.add.reduceat(probs, first)
 
 
 #: Tie tolerance in count units: a level within this distance of an integer
@@ -704,14 +706,15 @@ def terminal_log_masses(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     split into independent groups (a return class times an equal step
     measure), each a multinomial chain of binomial draws.  One group's last
     draw ``Bin(n, rho)`` stays in closed form; everything else is enumerated
-    as unsorted atoms, the groups of a class convolved on integer count
-    vectors.  Over an atom with log ``base`` the last draw
-    adds ``c * delta`` for ``c`` counts of its larger value, so each level
-    reads binomial tails at ``t = (level - base) / delta``.  Ties are decided
-    there, in count units: a level within :data:`TIE_TOL` of an integer
-    ``t`` sits at that atom.  Under ``Q1`` the draw is tilted in log space:
-    with ``lam`` the log of its mean return ``mu``, an atom of log ``a``
-    weighs ``e^(a + n lam)`` and draws from ``Bin(n, rho v_hi / mu)``.
+    as unsorted atoms by :func:`combine_additive_laws`, the groups of a
+    class convolved on integer count vectors.  Over an atom with log
+    ``base`` the last draw adds ``c * delta`` for ``c`` counts of its larger
+    value, so each level reads binomial tails at ``t = (level - base) /
+    delta``.  Ties are decided there, in count units: a level within
+    :data:`TIE_TOL` of an integer ``t`` sits at that atom.  Under ``Q1``
+    the draw is tilted in log space: with ``lam`` the log of its mean
+    return ``mu``, an atom of log ``a`` weighs ``e^(a + n lam)`` and draws
+    from ``Bin(n, rho v_hi / mu)``.
 
     Raises :class:`~lecam.errors.SizeLimit` when a class's count states
     ``C(n + k - 1, k - 1)`` exceed the state cap, checked before anything is
@@ -746,15 +749,14 @@ def terminal_log_masses(m: LatticeMarket, step_measures: Sequence[np.ndarray],
         # log of the draw's mean return, from its mean excess over one
         drift = math.log1p((q_lo * (v_lo - 1.0) + q_hi * (v_hi - 1.0)) / (q_lo + q_hi))
         tilt = min(rho * v_hi * math.exp(-drift), 1.0)
+    laws = [(logs, probs)]  # the chain first, so each of its draws repeats in ravel order
     for values, groups in classes:
         rest = [g for g in groups if g is not last]
         if rest:
             counts, more = _grouped_count_law(rest, len(values), cap)
-            if len(logs) * len(more) > cap:
-                raise SizeLimit(f"terminal atoms exceed cap {cap}")
-            logs = (logs[:, None] + _count_logs(counts, values)).ravel()
-            probs = (probs[:, None] * more).ravel()
-            draws = draws.repeat(len(more))
+            laws.append((_count_logs(counts, values), more))
+    logs, probs = combine_additive_laws(laws)
+    draws = draws.repeat(len(logs) // len(draws))
     base = logs + draws * log_lo
     weights = np.array([probs, probs * np.exp(logs + draws * drift)])
     p = np.array([rho, 1.0 - rho, tilt, 1.0 - tilt]).reshape(2, 2, 1, 1)
@@ -805,7 +807,7 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     class (the classes of :func:`terminal_log_law`), so node grids have one
     axis per class.  Its ``X_t / X_0`` is ``exp`` of the classes'
     contributions summed in class order, the rule that gives the atoms of
-    :func:`terminal_law`.  Node values have the grid as their leading axes;
+    :func:`terminal_log_law`.  Node values have the grid as their leading axes;
     they start as ``terminal(x_T)`` and roll back by
     ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
     ``knocked(t, x_t)`` is true, values are set to zero at date ``t``; the
@@ -907,33 +909,6 @@ def induced_experiment(m: LatticeMarket, q) -> FiniteExperiment:
     return FiniteExperiment(
         outcomes,
         {"Q": base, "Q1": base * ratio, "P": real},
-        base="Q",
-    )
-
-
-def terminal_experiment(m: LatticeMarket, q) -> FiniteExperiment:
-    """The induced experiment restricted to ``sigma(X_T)``: ``{Q1, Q}`` on
-    the atoms of ``X_T / X_0``.
-
-    Outcomes are the distinct values ``x`` of ``X_T / X_0`` in increasing
-    order, ``Q`` is their grouped law and ``Q1 = x . Q``.  The density
-    ``dQ1/dQ = X_T / X_0`` is ``sigma(X_T)``-measurable, so this restriction
-    keeps the likelihood ratio: every test of ``S_T`` has the same powers
-    here as on :func:`induced_experiment`, at a size polynomial in ``N``.
-    """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures, strict=True)
-    try:
-        ratio, probs = terminal_law(m, step_measures)
-    except SizeLimit as exc:
-        raise SizeLimit(f"{exc}: the terminal experiment (np) needs the sorted law "
-                        f"of X_T") from exc
-    # distinct log atoms can round to one ratio; merge them so labels stay unique
-    ratio, inverse = np.unique(ratio, return_inverse=True)
-    probs = np.bincount(inverse, weights=probs, minlength=len(ratio))
-    return FiniteExperiment(
-        tuple(ratio.tolist()),
-        {"Q": probs, "Q1": probs * ratio},
         base="Q",
     )
 

@@ -5,11 +5,10 @@ spaces, grouped convolution states, recombined-lattice nodes, the vertex
 multisets of ``price_bounds``) are guarded by a cap and raise
 :class:`~lecam.errors.SizeLimit` beyond it.  The environment variable
 ``LECAM_MAX_PATHS`` overrides every cap at once.  Functions that build
-states read their cap from here; five builders also take an explicit
+states read their cap from here; four builders also take an explicit
 bound, which wins over both: ``experiments.product(max_outcomes)``,
 ``lattice.enumerate_paths(max_paths)``,
-``lattice.count_distribution(max_states)``,
-``lattice.combine_additive_laws(max_states)`` and
+``lattice.count_distribution(max_states)`` and
 ``pricing.price_bounds(max_combos)``.
 """
 
@@ -26,10 +25,11 @@ DEFAULT_MAX_PATHS = 5_000_000
 #: Outcome count of product experiments.
 DEFAULT_MAX_OUTCOMES = 1 << 24
 
-#: Count states of each return class, the atoms enumerated for terminal test
-#: powers, grouped states of the sorted law of ``X_T`` and of convolution and
-#: count laws (merges too), and the nodes of all dates of the recombined
-#: lattice in backward induction.
+#: Count states of each return class, the terminal atoms that
+#: ``lattice.combine_additive_laws`` enumerates (for test powers and for the
+#: sorted law of ``X_T``), the pairwise sums that merge groups of a count
+#: law, and the nodes of all dates of the recombined lattice in backward
+#: induction.
 DEFAULT_MAX_STATES = 10_000_000
 
 #: Product martingale measures priced by ``price_bounds``: vertex multisets

@@ -26,6 +26,9 @@ units of the closed-form draw, also for the terminal terms of a sum that
 has knock-out terms.  Terms with a finite level are rolled back over the
 recombined lattice (:func:`lecam.lattice.backward_induction`), each
 knocked out at its own level; no production route enumerates paths.
+``np_decomposition`` poses a call's testing problem on the two blocks of
+its cut, with block masses read from the same closed-form masses, so its
+price equals ``price_via_tests``.
 
 Tests are structural: terminal tests are piecewise constant in ``S_T`` with
 explicit cuts, so that limit models can integrate them in closed form.
@@ -48,7 +51,7 @@ from .errors import (
     SelfCheckFailed,
     SizeLimit,
 )
-from .experiments import BinaryPriors, Test, bayes_risk, neyman_pearson
+from .experiments import BinaryPriors, FiniteExperiment, Test, bayes_risk, neyman_pearson
 from .lattice import (
     LatticeMarket,
     PathState,
@@ -59,7 +62,6 @@ from .lattice import (
     node_spot,
     require_martingale,
     solve_martingale_measures,
-    terminal_experiment,
     terminal_log_masses,
 )
 
@@ -313,6 +315,13 @@ class PriceReport:
 # pricing
 # ---------------------------------------------------------------------------
 
+def _log_levels(m: LatticeMarket, cuts: Sequence[float]) -> list[float]:
+    """The levels of ``log(X_T/X_0)`` at which ``S_T`` equals each of
+    ``cuts`` (``-inf`` for a cut at zero)."""
+    scale = m.s0 * m.bond_factor(m.steps)
+    return [math.log(c / scale) if c > 0.0 else -math.inf for c in cuts]
+
+
 def _terminal_powers(m: LatticeMarket, terms: Sequence[PayoffTerm],
                      step_measures: Sequence[np.ndarray]) -> np.ndarray:
     """``[E_Q(phi), E_Q(x * phi)]`` for each of ``terms``, all terminal, read
@@ -322,10 +331,9 @@ def _terminal_powers(m: LatticeMarket, terms: Sequence[PayoffTerm],
     An open interval between two cuts takes its mass from the side with the
     smaller tail, so every interval keeps the relative accuracy of a tail.
     """
-    scale = m.s0 * m.bond_factor(m.steps)
     # a test without cuts gets one at zero, which every S_T lies above
     cuts = [t.terminal.cuts or (0.0,) for t in terms]
-    levels = [math.log(c / scale) if c > 0.0 else -math.inf for term in cuts for c in term]
+    levels = _log_levels(m, [c for term in cuts for c in term])
     masses = terminal_log_masses(m, step_measures, levels)
     out = []
     start = 0
@@ -349,12 +357,11 @@ def _knocked_out_values(m: LatticeMarket, terms: Sequence[PayoffTerm],
     """``E_Q((a * x + b) * phi)`` for each of ``terms``, all with a finite
     knock-out level, rolled back over the recombined lattice, each term
     knocked out at its own level."""
-    bond_T = m.bond_factor(m.steps)
+    bonds = m.bond_path
     levels = np.array([t.barrier for t in terms])
-    bonds = np.cumprod([1.0, *(1.0 + r for r in m.bond_rates)])
 
     def values(x: np.ndarray) -> np.ndarray:
-        s_T = m.s0 * bond_T * x
+        s_T = m.s0 * bonds[-1] * x
         phis = [term.terminal.eval_many(s_T) for term in terms]
         return np.stack([np.multiply.outer(x * phi, a) + np.multiply.outer(phi, b)
                          for phi, (a, b) in zip(phis, coeffs)], axis=x.ndim)
@@ -462,9 +469,9 @@ def _call_strike(payoff: Payoff) -> float:
 class CallDecomposition:
     """Testing-problem view of a European call.
 
-    ``test`` is the likelihood-ratio test on the atoms of
-    :func:`~lecam.lattice.terminal_experiment`, keyed by the values of
-    ``X_T / X_0``.
+    ``test`` is the likelihood-ratio test on the two blocks
+    ``"x <= cutoff"`` and ``"x > cutoff"`` of ``x = X_T / X_0``, keyed by
+    those labels.
     """
 
     cutoff: float
@@ -485,11 +492,21 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff) -> CallDecomposition:
 
     which is re-verified here before returning
     (:class:`~lecam.errors.SelfCheckFailed` otherwise).  The testing problem
-    is posed on the terminal experiment: the grouped law of ``X_T`` with
-    ``Q1 = (X_T/X_0) . Q``, its atoms bounded by the state cap.
+    is posed on the two-block experiment ``{x <= c, x > c}`` of
+    ``x = X_T / X_0``, with ``Q1 = x . Q``: the call's test is measurable
+    on those blocks, and the likelihood-ratio test there (``gamma = 0``)
+    returns it.  The block masses under ``Q`` and ``Q1`` come from
+    :func:`lecam.lattice.terminal_log_masses` at the strike's level, ties
+    decided in count units, so the price equals :func:`price_via_tests`.
     """
     strike = _call_strike(payoff)
-    exp = terminal_experiment(m, q)
+    step_measures = as_step_measures(m, q)
+    require_martingale(m, step_measures, strict=True)
+    masses = terminal_log_masses(m, step_measures, _log_levels(m, [strike]))
+    below, at, above = masses[:, :, 0].T
+    exp = FiniteExperiment(("x <= cutoff", "x > cutoff"),
+                           {"Q": [below[0] + at[0], above[0]],
+                            "Q1": [below[1] + at[1], above[1]]}, base="Q")
     disc = m.discount
     c = strike * disc / m.s0
     test = neyman_pearson(exp, "Q", "Q1", c, gamma=0.0)

@@ -693,14 +693,14 @@ class TestErrorPaths:
         assert rc == 3
         assert f"{named} is not finite" in captured.err
 
-    def test_np_cap_error_names_the_sorted_law(self, spec_dir, capsys, monkeypatch):
+    def test_np_cap_error_names_the_count_states(self, spec_dir, capsys, monkeypatch):
         monkeypatch.setenv("LECAM_MAX_PATHS", "4")
         big = spec_dir["dir"] / "big.json"
         big.write_text(json.dumps(dict(CRR1, N=8)))
         rc = main(["np", "--market", str(big), "--payoff", spec_dir["call5"]])
         captured = capsys.readouterr()
         assert rc == 3
-        assert "terminal experiment (np) needs the sorted law" in captured.err
+        assert "count states 9 exceed cap 4" in captured.err
 
 
 class TestDeterminism:

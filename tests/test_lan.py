@@ -40,12 +40,11 @@ from lecam import (
     study_from_json,
     symmetric_trinomial_tangent,
     tangent_from_json,
-    terminal_experiment,
-    terminal_law,
     third_lemma_check,
     verify_representation,
 )
 from lecam.lan import _cdf_sup_distance
+from lecam.lattice import terminal_log_law
 
 RNG_SEED = 42
 
@@ -285,10 +284,10 @@ class TestDiscreteModel:
         path = symmetric_trinomial_tangent((0.3, 0.3, 0.4))
         sched = varying_schedule(4)
         model = build_discrete_model(path, sched, s0=50.0)
-        vals, probs = terminal_law(model.market, list(map(np.array, model.measures)))
+        logs, probs = terminal_log_law(model.market, list(map(np.array, model.measures)))
         assert probs.sum() == pytest.approx(1.0, abs=1e-13)
         # discounted-price ratios average to one under the designated measures
-        assert float(probs @ vals) == pytest.approx(1.0, abs=1e-12)
+        assert float(probs @ np.exp(logs)) == pytest.approx(1.0, abs=1e-12)
 
     def test_too_coarse_grid_rejected(self):
         path = crr_tangent(1.0, 1.0)
@@ -493,7 +492,6 @@ class TestEnvCap:
             lambda: price_via_tests(m, qs, call),
             lambda: np_decomposition(m, qs, call),
             lambda: dynamic_price(m, qs, call, PathState(1, (0,))),
-            lambda: terminal_experiment(m, qs),
             lambda: verify_representation(m, qs),
             lambda: lan_diagnostics(path, flat_schedule(16)),
             lambda: convergence_study(path, schedule_family(bs), call, bs, [16]),

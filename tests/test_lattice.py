@@ -37,7 +37,6 @@ from lecam import (
     payoff_european_call,
     price_direct,
     solve_martingale_measures,
-    terminal_law,
     verify_mm_criterion,
     verify_representation,
 )
@@ -203,6 +202,20 @@ class TestConstruction:
         np.testing.assert_allclose(m.step_values(0), [1.6, 0.4])
         assert m.bond_factor(1) == pytest.approx(1.25)
 
+    def test_bond_path_is_the_left_to_right_product(self):
+        rng = np.random.default_rng(RNG_SEED)
+        step = ((1.5, 0.5), (0.5, 0.5))
+        for n in (1, 7, 300):
+            rates = tuple(float(r) for r in rng.uniform(0.0, 0.05, n))
+            m = LatticeMarket(n, 1.0, 4.0, (step,) * n, rates)
+            for t in range(n + 1):
+                want = 1.0
+                for r in rates[:t]:
+                    want *= 1.0 + r
+                assert m.bond_factor(t) == want
+            assert m.discount == 1.0 / want
+            assert not m.bond_path.flags.writeable
+
     def test_rejects_nonpositive_values(self):
         with pytest.raises(InvalidParams):
             LatticeMarket(1, 1.0, 4.0, (((0.0, 0.5), (2.0, 0.5)),), (0.0,))
@@ -328,7 +341,8 @@ class TestEnumeration:
         for _ in range(40):
             m = random_market(rng, max_steps=5)
             qs = solve_martingale_measures(m).designated()
-            vals, probs = terminal_law(m, qs)
+            logs, probs = terminal_log_law(m, qs)
+            vals = np.exp(logs)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             for f in (lambda x: x, lambda x: x * x,
                       lambda x: max(x - 1.0, 0.0), lambda x: 1.0 if x > 1.0 else 0.0):
@@ -341,22 +355,43 @@ class TestEnumeration:
         for _ in range(20):
             m = random_market(rng, max_steps=6)
             qs = solve_martingale_measures(m).designated()
-            vals, probs = terminal_law(m, qs)
-            assert abs(float(probs @ vals) - 1.0) <= 1e-12
+            logs, probs = terminal_log_law(m, qs)
+            assert abs(float(probs @ np.exp(logs)) - 1.0) <= 1e-12
+
+    def test_sorted_law_merges_equal_atoms_across_classes(self):
+        """``log 4 == 2 log 2`` exactly, so the classes ``(2, 0.5)`` and
+        ``(4, 0.25)`` reach one atom by several count vectors: the one sort
+        merges the exactly equal sums into strictly increasing values."""
+        assert math.log(4.0) == 2.0 * math.log(2.0)
+        two, four = ((2.0, 0.5), (0.5, 0.5)), ((4.0, 0.5), (0.25, 0.5))
+        m = LatticeMarket(6, 1.0, 1.0, (two, four) * 3, (0.0,) * 6)
+        qs = solve_martingale_measures(m).designated()
+        logs, probs = terminal_log_law(m, qs)
+        assert np.all(np.diff(logs) > 0.0)
+        assert len(logs) < 4 * 4  # count vectors of the two classes combined
+        law = {}  # paths grouped by the exact exponent e of X_T = 2^e
+        for w in brute_paths(m):
+            e = sum((1 - 2 * i) * (1 + j % 2) for j, i in enumerate(w))
+            law[e] = law.get(e, 0.0) + brute_prob(m, qs, w)
+        exponents = np.rint(logs / math.log(2.0)).astype(int)
+        np.testing.assert_allclose(logs, exponents * math.log(2.0), rtol=0.0, atol=1e-14)
+        merged = {e: probs[exponents == e].sum() for e in law}
+        for e, p in law.items():
+            assert abs(merged[e] - p) <= 1e-12, e
 
     def test_grouped_law_handles_repeated_steps(self):
         """33 identical three-point steps exercise the multinomial branch."""
         step = ((1.2, 0.3), (1.0, 0.4), (0.8, 0.3))
         m = LatticeMarket(33, 1.0, 1.0, (step,) * 33, (0.0,) * 33)
         q = np.array([0.25, 0.5, 0.25])
-        vals, probs = terminal_law(m, [q] * 33)
+        law_logs, probs = terminal_log_law(m, [q] * 33)
         assert probs.sum() == pytest.approx(1.0, abs=1e-11)
         # mean/variance of the additive log statistic against closed forms
         logs = np.log(np.array([1.2, 1.0, 0.8]))
         mean = 33 * float(q @ logs)
         var = 33 * (float(q @ logs**2) - float(q @ logs) ** 2)
-        got_mean = float(probs @ np.log(vals))
-        got_var = float(probs @ np.log(vals) ** 2) - got_mean**2
+        got_mean = float(probs @ law_logs)
+        got_var = float(probs @ law_logs ** 2) - got_mean**2
         assert abs(got_mean - mean) <= 1e-9
         assert abs(got_var - var) <= 1e-9
 
@@ -587,7 +622,8 @@ class TestBackwardInduction:
             qs = solve_martingale_measures(m).designated()
             t, x, _ = next(backward_induction(m, qs, lambda x: x))
             assert t == m.steps
-            np.testing.assert_array_equal(np.unique(x), np.unique(terminal_law(m, qs)[0]))
+            np.testing.assert_array_equal(np.unique(x),
+                                          np.unique(np.exp(terminal_log_law(m, qs)[0])))
 
     def test_unrecombined_lattice_hits_the_state_cap(self):
         steps = tuple(((1.0 + 0.01 * j, 0.5), (1.0 / (1.0 + 0.01 * j), 0.5))

@@ -23,7 +23,6 @@ from lecam import (
     Payoff,
     PayoffTerm,
     PathState,
-    Partition,
     SizeLimit,
     bayes_risk,
     build_crr,
@@ -43,13 +42,11 @@ from lecam import (
     price_bounds,
     price_direct,
     price_via_tests,
-    restrict,
     solve_martingale_measures,
-    terminal_experiment,
 )
 from lecam import Test as RTest
-from lecam import BSModel, convergence_study, crr_tangent, lattice, limits, pricing
-from lecam import schedule_family, symmetric_trinomial_tangent
+from lecam import BSModel, convergence_study, crr_tangent, lan, lattice, limits, pricing
+from lecam import market_from_json, schedule_family, symmetric_trinomial_tangent
 from lecam.lattice import path_prices
 
 from test_lattice import brute_paths, brute_prob, brute_ratio, random_market
@@ -371,29 +368,6 @@ class TestGroupedRoute:
                 assert abs(term.power_alt - alt) <= 1e-12
                 assert abs(term.power_base - base) <= 1e-12
 
-    def test_terminal_experiment_is_the_restriction_to_x_t(self):
-        rng = np.random.default_rng(RNG_SEED)
-        for m, _ in grouped_route_cases(rng):
-            qs = solve_martingale_measures(m).designated()
-            grouped = terminal_experiment(m, qs)
-            atoms = np.array(grouped.outcomes)
-
-            def atom_of(path):
-                x = brute_ratio(m, path)
-                i = int(np.argmin(np.abs(atoms - x)))
-                assert abs(atoms[i] - x) <= 1e-12 * x
-                return i
-
-            full = induced_experiment(m, qs)
-            part = Partition.by_key(full.outcomes, atom_of)
-            coarse = restrict(full, part)
-            order = [atom_of(block[0]) for block in coarse.outcomes]
-            assert sorted(order) == list(range(grouped.size))
-            for name in ("Q", "Q1"):
-                np.testing.assert_allclose(
-                    coarse.measure(name), grouped.measure(name)[order],
-                    rtol=0.0, atol=1e-12)
-
     def test_np_decomposition_matches_path_space_powers(self):
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(30):
@@ -565,6 +539,37 @@ class TestNpDecomposition:
                 assert dec.risk <= bayes_risk(exp, "Q", "Q1", t, dec.priors) + 1e-12
             checked += 1
 
+    def test_price_equals_price_via_tests_bitwise(self):
+        """``np`` reads the masses of ``price_via_tests`` at the strike's
+        level: two-point, three-point, multi-class and CRR markets."""
+        rng = np.random.default_rng(RNG_SEED)
+        markets = [random_market(rng, max_steps=5, max_support=3) for _ in range(40)]
+        markets += [random_class_market(rng, max_steps=8) for _ in range(40)]
+        markets += [random_crr_off_node(rng)[0] for _ in range(20)]
+        for m in markets:
+            qs = solve_martingale_measures(m).designated()
+            for K in (0.0, float(m.s0 * rng.uniform(0.3, 2.0))):
+                call = payoff_european_call(K)
+                dec = np_decomposition(m, qs, call)
+                assert dec.price == price_via_tests(m, qs, call).price
+                assert set(dec.test.values) == {"x <= cutoff", "x > cutoff"}
+                assert dec.test.values["x <= cutoff"] == 0.0
+
+    def test_two_class_crr_beyond_the_sorted_law(self):
+        """Two bond rates give two return classes of 4097 atoms each: their
+        sorted law would need 16.8M states, beyond the state cap."""
+        n = 8192
+        doc = {"N": n, "T": 1.0, "s0": 100.0,
+               "bond": {"r_simple_per_step": [1e-6] * (n // 2) + [3e-6] * (n // 2)},
+               "returns": {"type": "crr", "u": 1.0025, "d": 0.9975, "p": 0.5}}
+        m = market_from_json(doc)
+        assert 4097 ** 2 > limits.max_states()
+        qs = solve_martingale_measures(m).designated()
+        call = payoff_european_call(101.0)
+        dec = np_decomposition(m, qs, call)
+        assert dec.price == price_via_tests(m, qs, call).price
+        assert dec.price == pytest.approx(price_direct(m, qs, call), rel=1e-12)
+
     def test_non_call_payoffs_rejected(self):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 1, 4.0)
         qs = solve_martingale_measures(m).designated()
@@ -721,13 +726,15 @@ class TestClosedFormPowers:
         def forbidden(*args, **kwargs):
             raise AssertionError("terminal prices must not build the law of X_T")
 
-        monkeypatch.setattr(lattice, "combine_additive_laws", forbidden)
-        monkeypatch.setattr(lattice, "terminal_law", forbidden)
+        monkeypatch.setattr(lattice, "terminal_log_law", forbidden)
+        monkeypatch.setattr(lan, "terminal_log_law", forbidden)
         crr = build_crr(1.1, 0.9, 1.01, 0.5, 12, 100.0)
         qs = solve_martingale_measures(crr).designated()
         straddle = payoff_straddle(101.0)
         direct = price_direct(crr, qs, straddle)
         assert price_via_tests(crr, qs, straddle).price == pytest.approx(direct, rel=1e-12)
+        call = payoff_european_call(101.0)
+        assert np_decomposition(crr, qs, call).price == price_via_tests(crr, qs, call).price
         assert dynamic_price(crr, qs, straddle, PathState(1, (0,))) > 0.0
         tri = table_market([(1.3, 1.02, 0.8)] * 8, (0.0,) * 8)
         lower, upper = price_bounds(tri, payoff_european_call(2.1))
