@@ -24,6 +24,7 @@ floats are printed with 12 significant digits, ``.`` decimal separator and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -219,9 +220,9 @@ def _cmd_complete(args) -> int:
     market = market_from_json(_load_json(args.market))
     solutions = solve_martingale_measures(market)
     lines = [f"complete: {'true' if solutions.complete else 'false'}"]
-    two_point = all(len(step.vertices[0]) == 2 for step in solutions.per_step)
+    two_point = all(len(step.vertices[0]) == 2 for step in solutions.per_step.kinds)
     if solutions.complete and two_point:
-        taus = {fmt(step.vertices[0][0]) for step in solutions.per_step}
+        taus = {fmt(step.vertices[0][0]) for step in solutions.per_step.kinds}
         if len(taus) == 1:
             lines.append(f"tau = {next(iter(taus))}")
     for j, step in enumerate(solutions.per_step):
@@ -340,7 +341,9 @@ def _cmd_lan_report(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused."""
     parser = argparse.ArgumentParser(
         prog="lecam",
         description="Test-based pricing on lattice markets and their limits.",
@@ -402,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NoArbitrageViolation as exc:

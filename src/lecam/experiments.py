@@ -265,8 +265,7 @@ def min_bayes_risk(exp: FiniteExperiment, null: str, alt: str,
     return bayes_risk(exp, null, alt, test, priors), test
 
 
-def product(exps: Sequence[FiniteExperiment],
-            max_outcomes: int | None = None) -> FiniteExperiment:
+def product(exps: Sequence[FiniteExperiment]) -> FiniteExperiment:
     """Independent product of experiments sharing measure names and base.
 
     Outcomes are tuples, one coordinate per factor; each named measure is
@@ -281,7 +280,7 @@ def product(exps: Sequence[FiniteExperiment],
             raise InvalidParams("factors must share the same measure names")
         if e.base != base:
             raise InvalidParams("factors must share the same base measure")
-    cap = limits.max_product_outcomes(max_outcomes)
+    cap = limits.max_product_outcomes()
     total = 1
     for e in exps:
         total *= e.size

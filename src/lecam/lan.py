@@ -26,13 +26,12 @@ diagnostics report the distance from the Gaussian limit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from . import limits
 from .blackscholes import BSModel, StepFunction, limit_price_terminal, model_from_json
 from .errors import (
     InvalidParams,
@@ -41,7 +40,7 @@ from .errors import (
     SizeLimit,
     ThetaOutOfRange,
 )
-from .lattice import LatticeMarket, terminal_log_law
+from .lattice import LatticeMarket, StepKinds, group_steps, terminal_log_law
 from .pricing import Payoff, payoff_from_json, price_direct
 
 ATOL = 1e-12
@@ -284,27 +283,21 @@ class DiscreteModel:
     together with its designated per-step martingale measures."""
 
     market: LatticeMarket
-    measures: tuple[tuple[float, ...], ...]
-    thetas: tuple[float, ...]
+    measures: StepKinds
+    thetas: StepKinds
 
 
-def _per_step(schedule: Schedule, solve: Callable[[float, float], object]) -> tuple:
-    """``solve(step_vol, step_rate)`` for every step, evaluated once per
-    distinct ``(sigma, rho)``."""
-    solved: dict[tuple[float, float], object] = {}
-    out = []
-    for j, key in enumerate(zip(schedule.sigmas, schedule.rhos)):
-        if key not in solved:
-            solved[key] = solve(schedule.step_vol(j), schedule.step_rate(j))
-        out.append(solved[key])
-    return tuple(out)
-
-
-def _discrete_market(path: TangentPath, schedule: Schedule, s0: float) -> LatticeMarket:
-    """The market of :func:`build_discrete_model`, without its measures."""
+def _discrete_market(path: TangentPath, schedule: Schedule,
+                     s0: float) -> tuple[LatticeMarket, StepKinds]:
+    """The market of :func:`build_discrete_model`, without its measures, and
+    each step's ``(step_vol, step_rate)``, once per distinct ``(sigma, rho)``."""
+    pieces = group_steps(zip(schedule.sigmas, schedule.rhos))
+    params = StepKinds(tuple((schedule.step_vol(j), schedule.step_rate(j))
+                             for j in pieces.first.tolist()), pieces.index)
     g = np.array(path.g)
 
-    def step_returns(vol: float, rate: float) -> tuple:
+    def step_returns(vol_rate: tuple[float, float]) -> tuple:
+        vol, rate = vol_rate
         if vol * path.C >= 1.0:
             raise ThetaOutOfRange(
                 f"step volatility {vol!r} >= 1/C = {path.theta_max!r}; increase N"
@@ -312,13 +305,10 @@ def _discrete_market(path: TangentPath, schedule: Schedule, s0: float) -> Lattic
         values = (1.0 + vol * g) / (1.0 + rate)
         return tuple(zip(values.tolist(), path.probs))
 
-    return LatticeMarket(
-        steps=schedule.N,
-        horizon=schedule.horizon,
-        s0=s0,
-        returns=_per_step(schedule, step_returns),
-        bond_rates=tuple(schedule.step_rate(j) for j in range(schedule.N)),
-    )
+    market = LatticeMarket(steps=schedule.N, horizon=schedule.horizon, s0=s0,
+                           returns=group_steps(params, step_returns),
+                           bond_rates=group_steps(params, lambda vol_rate: vol_rate[1]))
+    return market, params
 
 
 def build_discrete_model(path: TangentPath, schedule: Schedule,
@@ -328,11 +318,10 @@ def build_discrete_model(path: TangentPath, schedule: Schedule,
     Raises :class:`~lecam.errors.ThetaOutOfRange` when ``N`` is too small for
     the given volatility (a return value would hit zero).
     """
-    market = _discrete_market(path, schedule, s0)
-    measures = _per_step(
-        schedule, lambda vol, rate: tuple(one_period_mm(path, vol, rate).tolist())
-    )
-    thetas = tuple(schedule.step_rate(j) / schedule.step_vol(j) for j in range(schedule.N))
+    market, params = _discrete_market(path, schedule, s0)
+    measures = group_steps(params,
+                           lambda vol_rate: tuple(one_period_mm(path, *vol_rate).tolist()))
+    thetas = group_steps(params, lambda vol_rate: vol_rate[1] / vol_rate[0])
     return DiscreteModel(market=market, measures=measures, thetas=thetas)
 
 
@@ -354,10 +343,9 @@ def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of ``log(S_n / S_0)`` over the market's first ``n`` steps:
     the grouped law of ``log(X_n / X_0)`` shifted by ``log B_n``."""
-    head = replace(market, steps=n, horizon=n * market.horizon / market.steps,
-                   returns=market.returns[:n], bond_rates=market.bond_rates[:n])
+    head = market.head(n)
     try:
-        values, probs = terminal_log_law(head, [np.array(q) for q in measures[:n]])
+        values, probs = terminal_log_law(head, measures[:n])
     except SizeLimit as exc:
         raise SizeLimit(f"{exc}: the CDF sup-distance needs the sorted law of log S_t") from exc
     return values + math.log(head.bond_factor(n)), probs
@@ -431,7 +419,7 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     """
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
-    market = _discrete_market(path, schedule, 1.0)
+    market, _ = _discrete_market(path, schedule, 1.0)
     values, probs = _log_price_law(market, [path.probs] * n, n)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
@@ -492,7 +480,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
     values, probs = _log_price_law(model.market, model.measures, n)
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
-    measures = np.array(model.measures[:n])
+    measures = np.array(model.measures.kinds)[model.measures.index[:n]]
     moves = _step_moves(path, schedule, n)
     z_mean, z_var = _moment_sums(measures, moves)
     s_mean, s_var = _moment_sums(measures, np.log(1.0 + moves))
@@ -552,8 +540,8 @@ def convergence_study(path: TangentPath, family: Callable[[int], Schedule],
     for N in Ns:
         schedule = family(int(N))
         model = build_discrete_model(path, schedule, s0=bs.s0)
-        p_n = price_direct(model.market, list(map(np.array, model.measures)), payoff)
-        _, var = _moment_sums(np.array(model.measures),
+        p_n = price_direct(model.market, model.measures, payoff)
+        _, var = _moment_sums(np.array(model.measures.kinds)[model.measures.index],
                               np.log(1.0 + _step_moves(path, schedule, schedule.N)))
         rows.append(ConvergenceRow(
             N=int(N),

@@ -7,49 +7,42 @@ Discounted prices normalized by their start value are exactly the density
 process of a measure change, which is what ties these markets to the finite
 experiments of :mod:`lecam.experiments`:
 
-* ``induced_experiment`` returns the path-space experiment whose base is a
-  chosen martingale measure ``Q``, with ``Q1 = (X_T/X_0) . Q`` and the
-  real-world measure ``P``; it enumerates every path and serves as the
-  small-``N`` oracle;
-* ``terminal_log_masses`` gives the test powers of terminal payoffs without
-  any law of ``X_T``: the masses below, at and above given levels of
-  ``log(X_T/X_0)`` under ``Q`` and ``Q1``, from binomial tails, with ties
-  decided in count units;
+* ``terminal_log_masses`` gives the test powers of terminal payoffs: the
+  masses below, at and above given levels of ``log(X_T/X_0)`` under ``Q``
+  and ``Q1 = (X_T/X_0) . Q``, from binomial tails, ties decided in count
+  units, without any law of ``X_T``;
 * ``terminal_log_law`` is the sorted law of ``log(X_T/X_0)``, for the one
-  consumer that needs a sorted CDF (the sup-distance of :mod:`lecam.lan`);
+  consumer of a sorted CDF (the sup-distance of :mod:`lecam.lan`);
 * ``backward_induction`` rolls node values back over the recombined
-  lattice, whose nodes are integer count vectors per return class, so it
-  visits polynomially many nodes in ``N``; it prices barriers and serves
-  ``verify_representation``, which checks node by node that the density
-  process of ``Q1`` is the normalized price process;
-* ``complementary_market`` / ``verify_mm_criterion`` /
-  ``image_experiment_check`` exercise the conditional structure on path
-  space, and with ``enumerate_paths`` and ``induced_experiment`` serve as
-  small-``N`` oracles.
+  lattice, whose nodes are integer count vectors per return class; it
+  prices barriers and serves ``verify_representation``;
+* ``induced_experiment``, ``verify_mm_criterion`` and
+  ``image_experiment_check`` enumerate paths: small-``N`` oracles.
 
-Per return class the terminal atoms rest on the law of the outcome counts,
-in closed form (binomial pmfs) per group of equal step measures; one
-enumeration, ``combine_additive_laws``, forms their sums over the classes,
-unsorted and unmerged.  Atoms and the nodes of backward induction take
-their spots from ``_count_logs`` (per return class ``counts @
-log(values)``, summed over the classes) and are compared as floats, so a
-level exactly on a node is decided by rounding there.
-``terminal_log_masses`` adds its closed-form draw to these atoms as
-``draws * log(v_lo) + c * delta`` and decides ties in count units of that
-draw, so terminal prices do not depend on that rounding; the sorted law
-merges exactly equal atoms once, after its one sort.
+Which steps are the same is decided once, by :func:`group_steps`: a market
+keeps its distinct steps and a per-step index (``step_kinds``), its return
+classes (``classes``, steps of equal values) derive from them, and step
+measures take the same form (:class:`StepKinds`).  Every law depends on a
+return class only through the multiset of its step measures, so the engines
+read groups ``[q, steps]`` per class (:func:`class_groups`, or built
+directly from vertex multisets by ``pricing.price_bounds``), a closed-form
+multinomial each, their sums over the classes enumerated once by
+``combine_additive_laws``.  Atoms and nodes take their spots from
+``_count_logs`` (per class ``counts @ log(values)``, summed in class order)
+and are compared as floats, so a barrier level exactly on a node is decided
+by rounding; ``terminal_log_masses`` decides ties in count units of its
+closed-form draw, so terminal prices do not depend on that rounding.
 
-Martingale measures are solved per step by vertex enumeration of the
-polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; with at most two active
-constraints every vertex has support of size one or two, so enumeration is
-exact and needs no LP solver.
+Martingale measures are solved per distinct step by vertex enumeration of
+the polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; every vertex has support
+of size one or two, so enumeration is exact and needs no LP solver.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -67,14 +60,83 @@ from .experiments import FiniteExperiment
 
 ATOL = 1e-12
 
-StepMeasures = Sequence[Sequence[float]]
+
+# ---------------------------------------------------------------------------
+# steps grouped by kind
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class StepKinds(Sequence):
+    """One item per step, each distinct item stored once: step ``j`` holds
+    ``kinds[index[j]]``, kinds in order of first occurrence (``first[k]``),
+    so checks run once per kind still name the first offending step."""
+
+    kinds: tuple
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            used, index, _ = _by_first_step(self.index[j])
+            return StepKinds(tuple(self.kinds[k] for k in used.tolist()), index)
+        return self.kinds[self.index[j]]
+
+    def __iter__(self) -> Iterator:
+        return map(self.kinds.__getitem__, self.index.tolist())
+
+    @functools.cached_property
+    def first(self) -> np.ndarray:
+        return _by_first_step(self.index)[2]
+
+    def __eq__(self, other) -> bool:
+        """Equal as per-step sequences, compared once per distinct pair."""
+        return isinstance(other, StepKinds) and len(self) == len(other) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((self.kinds[i], other.kinds[k]) for i, k in _joint(self, other).kinds))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
-def _first_index(items: Sequence) -> dict:
-    """Each distinct item mapped to its first index, in that order: checks run
-    once per distinct step and still name the first offending one."""
-    first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
-    return dict(sorted(first.items(), key=lambda item: item[1]))
+def group_steps(items: Iterable, convert: Callable = lambda item: item) -> StepKinds:
+    """The one place where steps are grouped: ``convert(item)`` per step
+    (``items`` one per step, or a :class:`StepKinds`), run once per distinct
+    object, equal results merged (arrays by shape and bytes)."""
+    if isinstance(items, StepKinds):
+        objects, index = items.kinds, items.index
+    else:
+        seen: dict = {}
+        index = np.array([seen.setdefault(id(item), (len(seen), item))[0] for item in items],
+                         dtype=np.intp)
+        objects = [item for _, item in seen.values()]
+    seen = {}
+    at = [seen.setdefault((item.shape, item.tobytes()) if isinstance(item, np.ndarray)
+                          else item, (len(seen), item))[0] for item in map(convert, objects)]
+    return StepKinds(tuple([item for _, item in seen.values()]),
+                     np.array(at, dtype=np.intp)[index])
+
+
+def _by_first_step(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``codes`` by first occurrence, each step's position
+    among them and the first step of each."""
+    values, first, index = np.unique(codes, return_index=True, return_inverse=True)
+    order = first.argsort()
+    return values[order], order.argsort()[index], first[order]
+
+
+_as_float = functools.partial(np.asarray, dtype=float)
+
+
+def _joint(a: StepKinds, b: StepKinds) -> StepKinds:
+    """The steps' pairs ``(i, k)`` of kind indices in ``a`` (a market's
+    steps) and ``b`` (their measures)."""
+    if len(b) != len(a):
+        raise InvalidParams(f"expected {len(a)} step measures, got {len(b)}")
+    width = len(b.kinds)
+    codes, index, _ = _by_first_step(a.index * width + b.index)
+    return StepKinds(tuple(divmod(code, width) for code in codes.tolist()), index)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +164,8 @@ class LatticeMarket:
     bond_rates:
         Per-step simple rates ``>= 0``; the bond factor of step ``j`` is
         ``1 + bond_rates[j]``.
+
+    Validation groups the steps once (``step_kinds``).
     """
 
     steps: int
@@ -109,6 +173,7 @@ class LatticeMarket:
     s0: float
     returns: tuple[tuple[tuple[float, float], ...], ...]
     bond_rates: tuple[float, ...]
+    step_kinds: StepKinds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -117,19 +182,16 @@ class LatticeMarket:
             raise InvalidParams(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0.0 < self.s0 < math.inf:
             raise InvalidParams(f"s0 must be positive and finite, got {self.s0!r}")
-        steps = {step: tuple((float(v), float(p)) for v, p in step)
-                 for step in dict.fromkeys(self.returns)}
-        returns = tuple(map(steps.__getitem__, self.returns))
-        object.__setattr__(self, "returns", returns)
-        rates = tuple(float(r) for r in self.bond_rates)
-        object.__setattr__(self, "bond_rates", rates)
-        if len(returns) != self.steps or len(rates) != self.steps:
+        steps = group_steps(self.returns,
+                            lambda step: tuple((float(v), float(p)) for v, p in step))
+        rates = group_steps(self.bond_rates, float)
+        self.__dict__.update(returns=tuple(steps), bond_rates=tuple(rates), step_kinds=steps)
+        if len(steps) != self.steps or len(rates) != self.steps:
             raise InvalidParams("returns and bond_rates must have one entry per step")
-        for step, j in _first_index(returns).items():
+        for step, j in zip(steps.kinds, steps.first.tolist()):
             if not step:
                 raise InvalidParams(f"step {j} has no return values")
-            vals = [v for v, _ in step]
-            probs = [p for _, p in step]
+            vals, probs = zip(*step)
             if not all(0.0 < v < math.inf for v in vals):
                 raise InvalidParams(f"step {j} has a nonpositive or non-finite return value")
             if len(set(vals)) != len(vals):
@@ -138,9 +200,24 @@ class LatticeMarket:
                 raise InvalidParams(f"step {j} has a probability outside (0, 1]")
             if not abs(sum(probs) - 1.0) <= ATOL:
                 raise InvalidParams(f"step {j} probabilities sum to {sum(probs)!r}")
-        for j, r in enumerate(rates):
+        for r, j in zip(rates.kinds, rates.first.tolist()):
             if not 0.0 <= r < math.inf:
                 raise InvalidParams(f"step {j} bond rate is negative or not finite")
+
+    @functools.cached_property
+    def classes(self) -> StepKinds:
+        """The return classes: the steps grouped by their values alone."""
+        return group_steps(self.step_kinds, lambda step: tuple(v for v, _ in step))
+
+    def head(self, n: int) -> LatticeMarket:
+        """The first ``n`` steps as a market, sharing their validation."""
+        if not 1 <= n <= self.steps:
+            raise InvalidParams(f"a head needs 1 to {self.steps} steps, got {n}")
+        head = object.__new__(LatticeMarket)
+        head.__dict__.update(steps=n, horizon=n * self.horizon / self.steps, s0=self.s0,
+                             returns=self.returns[:n], bond_rates=self.bond_rates[:n],
+                             step_kinds=self.step_kinds[:n])
+        return head
 
     # -- accessors ---------------------------------------------------------
     def step_values(self, j: int) -> np.ndarray:
@@ -156,7 +233,7 @@ class LatticeMarket:
     def bond_path(self) -> np.ndarray:
         """Gross bond values ``B_0 = 1, ..., B_N`` (read-only), the step
         factors ``1 + r_j`` multiplied left to right."""
-        path = np.cumprod([1.0, *(1.0 + r for r in self.bond_rates)])
+        path = np.cumprod(np.r_[1.0, 1.0 + np.array(self.bond_rates)])
         path.flags.writeable = False
         return path
 
@@ -224,16 +301,15 @@ class StepSolution:
 class MartingaleMeasureSet:
     """Per-step martingale measure solutions for a market."""
 
-    per_step: tuple[StepSolution, ...]
+    per_step: StepKinds
 
     @property
     def complete(self) -> bool:
-        return all(s.unique for s in self.per_step)
+        return all(s.unique for s in self.per_step.kinds)
 
-    def designated(self) -> list[np.ndarray]:
+    def designated(self) -> StepKinds:
         """A canonical strictly positive element: per-step barycenters."""
-        centers = {s: s.barycenter() for s in dict.fromkeys(self.per_step)}
-        return list(map(centers.__getitem__, self.per_step))
+        return group_steps(self.per_step, StepSolution.barycenter)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +385,8 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
         u = float(ret["u"])
         d = float(ret["d"])
         p = float(ret.get("p", 0.5))
-        crr = {r: _crr_step(u, d, p, 1.0 + r) for r in dict.fromkeys(rates)}
-        steps_returns = tuple(map(crr.__getitem__, rates))
+        # rates grouped by value first, so that each distinct rate builds one step
+        steps_returns = group_steps(group_steps(rates), lambda r: _crr_step(u, d, p, 1.0 + r))
     elif kind == "table":
         values = ret["values"]
         probs = ret["probs"]
@@ -355,22 +431,12 @@ def _step_vertices(values: np.ndarray) -> list[np.ndarray]:
     With two equality constraints each vertex has at most two nonzero
     coordinates: singletons at values equal to one, and pairs straddling one.
     """
-    k = len(values)
-    vertices: list[np.ndarray] = []
-    for i in range(k):
-        if values[i] == 1.0:
-            v = np.zeros(k)
-            v[i] = 1.0
-            vertices.append(v)
-    above = [i for i in range(k) if values[i] > 1.0]
-    below = [i for i in range(k) if values[i] < 1.0]
-    for i in above:
-        for j in below:
+    eye = np.eye(len(values))
+    vertices = [eye[i] for i in np.flatnonzero(values == 1.0)]
+    for i in np.flatnonzero(values > 1.0):
+        for j in np.flatnonzero(values < 1.0):
             qi = (1.0 - values[j]) / (values[i] - values[j])
-            v = np.zeros(k)
-            v[i] = qi
-            v[j] = 1.0 - qi
-            vertices.append(v)
+            vertices.append(qi * eye[i] + (1.0 - qi) * eye[j])
     return vertices
 
 
@@ -381,25 +447,24 @@ def solve_martingale_measures(m: LatticeMarket) -> MartingaleMeasureSet:
     no strictly positive solution (all returns on one side of 1, or a
     coordinate forced to zero across the whole polytope).
     """
-    solutions = {}
-    for step, j in _first_index(m.returns).items():
+    kinds = m.step_kinds
+    solutions = []
+    for step, j in zip(kinds.kinds, kinds.first.tolist()):
         values = np.array([v for v, _ in step])
         vertices = _step_vertices(values)
         if not vertices:
             raise NoArbitrageViolation(
                 f"step {j}: returns {values.tolist()} all on one side of 1"
             )
-        covered = np.zeros(len(values), dtype=bool)
-        for v in vertices:
-            covered |= v > 0.0
+        covered = np.any(np.array(vertices) > 0.0, axis=0)
         if not covered.all():
             dead = np.flatnonzero(~covered).tolist()
             raise NoArbitrageViolation(
                 f"step {j}: no equivalent martingale measure "
                 f"(coordinates {dead} forced to zero)"
             )
-        solutions[step] = StepSolution(tuple(tuple(v) for v in vertices))
-    return MartingaleMeasureSet(tuple(map(solutions.__getitem__, m.returns)))
+        solutions.append(StepSolution(tuple(tuple(v) for v in vertices)))
+    return MartingaleMeasureSet(group_steps(StepKinds(tuple(solutions), kinds.index)))
 
 
 def is_complete(m: LatticeMarket) -> bool:
@@ -408,45 +473,40 @@ def is_complete(m: LatticeMarket) -> bool:
     return solve_martingale_measures(m).complete
 
 
-def as_step_measures(m: LatticeMarket, q) -> list[np.ndarray]:
-    """Normalize a measure argument to one probability vector per step.
-
-    Accepts a :class:`MartingaleMeasureSet` (its designated element), a
-    single vector (reused for every step) or a per-step sequence of vectors.
-    Vectors are validated as probability vectors; martingale or positivity
-    requirements are imposed by the callers that need them.
+def as_step_measures(m: LatticeMarket, q) -> StepKinds:
+    """Normalize a measure argument to one probability vector per step:
+    a :class:`MartingaleMeasureSet` (its designated element), a single
+    vector (every step's) or a per-step sequence of vectors.  Each distinct
+    vector is validated once as a probability vector; martingale and
+    positivity checks are left to the callers that need them.
     """
     if isinstance(q, MartingaleMeasureSet):
-        vectors = q.designated()
-    else:
-        seq = list(q)
-        if seq and np.isscalar(seq[0]):
-            vectors = [np.asarray(seq, dtype=float)] * m.steps
-        else:
-            vectors = [np.asarray(v, dtype=float) for v in seq]
-    if len(vectors) != m.steps:
-        raise InvalidParams(f"expected {m.steps} step measures, got {len(vectors)}")
-    keys = [(v.shape, v.tobytes(), len(step)) for v, step in zip(vectors, m.returns)]
-    checked = {}
-    for key, j in _first_index(keys).items():
-        v = vectors[j]
-        if v.shape != (key[2],):
+        q = q.designated()
+    elif not isinstance(q, StepKinds):
+        q = list(q)
+        if q and np.isscalar(q[0]):
+            q = StepKinds((q,), np.zeros(m.steps, dtype=np.intp))
+    measures = group_steps(q, lambda v: np.array(v, dtype=float))
+    pairs = _joint(m.step_kinds, measures)
+    for (i, k), j in zip(pairs.kinds, pairs.first.tolist()):
+        v = measures.kinds[k]
+        if v.shape != (len(m.step_kinds.kinds[i]),):
             raise InvalidParams(f"step {j} measure has wrong length")
         if np.any(v < 0.0):
             raise InvalidParams(f"step {j} measure has negative mass")
         if abs(float(v.sum()) - 1.0) > ATOL:
             raise InvalidParams(f"step {j} measure sums to {float(v.sum())!r}")
-        checked[key] = v.astype(float)
-    return list(map(checked.__getitem__, keys))
+    return measures
 
 
 def require_martingale(m: LatticeMarket, step_measures: Sequence[np.ndarray],
                        strict: bool = False) -> None:
     """Check the one-step pricing identity ``sum q*u = 1`` per step."""
-    keys = [(v.tobytes(), step) for v, step in zip(step_measures, m.returns)]
-    for j in _first_index(keys).values():
-        v = step_measures[j]
-        gap = abs(float(v @ m.step_values(j)) - 1.0)
+    measures = group_steps(step_measures, np.asarray)
+    pairs = _joint(m.classes, measures)
+    for (c, k), j in zip(pairs.kinds, pairs.first.tolist()):
+        v = measures.kinds[k]
+        gap = abs(float(v @ np.array(m.classes.kinds[c])) - 1.0)
         if gap > ATOL:
             raise InvalidParams(
                 f"step {j} measure is not a martingale measure (gap {gap:.3e})"
@@ -481,19 +541,13 @@ def enumerate_paths(m: LatticeMarket, max_paths: int | None = None) -> np.ndarra
     return out
 
 
-def path_step_values(m: LatticeMarket, paths: np.ndarray) -> np.ndarray:
-    """Per-path matrix of realized discounted returns, shape ``(P, N)``."""
-    cols = [m.step_values(j)[paths[:, j]] for j in range(m.steps)]
-    return np.column_stack(cols)
-
-
 def path_products(m: LatticeMarket, paths: np.ndarray) -> np.ndarray:
     """Normalized discounted prices ``X_t / X_0`` per path, shape ``(P, N+1)``.
 
     Column ``t`` is the product of the first ``t`` realized returns, with
     column 0 identically one.
     """
-    vals = path_step_values(m, paths)
+    vals = np.column_stack([m.step_values(j)[paths[:, j]] for j in range(m.steps)])
     out = np.ones((paths.shape[0], m.steps + 1))
     np.cumprod(vals, axis=1, out=out[:, 1:])
     return out
@@ -563,42 +617,25 @@ def _composition_rank(counts: np.ndarray) -> np.ndarray:
     return rank
 
 
-def count_distribution(qs: Sequence[np.ndarray],
-                       max_states: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Joint law of outcome counts over steps sharing one support.
+def count_distribution(qs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Joint law of outcome counts over steps sharing one support: ``qs``
+    holds one probability vector of length ``k`` per step.
 
-    Parameters
-    ----------
-    qs:
-        One probability vector per step, all of the same length ``k``.
-
-    Returns
-    -------
-    counts, probs:
-        ``counts`` has shape ``(M, k)``, one reachable count vector per row
-        (every split of ``n`` for ``k = 2``); ``probs`` their probabilities,
-        a closed-form multinomial per group of equal step measures
-        (Loader's saddle-point binomial pmfs), the groups convolved.  Raises
-        :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
-        pairwise sums that merge two groups, exceed ``max_states``.
+    Returns ``(counts, probs)``: one reachable count vector per row of
+    ``counts`` (every split of ``n`` for ``k = 2``) and its probability, a
+    closed-form multinomial per group of equal step measures (Loader's
+    saddle-point binomial pmfs), the groups convolved.  Raises
+    :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
+    pairwise sums that merge two groups, exceed the state cap.
     """
-    cap = limits.max_states(max_states)
-    k = len(qs[0])
-    groups = _measure_groups(qs, k)
-    _check_count_states(len(qs), k, cap)
-    return _grouped_count_law(groups, k, cap)
-
-
-def _measure_groups(qs: Sequence[np.ndarray], k: int) -> list[list]:
-    """The step measures ``qs``, each of ``k`` outcomes, grouped by equal
-    value as ``[q, steps]`` (first-seen order)."""
-    groups: dict[bytes, list] = {}
-    for q in qs:
-        q = np.asarray(q, dtype=float)
-        if len(q) != k:
-            raise InvalidParams("all steps in a class must share the support size")
-        groups.setdefault(q.tobytes(), [q, 0])[1] += 1
-    return list(groups.values())
+    measures = group_steps(qs, _as_float)
+    k = len(measures.kinds[0])
+    if any(len(q) != k for q in measures.kinds):
+        raise InvalidParams("all steps in a class must share the support size")
+    cap = limits.max_states()
+    _check_count_states(len(measures), k, cap)
+    return _grouped_count_law(list(zip(measures.kinds, np.bincount(measures.index).tolist())),
+                              k, cap)
 
 
 def _check_count_states(n: int, k: int, cap: int) -> None:
@@ -648,24 +685,25 @@ def combine_additive_laws(laws: Sequence[tuple[np.ndarray, np.ndarray]]
     return vals, probs
 
 
-def _classes(m: LatticeMarket) -> list[tuple[tuple[float, ...], list[int]]]:
-    """Group step indices by identical return-value tuples (order preserved)."""
-    keys = {step: tuple(v for v, _ in step) for step in dict.fromkeys(m.returns)}
-    grouped: dict[tuple[float, ...], list[int]] = {}
-    for j, step in enumerate(m.returns):
-        grouped.setdefault(keys[step], []).append(j)
-    return list(grouped.items())
+def class_groups(m: LatticeMarket, step_measures: Sequence[np.ndarray]
+                 ) -> list[tuple[tuple[float, ...], list[list]]]:
+    """The return classes of ``m`` in order, each with its steps' measures
+    grouped by equal value as ``[q, steps]`` (first-seen order): every law
+    here depends on a class only through that multiset."""
+    measures = group_steps(step_measures, _as_float)
+    classes = m.classes
+    pairs = _joint(classes, measures)
+    groups: list[list] = [[] for _ in classes.kinds]
+    for (c, k), size in zip(pairs.kinds, np.bincount(pairs.index).tolist()):
+        if len(measures.kinds[k]) != len(classes.kinds[c]):
+            raise InvalidParams("all steps in a class must share the support size")
+        groups[c].append([measures.kinds[k], size])
+    return list(zip(classes.kinds, groups))
 
 
 def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
     """``log(X/X_0)`` contributed by one return class at integer count
-    vectors (one row each).
-
-    The grouped law's atoms and the backward-induction nodes are these
-    contributions summed over the classes in class order, and so are the
-    atoms that :func:`terminal_log_masses` enumerates, before it adds its
-    closed-form draw.
-    """
+    vectors (one row each), the one rule for atoms and nodes."""
     return counts @ np.log(values)
 
 
@@ -674,14 +712,14 @@ def terminal_log_law(m: LatticeMarket,
     """Exact law of ``log(X_T / X_0)`` under per-step measures, values
     strictly increasing.
 
-    Steps with identical return supports are grouped, so the state space
-    stays polynomial in ``N`` (:func:`count_distribution` per class).  The
-    atoms of :func:`combine_additive_laws` are sorted once and exactly
-    equal neighbours merged.
+    One :func:`count_distribution` per return class keeps the state space
+    polynomial in ``N``; the atoms of :func:`combine_additive_laws` are
+    sorted once and exactly equal neighbours merged.
     """
     laws = []
-    for values, members in _classes(m):
-        counts, probs = count_distribution([step_measures[j] for j in members])
+    for values, groups in class_groups(m, step_measures):
+        qs, sizes = zip(*groups)
+        counts, probs = count_distribution(StepKinds(qs, np.arange(len(qs)).repeat(sizes)))
         laws.append((_count_logs(counts, values), probs))
     logs, probs = combine_additive_laws(laws)
     order = np.argsort(logs)
@@ -696,37 +734,33 @@ def terminal_log_law(m: LatticeMarket,
 TIE_TOL = 1e-9
 
 
-def terminal_log_masses(m: LatticeMarket, step_measures: Sequence[np.ndarray],
+def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
                         levels: Sequence[float]) -> np.ndarray:
     """Masses of ``log(X_T / X_0)`` strictly below, exactly at and strictly
-    above each of ``levels``, under ``Q`` and under ``Q1 = (X_T/X_0) . Q``.
+    above each of ``levels`` under ``Q`` and ``Q1 = (X_T/X_0) . Q``, shape
+    ``(2, 3, len(levels))``, from the step measures grouped per return
+    class (``classes``, as :func:`class_groups` returns them), without
+    building or sorting any law of ``X_T``.
 
-    Returns an array of shape ``(2, 3, len(levels))``: ``[Q, Q1]`` by
-    ``[below, at, above]``.  No law of ``X_T`` is built or sorted.  Steps
-    split into independent groups (a return class times an equal step
-    measure), each a multinomial chain of binomial draws.  One group's last
-    draw ``Bin(n, rho)`` stays in closed form; everything else is enumerated
-    as unsorted atoms by :func:`combine_additive_laws`, the groups of a
-    class convolved on integer count vectors.  Over an atom with log
-    ``base`` the last draw adds ``c * delta`` for ``c`` counts of its larger
+    Each group (a return class times an equal step measure) is a chain of
+    binomial draws.  The last draw ``Bin(n, rho)`` of the group whose law
+    it shrinks most stays in closed form; the rest is enumerated as
+    unsorted atoms by :func:`combine_additive_laws`.  Over an atom with log
+    ``base`` that draw adds ``c * delta`` for ``c`` counts of its larger
     value, so each level reads binomial tails at ``t = (level - base) /
-    delta``.  Ties are decided there, in count units: a level within
-    :data:`TIE_TOL` of an integer ``t`` sits at that atom.  Under ``Q1``
-    the draw is tilted in log space: with ``lam`` the log of its mean
-    return ``mu``, an atom of log ``a`` weighs ``e^(a + n lam)`` and draws
-    from ``Bin(n, rho v_hi / mu)``.
+    delta``, and a level within :data:`TIE_TOL` of an integer ``t`` sits at
+    that atom.  Under ``Q1`` the draw is tilted: with ``lam`` the log of its
+    mean return ``mu``, an atom of log ``a`` weighs ``e^(a + n lam)`` and
+    draws from ``Bin(n, rho v_hi / mu)``.
 
     Raises :class:`~lecam.errors.SizeLimit` when a class's count states
     ``C(n + k - 1, k - 1)`` exceed the state cap, checked before anything is
     built, or when the enumerated atoms do.
     """
     cap = limits.max_states()
-    classes = []
     last, saving = None, 1.0
-    for values, members in _classes(m):
-        groups = _measure_groups([step_measures[j] for j in members], len(values))
-        _check_count_states(len(members), len(values), cap)
-        classes.append((values, groups))
+    for values, groups in classes:
+        _check_count_states(sum(size for _, size in groups), len(values), cap)
         # the closed-form draw: the group whose law it shrinks the most, from
         # C(n + l - 1, l - 1) rows to C(n + l - 2, l - 2) for l live outcomes
         for group in groups:
@@ -804,12 +838,11 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     """Roll node values back over the recombined lattice.
 
     A node at date ``t`` is keyed by its integer count vector per return
-    class (the classes of :func:`terminal_log_law`), so node grids have one
-    axis per class.  Its ``X_t / X_0`` is ``exp`` of the classes'
-    contributions summed in class order, the rule that gives the atoms of
-    :func:`terminal_log_law`.  Node values have the grid as their leading axes;
-    they start as ``terminal(x_T)`` and roll back by
-    ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
+    class (``m.classes``), so node grids have one axis per class.
+    Its ``X_t / X_0`` is ``exp`` of the classes' contributions summed in
+    class order, as the atoms of :func:`terminal_log_law`.  Node values
+    have the grid as their leading axes; they start as ``terminal(x_T)``
+    and roll back by ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
     ``knocked(t, x_t)`` is true, values are set to zero at date ``t``; the
     mask covers the grid and, optionally, the next axes of the values.
 
@@ -818,24 +851,22 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     nodes of all dates exceed the state cap (:func:`lecam.limits.max_states`).
     """
     cap = limits.max_states()
-    classes = _classes(m)
-    where = {j: (c, n) for c, (_, members) in enumerate(classes)
-             for n, j in enumerate(members)}
-    sizes = [len(values) for values, _ in classes]
-    level = [0] * len(classes)
+    classes = m.classes
+    at = classes.index.tolist()
+    sizes = [len(values) for values in classes.kinds]
+    level = [0] * len(sizes)
     total = 1
-    for j in range(m.steps):
-        c, n = where[j]
-        level[c] = n + 1
+    for c in at:
+        level[c] += 1
         total += math.prod(math.comb(lv + k - 1, k - 1) for lv, k in zip(level, sizes))
         if total > cap:
             raise SizeLimit(f"lattice nodes exceed cap {cap}")
     logs, children = [], []
-    for (values, members), k in zip(classes, sizes):
+    for values, k, members in zip(classes.kinds, sizes, level):
         counts = np.zeros((1, k), dtype=np.int64)
         logs.append([_count_logs(counts, values)])
         children.append([])
-        for n in range(1, len(members) + 1):
+        for n in range(1, members + 1):
             # every composition of n is one of n - 1 plus a unit: rank them all
             moved = (counts[None] + np.eye(k, dtype=np.int64)[:, None]).reshape(-1, k)
             child = _composition_rank(moved)
@@ -854,7 +885,8 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     v = terminal(x)
     for t in range(m.steps, -1, -1):
         if t < m.steps:
-            c, level[c] = where[t]
+            c = at[t]
+            level[c] -= 1
             v = sum(q * np.take(v, kid, axis=c)
                     for q, kid in zip(step_measures[t], children[c][level[c]]))
             x = ratios()
@@ -974,13 +1006,6 @@ class CriterionReport:
         return self.condition_holds == self.is_martingale_measure
 
 
-def _node_blocks(sizes: Sequence[int], t: int) -> int:
-    block = 1
-    for k in sizes[t:]:
-        block *= k
-    return block
-
-
 def verify_mm_criterion(m: LatticeMarket, q, g,
                         atol: float = ATOL) -> CriterionReport:
     """Check the two sides of the change-of-measure criterion for ``g``.
@@ -1017,7 +1042,7 @@ def verify_mm_criterion(m: LatticeMarket, q, g,
     condition = True
     martingale = True
     for t in range(m.steps + 1):
-        block = _node_blocks(sizes, t)
+        block = math.prod(sizes[t:])
         n_nodes = total // block
         comp = base * ratio_T / products[:, t]        # complementary measure at t
         comp_mass = comp.reshape(n_nodes, block).sum(axis=1)

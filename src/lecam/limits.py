@@ -5,11 +5,9 @@ spaces, grouped convolution states, recombined-lattice nodes, the vertex
 multisets of ``price_bounds``) are guarded by a cap and raise
 :class:`~lecam.errors.SizeLimit` beyond it.  The environment variable
 ``LECAM_MAX_PATHS`` overrides every cap at once.  Functions that build
-states read their cap from here; four builders also take an explicit
-bound, which wins over both: ``experiments.product(max_outcomes)``,
-``lattice.enumerate_paths(max_paths)``,
-``lattice.count_distribution(max_states)`` and
-``pricing.price_bounds(max_combos)``.
+states read their cap from here; only ``lattice.enumerate_paths`` also
+takes an explicit bound (``max_paths``, which wins over both), because
+``lattice.induced_experiment`` passes it the product-outcome cap.
 """
 
 from __future__ import annotations
@@ -39,10 +37,11 @@ DEFAULT_MAX_COMBOS = 1 << 16
 ENV_VAR = "LECAM_MAX_PATHS"
 
 
-def _env_override() -> int | None:
+def _override(default: int) -> int:
+    """The value of ``LECAM_MAX_PATHS`` if it is set, else ``default``."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError as exc:
@@ -52,26 +51,21 @@ def _env_override() -> int | None:
     return value
 
 
-def _resolve(given: int | None, default: int) -> int:
-    if given is not None:
-        if given <= 0:
-            raise InvalidParams(f"cap must be positive, got {given}")
-        return given
-    override = _env_override()
-    return default if override is None else override
-
-
 def max_paths(given: int | None = None) -> int:
-    return _resolve(given, DEFAULT_MAX_PATHS)
+    if given is None:
+        return _override(DEFAULT_MAX_PATHS)
+    if given <= 0:
+        raise InvalidParams(f"cap must be positive, got {given}")
+    return given
 
 
-def max_product_outcomes(given: int | None = None) -> int:
-    return _resolve(given, DEFAULT_MAX_OUTCOMES)
+def max_product_outcomes() -> int:
+    return _override(DEFAULT_MAX_OUTCOMES)
 
 
-def max_states(given: int | None = None) -> int:
-    return _resolve(given, DEFAULT_MAX_STATES)
+def max_states() -> int:
+    return _override(DEFAULT_MAX_STATES)
 
 
-def max_combos(given: int | None = None) -> int:
-    return _resolve(given, DEFAULT_MAX_COMBOS)
+def max_combos() -> int:
+    return _override(DEFAULT_MAX_COMBOS)

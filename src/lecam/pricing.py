@@ -55,18 +55,15 @@ from .experiments import BinaryPriors, FiniteExperiment, Test, bayes_risk, neyma
 from .lattice import (
     LatticeMarket,
     PathState,
-    _classes,
     as_step_measures,
     backward_induction,
+    class_groups,
     complementary_market,
     node_spot,
     require_martingale,
     solve_martingale_measures,
     terminal_log_masses,
 )
-
-ATOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # tests and payoffs
@@ -323,10 +320,11 @@ def _log_levels(m: LatticeMarket, cuts: Sequence[float]) -> list[float]:
 
 
 def _terminal_powers(m: LatticeMarket, terms: Sequence[PayoffTerm],
-                     step_measures: Sequence[np.ndarray]) -> np.ndarray:
+                     classes: Sequence[tuple]) -> np.ndarray:
     """``[E_Q(phi), E_Q(x * phi)]`` for each of ``terms``, all terminal, read
     from the masses of ``log x`` around the levels of the term's cuts
-    (:func:`lecam.lattice.terminal_log_masses`), ties decided in count units.
+    (:func:`lecam.lattice.terminal_log_masses` of the step measures grouped
+    per return class, ``classes``), ties decided in count units.
 
     An open interval between two cuts takes its mass from the side with the
     smaller tail, so every interval keeps the relative accuracy of a tail.
@@ -334,7 +332,7 @@ def _terminal_powers(m: LatticeMarket, terms: Sequence[PayoffTerm],
     # a test without cuts gets one at zero, which every S_T lies above
     cuts = [t.terminal.cuts or (0.0,) for t in terms]
     levels = _log_levels(m, [c for term in cuts for c in term])
-    masses = terminal_log_masses(m, step_measures, levels)
+    masses = terminal_log_masses(classes, levels)
     out = []
     start = 0
     for term, term_cuts in zip(terms, cuts):
@@ -393,7 +391,8 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
     knock_out = [i for i, t in enumerate(payoff.terms) if not t.terminal_only]
     out: list = [None] * len(coeffs)
     if terminal:
-        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal], step_measures)
+        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal],
+                                  class_groups(m, step_measures))
         for i, (base, alt) in zip(terminal, powers):
             a, b = coeffs[i]
             out[i] = a * alt + b * base
@@ -502,7 +501,7 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff) -> CallDecomposition:
     strike = _call_strike(payoff)
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures, strict=True)
-    masses = terminal_log_masses(m, step_measures, _log_levels(m, [strike]))
+    masses = terminal_log_masses(class_groups(m, step_measures), _log_levels(m, [strike]))
     below, at, above = masses[:, :, 0].T
     exp = FiniteExperiment(("x <= cutoff", "x > cutoff"),
                            {"Q": [below[0] + at[0], above[0]],
@@ -548,22 +547,20 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState) -> floa
     return _discounted_value(rest, payoff, step_measures[state.t:])
 
 
-def price_bounds(m: LatticeMarket, payoff: Payoff,
-                 max_combos: int | None = None) -> tuple[float, float]:
+def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:
     """Range of prices over product martingale measures: one measure of the
     closed per-step polytope per step, used at every node of that step.
 
     The price is multilinear in the per-step measures, so both extremes are
     attained at step-constant vertex choices.  Steps of one return class
-    (see :func:`lecam.lattice.terminal_log_law`) share their polytope and
-    are exchangeable: the law of ``X_T`` depends on the class's step
-    measures only through their multiset.  So each class ranges over the
-    multisets of its vertices, ``C(n_c + V_c - 1, V_c - 1)`` for ``n_c``
-    steps and ``V_c`` vertices, and the product over classes is priced once
-    per assignment; the min and max range over the same prices as an
-    enumeration of every ordered vertex tuple.  ``max_combos`` caps the
-    number of assignments (``LECAM_MAX_PATHS`` overrides it, as it does
-    every cap) and is checked before any law is built.
+    share their polytope and are exchangeable: the law of ``X_T`` depends
+    on the class's step measures only through their multiset.  So each
+    class ranges over the multisets of its vertices, ``C(n_c + V_c - 1,
+    V_c - 1)`` for ``n_c`` steps and ``V_c`` vertices, and the product over
+    classes is priced once per assignment: the min and max range over the
+    same prices as an enumeration of every ordered vertex tuple.  The
+    assignments are capped (:func:`lecam.limits.max_combos`) before any
+    law is built.
 
     This is not the no-arbitrage (superhedging) interval, which also allows
     node-dependent choices and can be wider: for digitals at ``N = 4`` by up
@@ -573,25 +570,26 @@ def price_bounds(m: LatticeMarket, payoff: Payoff,
         raise PathDependenceUnsupported(
             "price bounds are implemented for terminal-value payoffs"
         )
-    cap = limits.max_combos(max_combos)
+    cap = limits.max_combos()
     solutions = solve_martingale_measures(m)
-    classes = [(members, [np.array(v) for v in solutions.per_step[members[0]].vertices])
-               for _, members in _classes(m)]
+    classes = m.classes
+    members = np.bincount(classes.index).tolist()
+    vertices = [[np.array(v) for v in solutions.per_step[j].vertices]
+                for j in classes.first.tolist()]
     combos = 1
-    for members, vertices in classes:
-        combos *= math.comb(len(members) + len(vertices) - 1, len(vertices) - 1)
+    for n, vs in zip(members, vertices):
+        combos *= math.comb(n + len(vs) - 1, len(vs) - 1)
         if combos > cap:
             raise SizeLimit(f"vertex multisets exceed cap {cap}")
-    per_class = [itertools.combinations_with_replacement(vertices, len(members))
-                 for members, vertices in classes]
-    step_measures = [None] * m.steps
-    lower = math.inf
-    upper = -math.inf
+    # each class's multisets as the groups [vertex, steps] of class_groups,
+    # vertices in their order (the first-seen order of ordered picks)
+    per_class = [[[[vs[i], len(list(run))] for i, run in itertools.groupby(picks)]
+                  for picks in itertools.combinations_with_replacement(range(len(vs)), n)]
+                 for n, vs in zip(members, vertices)]
+    scale = m.s0 * m.bond_factor(m.steps)
+    a, b = np.array([(term.coeff * scale, -term.strike) for term in payoff.terms]).T
+    prices = []
     for assignment in itertools.product(*per_class):
-        for (members, _), picks in zip(classes, assignment):
-            for j, v in zip(members, picks):
-                step_measures[j] = v
-        p = _discounted_value(m, payoff, step_measures)
-        lower = min(lower, p)
-        upper = max(upper, p)
-    return float(lower), float(upper)
+        base, alt = _terminal_powers(m, payoff.terms, list(zip(classes.kinds, assignment))).T
+        prices.append(m.discount * (a * alt + b * base).sum())
+    return float(min(prices)), float(max(prices))

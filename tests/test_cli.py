@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from lecam.cli import main, CONVERGE_HEADER, LAN_HEADER
+from lecam.cli import main, build_parser, CONVERGE_HEADER, LAN_HEADER
 from test_pricing import crr_knock_out_price
 
 
@@ -725,6 +725,37 @@ class TestDeterminism:
                      "--payoff", spec_dir["call5"], "--out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_text() == stdout
+
+
+    def test_reused_parser_matches_fresh_parsers(self, spec_dir, capsys):
+        """One parser serves every ``main`` call of a process; a rejected
+        argument (argparse's ``SystemExit``) leaves it usable."""
+        market, payoff = ["--market", spec_dir["crr2"]], ["--payoff", spec_dir["call5"]]
+        calls = [
+            ["price", *market, *payoff],
+            ["complete", "--market", spec_dir["tri"], "--format", "json"],
+            ["np", *market, *payoff, "--format", "json"],
+            ["converge", "--study", spec_dir["study"]],
+            ["price", *market, *payoff, "--format", "xml"],
+            ["bounds", "--market", spec_dir["tri"], "--payoff", spec_dir["call1"]],
+            ["dynamics", *market, *payoff, "--state", "u"],
+        ]
+
+        def run(fresh):
+            results = []
+            for argv in calls:
+                if fresh:
+                    build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                results.append((capsys.readouterr().out, code))
+            return results
+
+        reused = run(fresh=False)
+        assert [code for _, code in reused] == [0, 1, 0, 0, ("exit", 2), 0, 0]
+        assert reused == run(fresh=True)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -298,10 +298,13 @@ class TestProduct:
                 expected *= per_factor[j][e.index()[outcome[j]]]
             assert abs(ratio[i] - expected) <= 1e-12
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         b = FiniteExperiment((1, 0), {"Q": [0.5, 0.5]}, "Q")
-        with pytest.raises(SizeLimit):
-            product([b] * 8, max_outcomes=100)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "255")
+        with pytest.raises(SizeLimit, match="exceeds cap 255"):
+            product([b] * 8)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "256")
+        assert product([b] * 8).size == 256
 
     def test_mismatched_names_rejected(self):
         a = FiniteExperiment((1, 0), {"Q": [0.5, 0.5]}, "Q")

@@ -44,6 +44,7 @@ from lecam import limits
 from lecam.lattice import (
     as_step_measures,
     backward_induction,
+    class_groups,
     count_distribution,
     path_products,
     require_martingale,
@@ -506,12 +507,21 @@ class TestCountLaws:
         _, probs = count_distribution([np.array([0.25, 0.5, 0.25])] * 1024)
         assert abs(probs.sum() - 1.0) <= 1e-14
 
-    def test_cap_checked_before_building(self):
-        with pytest.raises(SizeLimit):
-            count_distribution([np.array([0.2, 0.3, 0.5])] * 100, max_states=5000)
+    def test_cap_checked_before_building(self, monkeypatch):
+        # C(102, 2) = 5151 count states
+        identical = [np.array([0.2, 0.3, 0.5])] * 100
+        monkeypatch.setenv("LECAM_MAX_PATHS", "5150")
+        with pytest.raises(SizeLimit, match="count states 5151 exceed cap 5150"):
+            count_distribution(identical)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "5151")
+        assert len(count_distribution(identical)[0]) == 5151
+        # C(62, 2) = 1891 states, merged from 496 x 496 = 246016 pairwise sums
         mixed = [np.array([0.2, 0.3, 0.5])] * 30 + [np.array([0.4, 0.4, 0.2])] * 30
-        with pytest.raises(SizeLimit):
-            count_distribution(mixed, max_states=2000)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "246015")
+        with pytest.raises(SizeLimit, match="count states exceed cap 246015"):
+            count_distribution(mixed)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "246016")
+        assert len(count_distribution(mixed)[0]) == 1891
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +982,7 @@ class TestTerminalLogMasses:
                 logs = np.array([sum(math.log(m.returns[j][i][0]) for j, i in enumerate(p))
                                  for p in paths])
                 levels = probe_levels(logs[probs > 0.0])
-                got = terminal_log_masses(m, qs, levels)
+                got = terminal_log_masses(class_groups(m, qs), levels)
                 want = masses_oracle(logs, probs, ratios, levels)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
@@ -982,7 +992,8 @@ class TestTerminalLogMasses:
         values = (1.05, 1.0, 0.95)
         step = tuple((v, 1 / 3) for v in values)
         m = LatticeMarket(4, 1.0, 1.0, (step,) * 4, (0.0,) * 4)
-        got = terminal_log_masses(m, [np.array([0.0, 1.0, 0.0])] * 4, [-0.1, 0.0, 0.1])
+        groups = class_groups(m, [np.array([0.0, 1.0, 0.0])] * 4)
+        got = terminal_log_masses(groups, [-0.1, 0.0, 0.1])
         want = [[[0, 0, 1], [0, 1, 0], [1, 0, 0]]] * 2  # below, at, above
         np.testing.assert_array_equal(got, want)
 
@@ -999,7 +1010,7 @@ class TestTerminalLogMasses:
             qs = solve_martingale_measures(m).designated()
             logs, probs = terminal_log_law(m, qs)
             levels = probe_levels(logs)[:: max(1, len(logs) // 40)]
-            got = terminal_log_masses(m, qs, levels)
+            got = terminal_log_masses(class_groups(m, qs), levels)
             want = masses_oracle(logs, probs, np.exp(logs), levels)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
@@ -1008,27 +1019,28 @@ class TestTerminalLogMasses:
         qs = solve_martingale_measures(m).designated()
         levels = [-0.1, 0.0, 0.1]
         np.testing.assert_array_equal(
-            terminal_log_masses(m, [q.tolist() for q in qs], levels),
-            terminal_log_masses(m, qs, levels))
+            terminal_log_masses(class_groups(m, [q.tolist() for q in qs]), levels),
+            terminal_log_masses(class_groups(m, qs), levels))
         step = ((1.1, 0.5), (0.9, 0.5))
         m = LatticeMarket(2, 1.0, 1.0, (step, step), (0.0, 0.0))
         with pytest.raises(InvalidParams, match="share the support size"):
-            terminal_log_masses(m, [np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])], levels)
+            terminal_log_masses(class_groups(m, [np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])]),
+                                levels)
 
     def test_cap_checks_class_states_and_atoms(self, monkeypatch):
         m = build_crr(1.1, 0.9, 1.0, 0.5, 8, 1.0)
         qs = solve_martingale_measures(m).designated()
         monkeypatch.setenv("LECAM_MAX_PATHS", "8")
         with pytest.raises(SizeLimit, match="count states 9 exceed cap 8"):
-            terminal_log_masses(m, qs, [0.0])
+            terminal_log_masses(class_groups(m, qs), [0.0])
         # two classes of 9 states each: 9 atoms enumerated, the other class in closed form
         one, two = ((1.1, 0.5), (0.9, 0.5)), ((1.2, 0.5), (0.85, 0.5))
         m = LatticeMarket(16, 1.0, 1.0, (one,) * 8 + (two,) * 8, (0.0,) * 16)
         qs = solve_martingale_measures(m).designated()
         monkeypatch.setenv("LECAM_MAX_PATHS", "9")
-        terminal_log_masses(m, qs, [0.0])
+        terminal_log_masses(class_groups(m, qs), [0.0])
         three = ((1.3, 0.5), (0.75, 0.5))
         m = LatticeMarket(24, 1.0, 1.0, m.returns + (three,) * 8, (0.0,) * 24)
         qs = solve_martingale_measures(m).designated()
         with pytest.raises(SizeLimit, match="terminal atoms exceed cap 9"):
-            terminal_log_masses(m, qs, [0.0])
+            terminal_log_masses(class_groups(m, qs), [0.0])

@@ -759,13 +759,13 @@ def alternating(a, b, n):
 def count_laws(monkeypatch):
     """Count the law builds of ``price_bounds`` (one per priced assignment)."""
     calls = []
-    inner = pricing._discounted_value
+    inner = pricing._terminal_powers
 
     def counted(*args, **kwargs):
         calls.append(None)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(pricing, "_discounted_value", counted)
+    monkeypatch.setattr(pricing, "_terminal_powers", counted)
     return calls
 
 
@@ -835,6 +835,27 @@ class TestPriceBoundsMultisets:
             assert len(calls) == len(payoffs) * multiset_count(m)
             monkeypatch.undo()
 
+    def test_step_kinds_within_classes_match_ordered_enumeration(self, monkeypatch):
+        """Three interleaved classes, one of them holding two step kinds
+        (equal values, different real-world probabilities): classes, not
+        step kinds, are what the multisets range over."""
+        tri = tuple(zip(TRI_B, (0.2, 0.5, 0.3)))
+        tri_other = tuple(zip(TRI_B, (0.6, 0.1, 0.3)))
+        quad = tuple((v, 0.25) for v in QUAD_4)
+        pair = ((1.05, 0.4), (0.97, 0.6))
+        cycle = (tri, quad, tri_other, pair, tri, quad, pair)
+        m = LatticeMarket(7, 1.0, 2.0, cycle, RATES6 + (0.004,))
+        assert len(m.step_kinds.kinds) == 4 and len(m.classes.kinds) == 3
+        strike = m.s0 * m.bond_factor(m.steps) * 0.9871
+        lows, highs = self.ordered_bounds(m, strike)
+        calls = count_laws(monkeypatch)
+        for make, lo_want, hi_want in zip((payoff_european_call, payoff_european_put,
+                                           payoff_digital, payoff_straddle), lows, highs):
+            lo, hi = price_bounds(m, make(strike))
+            assert abs(lo - lo_want) <= 1e-12
+            assert abs(hi - hi_want) <= 1e-12
+        assert len(calls) == 4 * multiset_count(m)
+
     def test_large_n_against_binomial_convolution(self, monkeypatch):
         """Three values, none equal to one: both vertices have support two,
         so k steps on the first vertex and n - k on the second give X_T by
@@ -893,11 +914,14 @@ class TestPriceBoundsMultisets:
         assert math.comb(83, 3) == 91881 > limits.DEFAULT_MAX_COMBOS
         with pytest.raises(SizeLimit, match="vertex multisets exceed cap 65536"):
             price_bounds(big, payoff_european_call(2.0))
+        # 84 assignments; the class's C(9, 3) = 84 count states fit the same cap
         m = table_market([QUAD_4] * 6, (0.0,) * 6)
-        with pytest.raises(SizeLimit, match="cap 83"):
-            price_bounds(m, payoff_european_call(2.0), max_combos=83)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "83")
+        with pytest.raises(SizeLimit, match="vertex multisets exceed cap 83"):
+            price_bounds(m, payoff_european_call(2.0))
         assert calls == []
-        price_bounds(m, payoff_european_call(2.0), max_combos=84)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "84")
+        price_bounds(m, payoff_european_call(2.0))
         assert len(calls) == 84
 
 
