@@ -333,7 +333,7 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
     if t is None:
         return schedule.N
     steps = t / schedule.dt
-    n = round(steps)
+    n = round(steps) if math.isfinite(steps) else 0  # NaN and inf are no grid point
     if abs(steps - n) > 1e-9 or not 0 < n <= schedule.N:
         raise InvalidParams(f"time {t!r} is not a positive grid point")
     return int(n)

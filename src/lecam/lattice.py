@@ -33,6 +33,9 @@ and are compared as floats, so a barrier level exactly on a node is decided
 by rounding; ``terminal_log_masses`` decides ties in count units of its
 closed-form draw, so terminal prices do not depend on that rounding.
 
+Node prices need no market of their own: :func:`pinned_measures` pins each
+observed step to its move, the complementary experiment of the node's block.
+
 Martingale measures are solved per distinct step by vertex enumeration of
 the polytope ``{q >= 0, sum q = 1, sum q*u = 1}``; every vertex has support
 of size one or two, so enumeration is exact and needs no LP solver.
@@ -266,9 +269,12 @@ class PathState:
     def validate(self, market: LatticeMarket) -> None:
         if self.t > market.steps:
             raise InvalidState(f"state time {self.t} exceeds market steps {market.steps}")
-        for j, i in enumerate(self.moves):
-            if not 0 <= i < len(market.returns[j]):
-                raise InvalidState(f"move index {i} invalid at step {j}")
+        kinds = market.step_kinds
+        sizes = np.array([len(step) for step in kinds.kinds])[kinds.index[:self.t]]
+        moves = np.array(self.moves)  # an object array for moves beyond int64
+        bad = np.flatnonzero((moves < 0) | (moves >= sizes))
+        if len(bad):
+            raise InvalidState(f"move index {self.moves[bad[0]]} invalid at step {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -494,7 +500,7 @@ def as_step_measures(m: LatticeMarket, q) -> StepKinds:
             raise InvalidParams(f"step {j} measure has wrong length")
         if np.any(v < 0.0):
             raise InvalidParams(f"step {j} measure has negative mass")
-        if abs(float(v.sum()) - 1.0) > ATOL:
+        if not abs(float(v.sum()) - 1.0) <= ATOL:  # NaN fails too
             raise InvalidParams(f"step {j} measure sums to {float(v.sum())!r}")
     return measures
 
@@ -507,12 +513,28 @@ def require_martingale(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     for (c, k), j in zip(pairs.kinds, pairs.first.tolist()):
         v = measures.kinds[k]
         gap = abs(float(v @ np.array(m.classes.kinds[c])) - 1.0)
-        if gap > ATOL:
+        if not gap <= ATOL:
             raise InvalidParams(
                 f"step {j} measure is not a martingale measure (gap {gap:.3e})"
             )
-        if strict and np.any(v <= 0.0):
+        if strict and not np.all(v > 0.0):
             raise InvalidParams(f"step {j} measure is not strictly positive")
+
+
+def pinned_measures(m: LatticeMarket, step_measures: StepKinds,
+                    state: PathState) -> StepKinds:
+    """``step_measures`` with each step ``j < t`` set to the unit vector of
+    its move in ``state``, one per distinct (step kind, move): the law given
+    the observed moves, the complementary experiment of the node's block."""
+    state.validate(m)
+    kinds, t = m.step_kinds, state.t
+    width = max(map(len, kinds.kinds))
+    units = len(kinds.kinds) * width  # codes below are pinned (kind, move) pairs
+    codes = np.r_[kinds.index[:t] * width + np.array(state.moves, dtype=np.intp),
+                  units + step_measures.index[t:]]
+    used, index, _ = _by_first_step(codes)
+    return StepKinds(tuple(np.eye(len(kinds.kinds[c // width]))[c % width] if c < units
+                           else step_measures.kinds[c - units] for c in used.tolist()), index)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +773,10 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
     delta``, and a level within :data:`TIE_TOL` of an integer ``t`` sits at
     that atom.  Under ``Q1`` the draw is tilted: with ``lam`` the log of its
     mean return ``mu``, an atom of log ``a`` weighs ``e^(a + n lam)`` and
-    draws from ``Bin(n, rho v_hi / mu)``.
+    draws from ``Bin(n, rho v_hi / mu)``.  A group with one live outcome
+    (pinned moves) is a fixed count of its class and counts for no state;
+    with no draw left, ties are read in units of the smallest log gap
+    between the values of a step.
 
     Raises :class:`~lecam.errors.SizeLimit` when a class's count states
     ``C(n + k - 1, k - 1)`` exceed the state cap, checked before anything is
@@ -759,18 +784,26 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
     """
     cap = limits.max_states()
     last, saving = None, 1.0
+    split = []  # per class: its values, fixed count and random groups
     for values, groups in classes:
-        _check_count_states(sum(size for _, size in groups), len(values), cap)
+        # a group with one live outcome (pinned moves) is a fixed count: no state, no law
+        random = [group for group in groups if np.count_nonzero(group[0]) > 1]
+        fixed = sum(size * (q > 0) for q, size in groups if np.count_nonzero(q) == 1)
+        _check_count_states(sum(size for _, size in random), len(values), cap)
+        split.append((values, fixed, random))
         # the closed-form draw: the group whose law it shrinks the most, from
         # C(n + l - 1, l - 1) rows to C(n + l - 2, l - 2) for l live outcomes
-        for group in groups:
+        for group in random:
             live = np.count_nonzero(group[0])
-            if live > 1 and (group[1] + live - 1) / (live - 1) > saving:
+            if (group[1] + live - 1) / (live - 1) > saving:
                 last, last_values, saving = group, values, (group[1] + live - 1) / (live - 1)
 
     logs, probs, draws = np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64)
-    log_lo, delta, rho, tilt, drift = 0.0, 1.0, 0.0, 0.0, 0.0  # no random step: a draw of none
-    if last is not None:
+    log_lo, delta, rho, tilt, drift = 0.0, 1.0, 0.0, 0.0, 0.0
+    if last is None:  # no random step: a draw of none, its unit the smallest log gap of a step
+        delta = min((np.diff(np.log(np.sort(values))).min()
+                     for values, _ in classes if len(values) > 1), default=1.0)
+    else:
         q, size = last
         live = np.flatnonzero(q)
         draws[0] = size
@@ -784,11 +817,11 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
         drift = math.log1p((q_lo * (v_lo - 1.0) + q_hi * (v_hi - 1.0)) / (q_lo + q_hi))
         tilt = min(rho * v_hi * math.exp(-drift), 1.0)
     laws = [(logs, probs)]  # the chain first, so each of its draws repeats in ravel order
-    for values, groups in classes:
-        rest = [g for g in groups if g is not last]
-        if rest:
-            counts, more = _grouped_count_law(rest, len(values), cap)
-            laws.append((_count_logs(counts, values), more))
+    for values, fixed, random in split:  # a class with nothing left adds 0.0 to every atom
+        rest = [g for g in random if g is not last]
+        counts, more = (_grouped_count_law(rest, len(values), cap) if rest
+                        else (np.zeros((1, len(values)), dtype=np.int64), np.ones(1)))
+        laws.append((_count_logs(counts + fixed, values), more))
     logs, probs = combine_additive_laws(laws)
     draws = draws.repeat(len(logs) // len(draws))
     base = logs + draws * log_lo
@@ -961,36 +994,6 @@ def verify_representation(m: LatticeMarket, q, atol: float = ATOL) -> bool:
         if not np.allclose(value, x, rtol=0.0, atol=atol):
             return False
     return True
-
-
-def node_spot(m: LatticeMarket, state: PathState) -> float:
-    """Undiscounted asset price at the node reached by ``state``."""
-    spot = m.s0
-    for j, i in enumerate(state.moves):
-        spot *= m.returns[j][i][0] * (1.0 + m.bond_rates[j])
-    return spot
-
-
-def complementary_market(m: LatticeMarket, state: PathState) -> LatticeMarket:
-    """The market seen from a node: remaining steps, spot price re-based.
-
-    The new market keeps the remaining return distributions and bond rates;
-    its initial price is the observed undiscounted price at the node.  Its
-    induced experiment is the complementary experiment of the original one
-    at the node's partition, restricted to the observed block.
-    """
-    state.validate(m)
-    t = state.t
-    if t >= m.steps:
-        raise InvalidState("no steps remain after the observed node")
-    remaining = m.steps - t
-    return LatticeMarket(
-        steps=remaining,
-        horizon=m.horizon * remaining / m.steps,
-        s0=node_spot(m, state),
-        returns=m.returns[t:],
-        bond_rates=m.bond_rates[t:],
-    )
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ recombined lattice (:func:`lecam.lattice.backward_induction`), each
 knocked out at its own level; no production route enumerates paths.
 ``np_decomposition`` poses a call's testing problem on the two blocks of
 its cut, with block masses read from the same closed-form masses, so its
-price equals ``price_via_tests``.
+price equals ``price_via_tests``.  ``dynamic_price`` is ``price_direct``
+with the observed moves pinned, node ties decided as there.
 
 Tests are structural: terminal tests are piecewise constant in ``S_T`` with
 explicit cuts, so that limit models can integrate them in closed form.
@@ -58,8 +59,7 @@ from .lattice import (
     as_step_measures,
     backward_induction,
     class_groups,
-    complementary_market,
-    node_spot,
+    pinned_measures,
     require_martingale,
     solve_martingale_measures,
     terminal_log_masses,
@@ -516,7 +516,7 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff) -> CallDecomposition:
     price = m.s0 * p_alt - disc * strike * p_base
     risk = bayes_risk(exp, "Q", "Q1", test, priors)
     closed = (m.s0 - price) / (m.s0 + strike * disc)
-    if abs(risk - closed) > 1e-11:
+    if not abs(risk - closed) <= 1e-11:  # NaN fails too
         raise SelfCheckFailed(
             f"Bayes-risk identity violated (risk={risk!r}, closed={closed!r})"
         )
@@ -525,26 +525,19 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff) -> CallDecomposition:
 
 
 def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState) -> float:
-    """Arbitrage price at an interior node, via the re-based market.
-
-    Only terminal-value payoffs are supported: re-basing the market at a
-    node preserves the terminal price but not the path seen so far.
+    """Arbitrage price at the node reached by ``state``: ``B_t`` times the
+    :func:`price_direct` route on the full market, with the observed moves
+    pinned (:func:`lecam.lattice.pinned_measures`), for every ``t`` from 0
+    to ``N``.  Only terminal-value payoffs are supported.
     """
     if not payoff.terminal_only:
         raise PathDependenceUnsupported(
             "dynamic prices are only defined here for terminal-value payoffs"
         )
-    state.validate(m)
     step_measures = as_step_measures(m, q)
     require_martingale(m, step_measures)
-    if state.t == m.steps:
-        spot = node_spot(m, state)
-        total = 0.0
-        for term in payoff.terms:
-            total += (term.coeff * spot - term.strike) * term.terminal(spot)
-        return float(total)
-    rest = complementary_market(m, state)
-    return _discounted_value(rest, payoff, step_measures[state.t:])
+    pinned = pinned_measures(m, step_measures, state)
+    return m.bond_factor(state.t) * _discounted_value(m, payoff, pinned)
 
 
 def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:

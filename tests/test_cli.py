@@ -625,8 +625,8 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: market spec malformed")
 
     def test_non_finite_inputs_exit_3(self, spec_dir, capsys):
-        """NaN or infinite strikes, rates and probabilities are spec errors,
-        in every command that reads them."""
+        """NaN or infinite strikes, rates, probabilities, measures and times
+        are spec errors, in every command that reads them."""
         nan, inf = math.nan, math.inf
         table = dict(TRI, N=8, returns={"type": "table",
                                         "values": [1.3, 1.1, 0.9, 0.6],
@@ -642,6 +642,8 @@ class TestErrorPaths:
             "study": dict(STUDY, payoff={"type": "call", "K": nan}),
             "nan_threshold": dict(STUDY, threshold=nan),
             "inf_steps": dict(CRR1, N=inf),
+            "crr4": dict(CRR1, N=4),
+            "nan_row": [[1 / 3, 2 / 3], [1 / 3, 2 / 3], [nan, nan], [1 / 3, 2 / 3]],
         }
         path = {}
         for name, doc in specs.items():
@@ -658,6 +660,12 @@ class TestErrorPaths:
             ["converge", "--study", path["nan_threshold"]],
             ["converge", "--study", spec_dir["study"], "--threshold", "inf"],
             ["price", "--market", path["inf_steps"], "--payoff", spec_dir["call5"]],
+            *([*cmd, "--market", path["crr4"], "--payoff", spec_dir["call5"],
+               "--measure", measure]
+              for cmd in (["price"], ["np"], ["dynamics", "--state", "u"])
+              for measure in ("nan,nan", f"@{path['nan_row']}")),
+            ["lan-report", "--study", spec_dir["study"], "--t", "nan"],
+            ["lan-report", "--study", spec_dir["study"], "--t", "inf"],
         ):
             rc = main([str(a) for a in argv])
             captured = capsys.readouterr()

@@ -22,7 +22,6 @@ from lecam import (
     SizeLimit,
     build_crr,
     complementary,
-    complementary_market,
     discounted_likelihood_process,
     enumerate_paths,
     image_experiment_check,
@@ -47,6 +46,7 @@ from lecam.lattice import (
     class_groups,
     count_distribution,
     path_products,
+    pinned_measures,
     require_martingale,
     terminal_log_law,
     terminal_log_masses,
@@ -649,47 +649,35 @@ class TestBackwardInduction:
 
 
 class TestComplementaryMarket:
-    def test_spot_and_shape_after_up(self):
-        m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
-        sub = complementary_market(m, PathState(1, (0,)))
-        assert sub.steps == 1
-        assert sub.s0 == pytest.approx(8.0)
-        np.testing.assert_allclose(sub.step_values(0), [2.0, 0.5])
-
-    def test_terminal_state_rejected(self):
-        m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
-        with pytest.raises(InvalidState):
-            complementary_market(m, PathState(2, (0, 0)))
-
     def test_matches_complementary_experiment(self):
-        """Sub-market experiment == complementary experiment at the node.
+        """Pinned step measures == complementary experiment at the node.
 
         The complementary measure of the full path experiment, conditioned
-        on the sigma-field of the first t moves, must coincide with the
-        experiment induced by the market restarted at the node.
+        on the block of the first t moves, must coincide with the path law
+        of the step measures with those moves pinned: ``Q`` on the block and
+        ``Q1 = (x_T / x_t) . Q``, with no mass off the block.
         """
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
             m = random_market(rng, max_steps=3)
             if m.steps < 2:
                 continue
-            qs = solve_martingale_measures(m).designated()
+            qs = as_step_measures(m, solve_martingale_measures(m).designated())
             exp = induced_experiment(m, qs)
             t = int(rng.integers(1, m.steps))
             part = Partition.by_key(exp.outcomes, lambda w: w[:t])
             comp = complementary(exp, part)
+            paths = enumerate_paths(m)
+            x = path_products(m, paths)
             for prefix in sorted({w[:t] for w in exp.outcomes}):
-                state = PathState(t, prefix)
-                sub = complementary_market(m, state)
-                sub_qs = qs[t:]
-                sub_exp = induced_experiment(sub, sub_qs)
-                idx = exp.index()
-                sel = [idx[prefix + tail] for tail in sub_exp.outcomes]
-                for name in ("Q", "Q1"):
-                    block = comp.measure(name)[sel]
-                    cond = block / block.sum()
+                pinned = pinned_measures(m, qs, PathState(t, prefix))
+                law = path_probabilities(m, paths, pinned)
+                on = (paths[:, :t] == prefix).all(axis=1)
+                assert not law[~on].any()
+                for name, expected in (("Q", law), ("Q1", law * x[:, -1] / x[:, t])):
+                    block = comp.measure(name)[on]
                     np.testing.assert_allclose(
-                        cond, sub_exp.measure(name), rtol=0.0, atol=1e-12
+                        block / block.sum(), expected[on], rtol=0.0, atol=1e-12
                     )
 
 

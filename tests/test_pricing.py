@@ -468,6 +468,19 @@ class TestDynamicPrice:
         assert dynamic_price(m, qs, call, PathState(2, (0, 0))) == pytest.approx(11.0)
         assert dynamic_price(m, qs, call, PathState(2, (1, 1))) == 0.0
 
+    def test_maturity_tie_window_is_that_of_earlier_nodes(self):
+        """With every move observed no draw is left; a strike is at the node
+        within ``TIE_TOL`` units of the step's log gap, as before maturity,
+        so one 5e-10 below the node (2.5e-9 units of the log gap 0.2) is no
+        tie at any date."""
+        m = build_crr(1.1, 0.9, 1.0, 0.5, 2, 100.0)
+        qs = solve_martingale_measures(m).designated()
+        q_up = float(qs[1][0])
+        for rel, pays in ((0.0, (0.0, 0.0)), (5e-10, (q_up, 1.0))):
+            digital = payoff_digital(121.0 * (1.0 - rel))
+            got = [dynamic_price(m, qs, digital, PathState(t, (0,) * t)) for t in (1, 2)]
+            assert got == pytest.approx(pays, abs=1e-15), rel
+
     def test_root_state_recovers_the_price(self):
         rng = np.random.default_rng(RNG_SEED)
         m = random_market(rng, max_steps=3)
@@ -476,6 +489,20 @@ class TestDynamicPrice:
         assert dynamic_price(m, qs, call, PathState(0, ())) == pytest.approx(
             price_direct(m, qs, call), abs=1e-13
         )
+
+    def test_deep_node_matches_exact_binomial_sum(self):
+        """CRR N=65536 at t = N/2 with half the observed moves up: the node
+        is pinned in count units, not re-based on a float product of t
+        returns.  The reference is the binomial sum over the remaining N/2
+        steps, evaluated with mpmath at 60 digits from the exact binary
+        values the market stores (``u/r``, ``d/r``, the bond factor
+        ``1 + (r - 1)``, ``q = (1 - d/r) / (u/r - d/r)``)."""
+        m = build_crr(1.0008, 0.9992, 1.0000001, 0.5, 65536, 100.0)
+        qs = solve_martingale_measures(m).designated()
+        half = 65536 // 2
+        state = PathState(half, (0, 1) * (half // 2))
+        got = dynamic_price(m, qs, payoff_european_call(100.0), state)
+        assert abs(got / 5.3818119438765018 - 1.0) <= 1e-13
 
     def test_path_dependent_rejected(self):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 2, 4.0)
@@ -702,7 +729,9 @@ class TestClosedFormPowers:
         """Strikes on the at-the-money node: ``d = 1/u`` and ``K = s0``, so a
         path ends above the strike exactly when it has more than ``N/2`` up
         moves, whatever the rounding of the node price.  The digital's powers
-        stay the same inside a sum with a knock-out term."""
+        stay the same inside a sum with a knock-out term, and at maturity the
+        node on the strike is the same tie: the digital pays nothing there,
+        whichever order its moves came in."""
         markets = 0
         for u in np.round(np.arange(1.01, 1.495, 0.01), 2):
             q = 1.0 / (u + 1.0)  # (1 - d) / (u - d)
@@ -719,6 +748,10 @@ class TestClosedFormPowers:
                 beside = price_via_tests(m, qs, both).terms[0]
                 assert (beside.power_alt, beside.power_base) == (
                     alone.terms[0].power_alt, alone.terms[0].power_base), (u, n)
+                half = n // 2
+                for moves in ((0,) * half + (1,) * half, (1,) * half + (0,) * half,
+                              (0, 1) * half, (1, 0) * half):
+                    assert dynamic_price(m, qs, digital, PathState(n, moves)) == 0.0, (u, moves)
                 markets += 1
         assert markets == 294
 
