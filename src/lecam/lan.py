@@ -8,10 +8,13 @@ per step and compounding returns ``(1 + sigma*sqrt(T/N)*g) / (1 + rho*T/N)``
 produces lattice markets whose log prices obey a local asymptotic normality
 expansion.  The diagnostics here take means and variances as sums of
 per-step moments, exact because the steps are independent, and the CDF
-sup-distance from the *exact* finite-``N`` sorted law of ``log S_t``
-(:func:`lecam.lattice.terminal_log_law` on the discrete model's market,
-grouping equal steps, so state counts grow polynomially), the one consumer
-of that law in the package.  Call prices come from
+sup-distance from the finite-``N`` sorted law of ``log S_t`` on the counts
+that carry mass (:func:`lecam.lattice.terminal_log_law` on the discrete
+model's market, grouping equal steps, each binomial draw on its Hoeffding
+window), the one consumer of that law in the package.  The counts left out
+hold at most ``LAW_TAIL = 1e-20`` of the mass per draw, ``4e-20`` in all for
+the one- and two-piece schedules here, and move the distance by no more.
+Call prices come from
 :func:`lecam.pricing.price_direct`, which builds no law of ``S_T``.  The
 diagnostics report the distance from the Gaussian limit:
 
@@ -25,8 +28,9 @@ diagnostics report the distance from the Gaussian limit:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -198,7 +202,9 @@ class Schedule:
     ``sigmas[j]`` is the un-scaled volatility of step ``j`` (the per-step
     perturbation is ``sigmas[j] * sqrt(T/N)``); ``rhos[j]`` the un-scaled
     simple rate (per-step rate ``rhos[j] * T/N``).  The limit functions are
-    kept alongside so diagnostics can compute their integrals.
+    kept alongside so diagnostics can compute their integrals.  Validation
+    computes the per-step volatilities and rates once, as read-only arrays
+    (``step_vols``, ``step_rates``).
     """
 
     N: int
@@ -207,26 +213,30 @@ class Schedule:
     rhos: tuple[float, ...]
     limit_sigma: StepFunction
     limit_rate: StepFunction
+    step_vols: np.ndarray = field(init=False, repr=False, compare=False)
+    step_rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise InvalidParams(f"N must be >= 1, got {self.N}")
         if not self.horizon > 0.0:
             raise InvalidParams(f"horizon must be positive, got {self.horizon!r}")
-        sigmas = tuple(float(s) for s in self.sigmas)
-        rhos = tuple(float(r) for r in self.rhos)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "rhos", rhos)
-        if len(sigmas) != self.N or len(rhos) != self.N:
+        sigmas = np.array(self.sigmas, dtype=float)
+        rhos = np.array(self.rhos, dtype=float)
+        if sigmas.shape != (self.N,) or rhos.shape != (self.N,):
             raise InvalidParams("need one sigma and one rho per step")
-        if not all(0.0 < s < math.inf for s in sigmas):
+        if not np.all((0.0 < sigmas) & (sigmas < math.inf)):
             raise InvalidParams("volatilities must be strictly positive and finite")
-        if not all(0.0 <= r < math.inf for r in rhos):
+        if not np.all((0.0 <= rhos) & (rhos < math.inf)):
             raise InvalidParams("rates must be nonnegative and finite")
         if abs(self.limit_sigma.horizon - self.horizon) > 1e-12:
             raise InvalidParams("limit sigma horizon does not match the grid")
         if abs(self.limit_rate.horizon - self.horizon) > 1e-12:
             raise InvalidParams("limit rate horizon does not match the grid")
+        vols, rates = sigmas * math.sqrt(self.dt), rhos * self.dt
+        vols.flags.writeable = rates.flags.writeable = False
+        self.__dict__.update(sigmas=tuple(sigmas.tolist()), rhos=tuple(rhos.tolist()),
+                             step_vols=vols, step_rates=rates)
 
     @property
     def dt(self) -> float:
@@ -234,11 +244,16 @@ class Schedule:
 
     def step_vol(self, j: int) -> float:
         """Per-step volatility ``sigma_j * sqrt(T/N)``."""
-        return self.sigmas[j] * math.sqrt(self.dt)
+        return float(self.step_vols[j])
 
     def step_rate(self, j: int) -> float:
         """Per-step simple rate ``rho_j * T/N``."""
-        return self.rhos[j] * self.dt
+        return float(self.step_rates[j])
+
+    @functools.cached_property
+    def pieces(self) -> StepKinds:
+        """The steps grouped by equal ``(sigma, rho)``, once per schedule."""
+        return group_steps(zip(self.sigmas, self.rhos))
 
     def sigma_l2_gap(self) -> float:
         """``integral (sigma_N - sigma)^2`` over ``[0, T]`` (step vs limit)."""
@@ -291,9 +306,9 @@ def _discrete_market(path: TangentPath, schedule: Schedule,
                      s0: float) -> tuple[LatticeMarket, StepKinds]:
     """The market of :func:`build_discrete_model`, without its measures, and
     each step's ``(step_vol, step_rate)``, once per distinct ``(sigma, rho)``."""
-    pieces = group_steps(zip(schedule.sigmas, schedule.rhos))
-    params = StepKinds(tuple((schedule.step_vol(j), schedule.step_rate(j))
-                             for j in pieces.first.tolist()), pieces.index)
+    pieces = schedule.pieces
+    params = StepKinds(tuple(zip(schedule.step_vols[pieces.first].tolist(),
+                                 schedule.step_rates[pieces.first].tolist())), pieces.index)
     g = np.array(path.g)
 
     def step_returns(vol_rate: tuple[float, float]) -> tuple:
@@ -326,7 +341,7 @@ def build_discrete_model(path: TangentPath, schedule: Schedule,
 
 
 # ---------------------------------------------------------------------------
-# exact finite-N laws and moments
+# finite-N laws and moments
 # ---------------------------------------------------------------------------
 
 def _grid_steps(schedule: Schedule, t: float | None) -> int:
@@ -341,8 +356,9 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
 
 def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of ``log(S_n / S_0)`` over the market's first ``n`` steps:
-    the grouped law of ``log(X_n / X_0)`` shifted by ``log B_n``."""
+    """The law of ``log(S_n / S_0)`` over the market's first ``n`` steps, on
+    the counts that carry mass: the grouped law of ``log(X_n / X_0)``
+    shifted by ``log B_n``."""
     head = market.head(n)
     try:
         values, probs = terminal_log_law(head, measures[:n])
@@ -353,8 +369,13 @@ def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
 
 def _step_moves(path: TangentPath, schedule: Schedule, n: int) -> np.ndarray:
     """Per-step perturbations ``sigma_j sqrt(T/N) g``, shape ``(n, k)``."""
-    vols = np.array([schedule.step_vol(j) for j in range(n)])
-    return vols[:, None] * np.array(path.g)
+    return schedule.step_vols[:n, None] * np.array(path.g)
+
+
+def _left_sum(x: np.ndarray) -> float:
+    """``x`` summed left to right, a running sum: a printed gap at the
+    rounding level then does not depend on numpy's pairwise blocking."""
+    return float(np.cumsum(x)[-1])
 
 
 def _moment_sums(probs: np.ndarray, contrib: np.ndarray) -> tuple[float, float]:
@@ -372,9 +393,12 @@ _TAIL_Z = 8.5
 def _cdf_sup_distance(values: np.ndarray, probs: np.ndarray,
                       mean: float, var: float) -> float:
     """Kolmogorov distance ``sup_y |F(y) - Phi((y - mean)/sd)|``, exact to
-    within 1e-17.
+    within 1e-17 for the law ``(values, probs)``.
 
     ``values`` must be sorted increasingly, as :func:`terminal_log_law` returns them.
+    That law leaves out at most ``LAW_TAIL`` times its number of binomial
+    draws of the mass (``4e-20`` for the schedules of :mod:`lecam.lan`), so
+    ``F`` and the distance are within that of the full law's.
     ``F`` is a step function and ``Phi`` increasing, so the sup is attained
     at an atom: by the right limit ``F(v)`` above ``Phi(v)``, or by the left
     limit ``F(v-) = F(v) - P(v)`` below it.  Atoms more than ``_TAIL_Z``
@@ -394,7 +418,9 @@ def _cdf_sup_distance(values: np.ndarray, probs: np.ndarray,
 
 @dataclass(frozen=True)
 class LanReport:
-    """Exact law of ``log S`` under the real-world products vs its limit."""
+    """Law of ``log S`` under the real-world products vs its limit;
+    ``states`` counts the atoms of the windowed law of
+    :func:`lecam.lattice.terminal_log_law`."""
 
     N: int
     t: float
@@ -410,7 +436,7 @@ class LanReport:
 
 def lan_diagnostics(path: TangentPath, schedule: Schedule,
                     t: float | None = None) -> LanReport:
-    """Compare the exact law of ``log S_t`` under ``P0``-products with the
+    """Compare the law of ``log S_t`` under ``P0``-products with the
     Gaussian local expansion.
 
     Needs no martingale measure.  Raises
@@ -420,15 +446,16 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     market, _ = _discrete_market(path, schedule, 1.0)
-    values, probs = _log_price_law(market, [path.probs] * n, n)
+    every_step = StepKinds((path.probs,), np.zeros(n, dtype=np.intp))
+    values, probs = _log_price_law(market, every_step, n)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
-    noether = max(schedule.step_vol(j) for j in range(n))
-    riemann = abs(sum(schedule.step_vol(j) ** 2 for j in range(n)) - v_limit)
+    vols = schedule.step_vols[:n]
+    riemann = abs(_left_sum(vols ** 2) - v_limit)
     return LanReport(
         N=schedule.N,
         t=t_val,
-        noether_max=noether,
+        noether_max=float(vols.max()),
         riemann_gap=riemann,
         mean=mean,
         var=var,
@@ -441,7 +468,7 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
 
 @dataclass(frozen=True)
 class ThirdLemmaReport:
-    """Exact laws under the designated martingale measures vs their limits.
+    """Laws under the designated martingale measures vs their limits.
 
     ``z`` is the linear statistic ``sum sigma_j sqrt(T/N) g(x_j)``; its limit
     mean is the integrated rate.  ``log S`` has limit mean
@@ -449,7 +476,8 @@ class ThirdLemmaReport:
     ``integral sigma^2``.  ``alpha`` is the accumulated squared local
     parameter ``sum theta_j^2``, with ``theta_j = rho_j sqrt(T/N) / sigma_j``
     the parameter of step ``j``'s designated measure (reported, no limit
-    asserted).
+    asserted).  ``states`` counts the atoms of the windowed law of ``log S``,
+    as in :class:`LanReport`.
     """
 
     N: int
@@ -469,7 +497,7 @@ class ThirdLemmaReport:
 
 def third_lemma_check(path: TangentPath, schedule: Schedule,
                       t: float | None = None) -> ThirdLemmaReport:
-    """Exact measure-changed laws against the shifted Gaussian limit.
+    """Measure-changed laws against the shifted Gaussian limit.
 
     The measures are those of :func:`build_discrete_model`, so every step of
     the grid, not only those up to ``t``, must admit one.
@@ -481,6 +509,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     measures = np.array(model.measures.kinds)[model.measures.index[:n]]
+    thetas = np.array(model.thetas.kinds)[model.thetas.index[:n]]
     moves = _step_moves(path, schedule, n)
     z_mean, z_var = _moment_sums(measures, moves)
     s_mean, s_var = _moment_sums(measures, np.log(1.0 + moves))
@@ -495,7 +524,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
         logs_mean_gap=abs(s_mean - (r_limit - 0.5 * v_limit)),
         logs_var=s_var,
         logs_var_gap=abs(s_var - v_limit),
-        alpha=sum(theta**2 for theta in model.thetas[:n]),
+        alpha=_left_sum(thetas ** 2),
         cdf_sup_distance=_cdf_sup_distance(
             values, probs, r_limit - 0.5 * v_limit, v_limit
         ),
@@ -548,7 +577,7 @@ def convergence_study(path: TangentPath, family: Callable[[int], Schedule],
             p_n=p_n,
             p_limit=p_limit,
             abs_gap=abs(p_n - p_limit),
-            noether_max=max(schedule.step_vol(j) for j in range(schedule.N)),
+            noether_max=float(schedule.step_vols.max()),
             var_gap=abs(var - schedule.limit_sigma.integral_sq(schedule.N * schedule.dt)),
         ))
     return rows

@@ -11,8 +11,10 @@ experiments of :mod:`lecam.experiments`:
   masses below, at and above given levels of ``log(X_T/X_0)`` under ``Q``
   and ``Q1 = (X_T/X_0) . Q``, from binomial tails, ties decided in count
   units, without any law of ``X_T``;
-* ``terminal_log_law`` is the sorted law of ``log(X_T/X_0)``, for the one
-  consumer of a sorted CDF (the sup-distance of :mod:`lecam.lan`);
+* ``terminal_log_law`` is the sorted law of ``log(X_T/X_0)`` on the counts
+  that carry mass, each binomial draw on its Hoeffding window, for the one
+  consumer of a sorted CDF (the sup-distance of :mod:`lecam.lan`); prices
+  never window a draw, as a far tail term needs its tail-relative accuracy;
 * ``backward_induction`` rolls node values back over the recombined
   lattice, whose nodes are integer count vectors per return class; it
   prices barriers and serves ``verify_representation``;
@@ -261,7 +263,7 @@ class PathState:
     moves: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moves = tuple(int(i) for i in self.moves)
+        moves = tuple(map(int, self.moves))
         object.__setattr__(self, "moves", moves)
         if self.t < 0 or len(moves) != self.t:
             raise InvalidState(f"state needs exactly t={self.t} observed moves")
@@ -593,35 +595,55 @@ def path_prices(m: LatticeMarket, paths: np.ndarray) -> np.ndarray:
 # grouped (recombining) laws
 # ---------------------------------------------------------------------------
 
-def _chain(n: int, q: np.ndarray,
-           outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window(n, p: float, tail: float):
+    """The first count ``lo`` and the number ``width`` of counts of
+    ``Bin(n, p)`` that a draw keeps: all of ``[0, n]`` for ``tail = 0``,
+    else those within ``s = sqrt(n ln(2/tail) / 2)`` of ``n p``, outside
+    which Hoeffding's inequality ``P(|X - n p| >= s) <= 2 exp(-2 s^2 / n)``
+    leaves at most ``tail`` of the mass."""
+    if not tail:
+        return 0, n + 1
+    s = np.sqrt(n * (math.log(2.0 / tail) / 2.0))
+    lo = np.maximum(np.ceil(n * p - s), 0).astype(np.int64)
+    return lo, np.minimum(np.floor(n * p + s), n).astype(np.int64) - lo + 1
+
+
+def _chain(n: int, q: np.ndarray, outcomes: np.ndarray,
+           tail: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first draws of the multinomial chain of ``n`` steps with measure
     ``q``: each outcome of ``outcomes`` in turn draws its count from
-    ``Bin(rest, q_i / (q_i + mass of the outcomes after it))``.  Returns the
-    count rows (undrawn outcomes at zero), their probabilities and the
-    counts left to the outcomes after the last one drawn."""
+    ``Bin(rest, q_i / (q_i + mass of the outcomes after it))``, on its
+    :func:`_window` for ``tail``.  Returns the count rows (undrawn outcomes
+    at zero), their probabilities and the counts left to the outcomes after
+    the last one drawn.  With ``tail > 0`` it raises
+    :class:`~lecam.errors.SizeLimit` when the rows of a draw, counted before
+    they are built, exceed the state cap; callers of the full chain count
+    its ``C(n + k - 1, k - 1)`` rows first."""
     tails = np.cumsum(q[::-1])[::-1]
     counts = np.zeros((1, len(q)), dtype=np.int64)
     probs = np.ones(1)
     rest = np.full(1, n, dtype=np.int64)
     for i in outcomes:
-        width = rest + 1
+        p = min(q[i] / tails[i], 1.0)
+        lo, width = _window(rest, p, tail)
+        if tail and width.sum() > (cap := limits.max_states()):
+            raise SizeLimit(f"count states exceed cap {cap}")
         row = np.repeat(np.arange(len(rest)), width)
-        draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width - lo, width)
         counts = counts[row]
         counts[:, i] = draw
-        probs = probs[row] * _binom_pmf(draw, rest[row], min(q[i] / tails[i], 1.0))
+        probs = probs[row] * _binom_pmf(draw, rest[row], p)
         rest = rest[row] - draw
     return counts, probs, rest
 
 
-def _identical_law(n: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _identical_law(n: int, q: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:
     """Multinomial law of the outcome counts of ``n`` steps with measure
     ``q``, rows in lexicographic order: the chain over every live outcome
     but the last, which takes the remainder; zero-mass outcomes carry no
     count."""
     live = np.flatnonzero(q > 0.0)
-    counts, probs, rest = _chain(n, q, live[:-1])
+    counts, probs, rest = _chain(n, q, live[:-1], tail)
     counts[:, live[-1]] = rest
     return counts, probs
 
@@ -639,7 +661,8 @@ def _composition_rank(counts: np.ndarray) -> np.ndarray:
     return rank
 
 
-def count_distribution(qs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def count_distribution(qs: Sequence[np.ndarray],
+                       tail: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Joint law of outcome counts over steps sharing one support: ``qs``
     holds one probability vector of length ``k`` per step.
 
@@ -648,16 +671,21 @@ def count_distribution(qs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray
     closed-form multinomial per group of equal step measures (Loader's
     saddle-point binomial pmfs), the groups convolved.  Raises
     :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
-    pairwise sums that merge two groups, exceed the state cap.
+    pairwise sums that merge two groups, exceed the state cap.  A private
+    ``tail > 0`` keeps each binomial draw on its :func:`_window` (the law of
+    :func:`terminal_log_law`), and the cap then counts the windowed rows.
     """
     measures = group_steps(qs, _as_float)
     k = len(measures.kinds[0])
     if any(len(q) != k for q in measures.kinds):
         raise InvalidParams("all steps in a class must share the support size")
     cap = limits.max_states()
-    _check_count_states(len(measures), k, cap)
+    if tail and 2 * len(measures) <= math.log(2.0 / tail):
+        tail = 0.0  # no draw of n <= ln(2/tail)/2 trials is cut: s >= n
+    if not tail:
+        _check_count_states(len(measures), k, cap)
     return _grouped_count_law(list(zip(measures.kinds, np.bincount(measures.index).tolist())),
-                              k, cap)
+                              k, cap, tail)
 
 
 def _check_count_states(n: int, k: int, cap: int) -> None:
@@ -666,16 +694,24 @@ def _check_count_states(n: int, k: int, cap: int) -> None:
         raise SizeLimit(f"count states {states} exceed cap {cap}")
 
 
-def _grouped_count_law(groups: Sequence[list], k: int,
-                       cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _grouped_count_law(groups: Sequence[list], k: int, cap: int,
+                       tail: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """:func:`count_distribution` over groups ``[q, steps]`` of equal step
-    measures, each a multinomial, the groups convolved."""
-    if k == 2:  # convolve the pmfs of the first outcome's count
-        probs = functools.reduce(np.convolve, (_binom_pmf(np.arange(size + 1), size, q[0])
-                                               for q, size in groups))
-        a = np.arange(len(probs), dtype=np.int64)
-        return np.stack([a, a[-1] - a], axis=1), probs
-    laws = (_identical_law(size, q) for q, size in groups)
+    measures, each a multinomial, the groups convolved; with ``tail > 0``
+    each binomial draw keeps only its :func:`_window`.  Raises
+    :class:`~lecam.errors.SizeLimit` when the rows, counted before they are
+    built, exceed ``cap``."""
+    if k == 2:  # convolve the pmfs of the first outcome's count, each on its window
+        windows = [_window(size, q[0], tail) for q, size in groups]
+        states = sum(int(width) - 1 for _, width in windows) + 1
+        if states > cap:
+            raise SizeLimit(f"count states {states} exceed cap {cap}")
+        probs = functools.reduce(np.convolve, (_binom_pmf(np.arange(lo, lo + width), size, q[0])
+                                               for (lo, width), (q, size) in zip(windows, groups)))
+        lo = sum(lo for lo, _ in windows)
+        a = np.arange(lo, lo + len(probs), dtype=np.int64)
+        return np.stack([a, sum(size for _, size in groups) - a], axis=1), probs
+    laws = (_identical_law(size, q, tail) for q, size in groups)
     counts, probs = next(laws)
     for more, more_probs in laws:  # pairwise sums, equal count vectors merged
         if len(counts) * len(more) > cap:
@@ -729,19 +765,33 @@ def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
     return counts @ np.log(values)
 
 
+#: Tail left out of each binomial draw of :func:`terminal_log_law`: a draw
+#: keeps the counts of its Hoeffding window (:func:`_window`), at most this
+#: share of its row's mass outside.  A constant of the law, not a setting.
+LAW_TAIL = 1e-20
+
+
 def terminal_log_law(m: LatticeMarket,
                      step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of ``log(X_T / X_0)`` under per-step measures, values
-    strictly increasing.
+    """The law of ``log(X_T / X_0)`` under per-step measures on the counts
+    that carry mass, values strictly increasing.
 
-    One :func:`count_distribution` per return class keeps the state space
-    polynomial in ``N``; the atoms of :func:`combine_additive_laws` are
-    sorted once and exactly equal neighbours merged.
+    One grouped count law per return class keeps the state space polynomial
+    in ``N``; each of its binomial draws (one per live outcome but the last,
+    per group of equal step measures) keeps only the counts of its Hoeffding
+    window for :data:`LAW_TAIL`, so it drops at most ``LAW_TAIL`` times the
+    mass of its rows.  The law misses at most ``LAW_TAIL`` times its number
+    of draws, at most ``4e-20`` for two classes of trinomial steps, and no
+    CDF moves by more.  The atoms of :func:`combine_additive_laws` are sorted
+    once and exactly equal neighbours merged.  Raises
+    :class:`~lecam.errors.SizeLimit` when the windowed rows of a class, or
+    their combination, exceed the state cap, counted before they are built.
     """
     laws = []
     for values, groups in class_groups(m, step_measures):
         qs, sizes = zip(*groups)
-        counts, probs = count_distribution(StepKinds(qs, np.arange(len(qs)).repeat(sizes)))
+        counts, probs = count_distribution(StepKinds(qs, np.arange(len(qs)).repeat(sizes)),
+                                           LAW_TAIL)
         laws.append((_count_logs(counts, values), probs))
     logs, probs = combine_additive_laws(laws)
     order = np.argsort(logs)

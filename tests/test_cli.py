@@ -11,10 +11,22 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from lecam.cli import main, build_parser, CONVERGE_HEADER, LAN_HEADER
+from lecam import (
+    InvalidParams,
+    LatticeMarket,
+    PathState,
+    build_crr,
+    lan_diagnostics,
+    lattice,
+    study_from_json,
+)
+from lecam.cli import main, build_parser, _parse_state, CONVERGE_HEADER, LAN_HEADER
+from lecam.lattice import _binom_pmf as binom_pmf
 from test_pricing import crr_knock_out_price
 
 
@@ -429,6 +441,30 @@ class TestDynamics:
         capsys.readouterr()
         assert rc == 3
 
+    def test_state_errors_name_the_first_offending_token(self):
+        two, three = ((1.2, 0.5), (0.9, 0.5)), ((1.2, 0.3), (1.0, 0.4), (0.9, 0.3))
+        market = LatticeMarket(3, 1.0, 1.0, (two, three, two), (0.0,) * 3)
+        assert _parse_state(market, " u , 2,d ") == PathState(3, (0, 2, 1))
+        for raw, message in [
+            ("u,u,d", "token 'u' needs a two-point step 1"),
+            ("u,1,d,u", "token 'u' needs a two-point step 3"),
+            ("u,x,d,u", "cannot parse move token 'x'"),
+            ("u,d,1.5", "token 'd' needs a two-point step 1"),
+        ]:
+            with pytest.raises(InvalidParams, match=message):
+                _parse_state(market, raw)
+
+    def test_long_paths(self):
+        market = build_crr(1.01, 0.99, 1.0, 0.5, 5000, 100.0)
+        moves = tuple(range(5000))
+        raw = ",".join("ud"[m % 2] for m in moves)
+        assert _parse_state(market, raw).moves == tuple(m % 2 for m in moves)
+        assert _parse_state(market, raw.replace("u", "0").replace("d", "1")).moves == \
+            tuple(m % 2 for m in moves)
+        # past the market's end a letter names its step
+        with pytest.raises(InvalidParams, match="token 'u' needs a two-point step 5000"):
+            _parse_state(market, raw + ",u")
+
 
 class TestComplete:
     def test_complete_market(self, spec_dir, capsys):
@@ -537,8 +573,8 @@ class TestConverge:
     def test_two_piece_crr_8192(self, spec_dir, capsys):
         """Two 4097-atom class laws would combine to 16.8M states; the price
         reads binomial tails over one class's atoms instead.  The lan-report
-        of the same study still needs the sorted law for its CDF distance,
-        and its cap error says so."""
+        of the same study sorts a law of 619 x 619 atoms, each class's draw
+        on its Hoeffding window: its row is pinned."""
         study = dict(STUDY, Ns=[8192], threshold=None, bs={
             "s0": 100.0, "T": 1.0,
             "sigma": {"pieces": [[0.5, 0.2], [1.0, 0.3]]},
@@ -551,10 +587,19 @@ class TestConverge:
         (row,) = json.loads(captured.out)
         assert row["N"] == 8192
         assert row["abs_gap"] < 1e-3
-        rc = main(["lan-report", "--study", str(path)])
+        rc = main(["lan-report", "--study", str(path), "--format", "json"])
         captured = capsys.readouterr()
-        assert rc == 3
-        assert "CDF sup-distance needs the sorted law" in captured.err
+        assert rc == 0, captured.err
+        (row,) = json.loads(captured.out)
+        assert (row["N"], row["t"]) == (8192, 1.0)
+        assert row["noether_max"] == pytest.approx(0.3 / math.sqrt(8192), rel=1e-11)
+        assert row["riemann_gap"] == pytest.approx(0.0, abs=1e-13)
+        assert row["p0_cdf_sup"] == pytest.approx(0.00172752989376, rel=1e-11)
+        pinned = {"p0_mean_gap": 1.48011239459e-07, "p0_var_gap": 3.94697031003e-07,
+                  "q_z_mean_gap": 3.05176217803e-08, "q_logs_mean_gap": 5.4423465911e-08,
+                  "q_logs_var_gap": 3.33661243912e-07, "alpha": 0.00625001983652}
+        for name, value in pinned.items():
+            assert row[name] == pytest.approx(value, rel=1e-6), name
 
 
 class TestLanReport:
@@ -575,6 +620,47 @@ class TestLanReport:
         rc = main(["lan-report", "--study", spec_dir["study"], "--t", "0.3"])
         capsys.readouterr()
         assert rc == 3
+
+    @pytest.mark.parametrize("tangent, sigma, rate, n", [
+        ({"type": "crr", "a": 1.0, "b": 1.0}, {"pieces": [[0.5, 0.2], [1.0, 0.3]]},
+         {"pieces": [[0.5, 0.01], [1.0, 0.03]]}, 2048),
+        ({"type": "symmetric_trinomial", "probs": [0.25, 0.5, 0.25]}, {"const": 0.2},
+         {"const": 0.0}, 1024),
+    ])
+    def test_sup_distance_cap_fails_before_the_law(self, spec_dir, capsys, monkeypatch,
+                                                   tangent, sigma, rate, n):
+        """A cap one below the windowed atoms of the study's law exits 3 with
+        the sup-distance message before the law is built: the binomial pmfs
+        are evaluated on a few windows only, and the memory traced at the
+        peak stays below the law's values alone."""
+        study = dict(STUDY, tangent=tangent, Ns=[n], threshold=None,
+                     bs={"s0": 100.0, "T": 1.0, "sigma": sigma, "rate": rate})
+        path = spec_dir["dir"] / "cap.json"
+        path.write_text(json.dumps(study))
+        spec = study_from_json(study)
+        atoms = lan_diagnostics(spec.path, spec.family()(n)).states
+        evaluated = []
+
+        def counted(k, size, p):
+            evaluated.append(np.size(k))
+            return binom_pmf(k, size, p)
+
+        monkeypatch.setattr(lattice, "_binom_pmf", counted)
+        monkeypatch.setenv("LECAM_MAX_PATHS", str(atoms - 1))
+        tracemalloc.start()
+        try:
+            rc = main(["lan-report", "--study", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"exceed cap {atoms - 1}: the CDF sup-distance needs the sorted law" in captured.err
+        assert 0 < sum(evaluated) < atoms // 100
+        assert peak < 8 * atoms
+        monkeypatch.delenv("LECAM_MAX_PATHS")
+        assert main(["lan-report", "--study", str(path)]) == 0
+        capsys.readouterr()
 
 
 class TestErrorPaths:

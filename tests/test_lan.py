@@ -2,7 +2,9 @@
 
 The module under test computes exact laws of additive statistics through a
 convolution DP; the oracle here walks every path of a small lattice with
-``itertools.product`` and accumulates the statistic literally.
+``itertools.product`` and accumulates the statistic literally.  On lattices
+too large to enumerate, the sup-CDF law, whose binomial draws keep only
+their Hoeffding windows, is checked against the law with every count.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc
 
 from lecam import (
     BSModel,
@@ -44,7 +47,19 @@ from lecam import (
     verify_representation,
 )
 from lecam.lan import _cdf_sup_distance
-from lecam.lattice import terminal_log_law
+from lecam.lattice import (
+    LAW_TAIL,
+    _binom_pmf,
+    _chain,
+    _composition_rank,
+    _count_logs,
+    _grouped_count_law,
+    _window,
+    class_groups,
+    combine_additive_laws,
+    count_distribution,
+    terminal_log_law,
+)
 
 RNG_SEED = 42
 
@@ -80,6 +95,12 @@ def brute_states(vals):
     """Distinct atoms of an enumerated law (path sums that differ only by
     rounding count once)."""
     return len(np.unique(np.round(vals, 12)))
+
+
+def hoeffding_halfwidth(n):
+    """``s = sqrt(n ln(2/tau) / 2)``: the counts of a draw of ``n`` farther
+    than ``s`` from their mean hold at most ``tau = LAW_TAIL`` of its mass."""
+    return math.sqrt(n * math.log(2.0 / LAW_TAIL) / 2.0)
 
 
 def flat_schedule(n, sigma=0.2, rate=0.0, horizon=1.0):
@@ -221,6 +242,15 @@ class TestSchedule:
         assert sched.step_vol(0) == pytest.approx(0.1, abs=1e-15)
         assert sched.step_rate(0) == 0.0
 
+    def test_per_step_arrays(self):
+        sched = two_piece_schedule(8)
+        np.testing.assert_array_equal(
+            sched.step_vols, [s * math.sqrt(sched.dt) for s in sched.sigmas])
+        np.testing.assert_array_equal(sched.step_rates, [r * sched.dt for r in sched.rhos])
+        assert sched.step_vol(5) == sched.step_vols[5] and type(sched.step_vol(5)) is float
+        with pytest.raises(ValueError):
+            sched.step_vols[0] = 1.0
+
     def test_rate_mapping_matches_bank_account(self):
         for n in (1, 3, 8):
             sched = flat_schedule(n, sigma=0.2, rate=0.07, horizon=2.0)
@@ -317,6 +347,8 @@ class TestLanDiagnostics:
             assert report.cdf_sup_distance == pytest.approx(
                 _cdf_sup_distance(values, probs, -0.5 * v, v), abs=1e-12
             )
+            # atoms of the windowed law: at n <= 23 steps each window holds every count
+            assert hoeffding_halfwidth(n) >= n
             assert report.states == brute_states(values)
             assert report.noether_max == pytest.approx(0.3 * math.sqrt(sched.dt), abs=1e-15)
             assert report.riemann_gap == pytest.approx(0.0, abs=1e-13)
@@ -360,8 +392,10 @@ class TestLanDiagnostics:
         fine = lan_diagnostics(path, flat_schedule(256))
         assert fine.cdf_sup_distance < coarse.cdf_sup_distance
         assert fine.noether_max < coarse.noether_max
-        # binary lattice collapses to N+1 distinct sums
-        assert fine.states == 257
+        # binary lattice collapses to N+1 distinct sums, of which the windowed
+        # law keeps the up-counts within s = 77.35 of 128
+        s = hoeffding_halfwidth(256)
+        assert fine.states == math.floor(128 + s) - math.ceil(128 - s) + 1 == 155
 
 
 class TestCdfSupDistance:
@@ -424,6 +458,8 @@ class TestThirdLemma:
             assert report.cdf_sup_distance == pytest.approx(
                 _cdf_sup_distance(values, probs, r - 0.5 * v, v), abs=1e-12
             )
+            # atoms of the windowed law: at n <= 23 steps each window holds every count
+            assert hoeffding_halfwidth(n) >= n
             assert report.states == brute_states(values)
             alpha = sched.dt * sum(
                 (sched.rhos[j] / sched.sigmas[j]) ** 2 for j in range(n)
@@ -438,6 +474,136 @@ class TestThirdLemma:
         assert report.z_mean_gap < 1e-3
         base_report = lan_diagnostics(path, flat_schedule(512, sigma=0.2, rate=0.05))
         assert base_report.mean == pytest.approx(-0.02, abs=1e-3)
+
+
+def two_piece_schedule(n):
+    """Volatility 0.2 / 0.3 and rate 0.01 / 0.03 on [0, 0.5] and (0.5, 1]."""
+    return Schedule.from_limits(
+        StepFunction((0.5, 1.0), (0.2, 0.3)),
+        StepFunction((0.5, 1.0), (0.01, 0.03)),
+        n,
+    )
+
+
+def full_log_law(market, measures, n):
+    """The law of ``log(S_n / S_0)`` with every count: per return class the
+    full count law of :func:`count_distribution`, the classes combined,
+    sorted and exactly equal atoms merged, shifted by ``log B_n``."""
+    head = market.head(n)
+    laws = []
+    for values, groups in class_groups(head, measures[:n]):
+        counts, probs = count_distribution([q for q, size in groups for _ in range(size)])
+        laws.append((_count_logs(counts, values), probs))
+    logs, probs = combine_additive_laws(laws)
+    order = np.argsort(logs)
+    logs, probs = logs[order], probs[order]
+    first = np.flatnonzero(np.r_[True, logs[1:] != logs[:-1]])
+    return logs[first] + math.log(head.bond_factor(n)), np.add.reduceat(probs, first)
+
+
+def seed_chain(n, q, outcomes):
+    """The multinomial chain as it was before draws had windows: every
+    count of every draw."""
+    tails = np.cumsum(q[::-1])[::-1]
+    counts = np.zeros((1, len(q)), dtype=np.int64)
+    probs = np.ones(1)
+    rest = np.full(1, n, dtype=np.int64)
+    for i in outcomes:
+        width = rest + 1
+        row = np.repeat(np.arange(len(rest)), width)
+        draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        counts = counts[row]
+        counts[:, i] = draw
+        probs = probs[row] * _binom_pmf(draw, rest[row], min(q[i] / tails[i], 1.0))
+        rest = rest[row] - draw
+    return counts, probs, rest
+
+
+TRINOMIAL = (0.25, 0.5, 0.25)
+
+#: (tangent, schedule, t): sizes where the full law still fits the state cap
+WINDOWED_CASES = [
+    (lambda: crr_tangent(1.0, 1.0), lambda: two_piece_schedule(512), None),
+    (lambda: crr_tangent(1.0, 1.0), lambda: two_piece_schedule(2048), None),
+    (lambda: symmetric_trinomial_tangent(TRINOMIAL),
+     lambda: flat_schedule(2048, sigma=0.2, rate=0.03), 0.5),
+]
+
+
+class TestWindowedLaw:
+    """The sup-CDF law keeps each binomial draw on its Hoeffding window; the
+    oracle is the law with every count."""
+
+    @pytest.mark.parametrize("make_path, make_schedule, t", WINDOWED_CASES)
+    def test_distances_match_the_full_law(self, make_path, make_schedule, t):
+        path, sched = make_path(), make_schedule()
+        diag = lan_diagnostics(path, sched, t)
+        third = third_lemma_check(path, sched, t)
+        n = round(diag.t / sched.dt)
+        v = sched.limit_sigma.integral_sq(diag.t)
+        r = sched.limit_rate.integral(diag.t)
+        model = build_discrete_model(path, sched)
+        values, probs = full_log_law(model.market, [path.probs] * sched.N, n)
+        assert abs(diag.cdf_sup_distance - _cdf_sup_distance(values, probs, -0.5 * v, v)) <= 1e-15
+        assert diag.states < len(values)
+        values, probs = full_log_law(model.market, model.measures, n)
+        assert abs(third.cdf_sup_distance
+                   - _cdf_sup_distance(values, probs, r - 0.5 * v, v)) <= 1e-15
+        assert third.states < len(values)
+
+    def test_each_window_leaves_at_most_the_tail(self):
+        n = np.arange(0, 5000)
+        for p in (1e-3, 0.05, 0.25, 0.5, 2.0 / 3.0, 0.97, 1.0):
+            lo, width = _window(n, p, LAW_TAIL)
+            hi = lo + width - 1
+            assert np.all((0 <= lo) & (lo <= hi) & (hi <= n))
+            below = np.where(lo > 0, bdtr(np.maximum(lo - 1, 0), n, p), 0.0)
+            assert np.all(below + bdtrc(hi, n, p) <= LAW_TAIL)
+        s = hoeffding_halfwidth(2048)
+        lo, width = _window(2048, 0.5, LAW_TAIL)
+        assert (lo, lo + width - 1) == (math.ceil(1024 - s), math.floor(1024 + s))
+
+    @pytest.mark.parametrize("groups, k", [
+        ([[np.array([0.5, 0.5]), 2048]], 2),
+        ([[np.array([0.3, 0.7]), 1024], [np.array([0.45, 0.55]), 1024]], 2),
+        ([[np.array(TRINOMIAL), 1024]], 3),
+        ([[np.array([0.05, 0.15, 0.8]), 50], [np.array([0.1, 0.3, 0.6]), 50]], 3),
+    ])
+    def test_mass_left_out_within_the_bound(self, groups, k):
+        cap = 10_000_000
+        full_counts, full_probs = _grouped_count_law(groups, k, cap)
+        counts, probs = _grouped_count_law(groups, k, cap, LAW_TAIL)
+        kept = np.isin(_composition_rank(full_counts), _composition_rank(counts))
+        assert kept.sum() == len(counts) < len(full_counts)
+        draws = sum(np.count_nonzero(q) - 1 for q, _ in groups)
+        assert 0.0 < full_probs[~kept].sum() <= LAW_TAIL * draws
+        if len(groups) == 1:  # one draw chain: the kept rows carry their full masses
+            assert probs.tobytes() == full_probs[kept].tobytes()
+
+    def test_full_chain_is_bitwise_the_seed_chain(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(20):
+            k = int(rng.integers(2, 6))
+            q = rng.random(k)
+            q /= q.sum()
+            for n in (0, 1, 7, 40) + ((400,) if k <= 3 else ()):
+                for outcomes in (np.arange(k - 1), np.arange(k - 2)):
+                    got, want = _chain(n, q, outcomes), seed_chain(n, q, outcomes)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_size_guard_trinomial_4096(self):
+        """The baseline trinomial study (0.25 / 0.5 / 0.25, sigma 0.2) at
+        N = 4096 holds 331,591 windowed atoms, against 8,394,753 with every
+        count."""
+        path = symmetric_trinomial_tangent(TRINOMIAL)
+        assert lan_diagnostics(path, flat_schedule(4096)).states <= 400_000
+
+    def test_size_guard_two_piece_crr_8192(self):
+        """The two-piece CRR study at N = 8192 holds 383,161 windowed atoms,
+        against 16,785,409 (over the state cap) with every count."""
+        report = lan_diagnostics(crr_tangent(1.0, 1.0), two_piece_schedule(8192))
+        assert report.states <= 500_000
 
 
 class TestConvergenceStudy:
