@@ -131,44 +131,22 @@ def _resolve_measure(market: LatticeMarket, selector: str | None):
     return [np.array(vec)] * market.steps
 
 
-#: The move index of each letter token.
-_LETTER_MOVES = {"u": 0, "d": 1}
-
-
 def _parse_state(market: LatticeMarket, raw: str) -> PathState:
     """Moves as comma-separated tokens: ``u``/``d`` for two-point steps,
-    otherwise integer move indices.  Letters are checked against the step
-    sizes in one array pass, as :meth:`PathState.validate` checks moves,
-    and all tokens converted in one pass; an error names the first
-    offending token."""
-    words = list(filter(None, map(str.strip, raw.split(","))))
-    moves = list(map(_LETTER_MOVES.get, words))  # None for a word that is no letter
-    kinds, first = market.step_kinds, len(words)
-    # letters need a look only past the market's end or where some step is not two-point
-    if moves.count(None) < first and (first > market.steps
-                                      or any(len(step) != 2 for step in kinds.kinds)):
-        n = min(first, market.steps)
-        two = np.zeros(first, dtype=bool)
-        two[:n] = np.array([len(step) == 2 for step in kinds.kinds])[kinds.index[:n]]
-        bad = np.flatnonzero(np.not_equal(moves, None) & ~two)
-        first = int(bad[0]) if len(bad) else first
-    if None in moves[:first]:  # integer words, converted in one pass
-        try:
-            moves = list(map(int, map(_LETTER_MOVES.get, words[:first], words[:first])))
-        except ValueError:
-            tok = next(w for w in words if w not in _LETTER_MOVES and not _is_int(w))
-            raise InvalidParams(f"cannot parse move token {tok!r}") from None
-    if first < len(words):
-        raise InvalidParams(f"token {words[first]!r} needs a two-point step {first}")
-    return PathState(t=first, moves=tuple(moves))
-
-
-def _is_int(word: str) -> bool:
-    try:
-        int(word)
-    except ValueError:
-        return False
-    return True
+    otherwise integer move indices."""
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    moves = []
+    for j, tok in enumerate(tokens):
+        if tok in ("u", "d"):
+            if j >= market.steps or len(market.returns[j]) != 2:
+                raise InvalidParams(f"token {tok!r} needs a two-point step {j}")
+            moves.append(0 if tok == "u" else 1)
+        else:
+            try:
+                moves.append(int(tok))
+            except ValueError as exc:
+                raise InvalidParams(f"cannot parse move token {tok!r}") from exc
+    return PathState(t=len(moves), moves=tuple(moves))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ diagnostics report the distance from the Gaussian limit:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -250,11 +249,6 @@ class Schedule:
         """Per-step simple rate ``rho_j * T/N``."""
         return float(self.step_rates[j])
 
-    @functools.cached_property
-    def pieces(self) -> StepKinds:
-        """The steps grouped by equal ``(sigma, rho)``, once per schedule."""
-        return group_steps(zip(self.sigmas, self.rhos))
-
     def sigma_l2_gap(self) -> float:
         """``integral (sigma_N - sigma)^2`` over ``[0, T]`` (step vs limit)."""
         edges = sorted(
@@ -306,7 +300,7 @@ def _discrete_market(path: TangentPath, schedule: Schedule,
                      s0: float) -> tuple[LatticeMarket, StepKinds]:
     """The market of :func:`build_discrete_model`, without its measures, and
     each step's ``(step_vol, step_rate)``, once per distinct ``(sigma, rho)``."""
-    pieces = schedule.pieces
+    pieces = group_steps(zip(schedule.sigmas, schedule.rhos))
     params = StepKinds(tuple(zip(schedule.step_vols[pieces.first].tolist(),
                                  schedule.step_rates[pieces.first].tolist())), pieces.index)
     g = np.array(path.g)
@@ -370,12 +364,6 @@ def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
 def _step_moves(path: TangentPath, schedule: Schedule, n: int) -> np.ndarray:
     """Per-step perturbations ``sigma_j sqrt(T/N) g``, shape ``(n, k)``."""
     return schedule.step_vols[:n, None] * np.array(path.g)
-
-
-def _left_sum(x: np.ndarray) -> float:
-    """``x`` summed left to right, a running sum: a printed gap at the
-    rounding level then does not depend on numpy's pairwise blocking."""
-    return float(np.cumsum(x)[-1])
 
 
 def _moment_sums(probs: np.ndarray, contrib: np.ndarray) -> tuple[float, float]:
@@ -446,12 +434,11 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     market, _ = _discrete_market(path, schedule, 1.0)
-    every_step = StepKinds((path.probs,), np.zeros(n, dtype=np.intp))
-    values, probs = _log_price_law(market, every_step, n)
+    values, probs = _log_price_law(market, [path.probs] * n, n)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
     vols = schedule.step_vols[:n]
-    riemann = abs(_left_sum(vols ** 2) - v_limit)
+    riemann = abs(sum((vols ** 2).tolist()) - v_limit)
     return LanReport(
         N=schedule.N,
         t=t_val,
@@ -509,7 +496,6 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     measures = np.array(model.measures.kinds)[model.measures.index[:n]]
-    thetas = np.array(model.thetas.kinds)[model.thetas.index[:n]]
     moves = _step_moves(path, schedule, n)
     z_mean, z_var = _moment_sums(measures, moves)
     s_mean, s_var = _moment_sums(measures, np.log(1.0 + moves))
@@ -524,7 +510,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
         logs_mean_gap=abs(s_mean - (r_limit - 0.5 * v_limit)),
         logs_var=s_var,
         logs_var_gap=abs(s_var - v_limit),
-        alpha=_left_sum(thetas ** 2),
+        alpha=sum(theta**2 for theta in model.thetas[:n]),
         cdf_sup_distance=_cdf_sup_distance(
             values, probs, r_limit - 0.5 * v_limit, v_limit
         ),

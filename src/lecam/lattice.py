@@ -263,7 +263,7 @@ class PathState:
     moves: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moves = tuple(map(int, self.moves))
+        moves = tuple(int(i) for i in self.moves)
         object.__setattr__(self, "moves", moves)
         if self.t < 0 or len(moves) != self.t:
             raise InvalidState(f"state needs exactly t={self.t} observed moves")
@@ -680,8 +680,6 @@ def count_distribution(qs: Sequence[np.ndarray],
     if any(len(q) != k for q in measures.kinds):
         raise InvalidParams("all steps in a class must share the support size")
     cap = limits.max_states()
-    if tail and 2 * len(measures) <= math.log(2.0 / tail):
-        tail = 0.0  # no draw of n <= ln(2/tail)/2 trials is cut: s >= n
     if not tail:
         _check_count_states(len(measures), k, cap)
     return _grouped_count_law(list(zip(measures.kinds, np.bincount(measures.index).tolist())),

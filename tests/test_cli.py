@@ -20,7 +20,6 @@ from lecam import (
     InvalidParams,
     LatticeMarket,
     PathState,
-    build_crr,
     lan_diagnostics,
     lattice,
     study_from_json,
@@ -453,17 +452,6 @@ class TestDynamics:
         ]:
             with pytest.raises(InvalidParams, match=message):
                 _parse_state(market, raw)
-
-    def test_long_paths(self):
-        market = build_crr(1.01, 0.99, 1.0, 0.5, 5000, 100.0)
-        moves = tuple(range(5000))
-        raw = ",".join("ud"[m % 2] for m in moves)
-        assert _parse_state(market, raw).moves == tuple(m % 2 for m in moves)
-        assert _parse_state(market, raw.replace("u", "0").replace("d", "1")).moves == \
-            tuple(m % 2 for m in moves)
-        # past the market's end a letter names its step
-        with pytest.raises(InvalidParams, match="token 'u' needs a two-point step 5000"):
-            _parse_state(market, raw + ",u")
 
 
 class TestComplete:
