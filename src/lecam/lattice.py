@@ -51,10 +51,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-# scipy.stats.binom's pmf and cdf, without its import
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 from . import limits
+# binomial pmf and cdf in numpy: exact terms up to 64 trials, Loader's saddle
+# point and an incomplete-beta continued fraction beyond
+from ._binom import binom_cdf as _binom_cdf, binom_pmf as _binom_pmf
 from .errors import (
     InvalidParams,
     InvalidState,
@@ -668,8 +669,9 @@ def count_distribution(qs: Sequence[np.ndarray],
 
     Returns ``(counts, probs)``: one reachable count vector per row of
     ``counts`` (every split of ``n`` for ``k = 2``) and its probability, a
-    closed-form multinomial per group of equal step measures (Loader's
-    saddle-point binomial pmfs), the groups convolved.  Raises
+    closed-form multinomial per group of equal step measures (binomial pmfs
+    of :mod:`lecam._binom`: exact coefficients up to 64 steps, Loader's
+    saddle point beyond), the groups convolved.  Raises
     :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
     pairwise sums that merge two groups, exceed the state cap.  A private
     ``tail > 0`` keeps each binomial draw on its :func:`_window` (the law of
@@ -900,8 +902,9 @@ def _draw_tails(levels: np.ndarray, base: np.ndarray, draws: np.ndarray,
     tie = np.abs(t - r) <= TIE_TOL
     high = np.where(tie, r, np.floor(t))    # last count not above the level
     ends = np.array([high - tie, n - 1.0 - high])
-    tails = np.where(ends >= 0.0, _binom_cdf(ends, n, p), 0.0)
-    at = np.where(tie, _binom_pmf(r, n, p[:, 0]), 0.0)
+    tails = _binom_cdf(ends, n, p)  # 0 at the end -1
+    at = (np.where(tie, _binom_pmf(r, n, p[:, 0]), 0.0) if tie.any()
+          else np.zeros((2,) + tie.shape))
     out = np.empty((2, 3, len(levels)))
     out[:, ::2] = (weights[:, None, None] @ tails)[:, :, 0]
     out[:, 1] = (weights[:, None] @ at)[:, 0]

@@ -840,16 +840,45 @@ class TestDeterminism:
         assert reused == run(fresh=True)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` doubles the start-up time of every command; the count
-    laws take their binomial pmf from ``scipy.special`` instead."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lecam.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=dict(os.environ),
+def test_commands_load_no_scipy(spec_dir):
+    """Every command runs on numpy alone: one process imports the command
+    line, runs each command through ``main`` (the large market and study
+    reach the saddle-point pmf, the continued fraction and the normal cdf)
+    and finds no ``scipy`` module loaded."""
+    def write(name, doc):
+        path = spec_dir["dir"] / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    big = write("crr400.json", dict(CRR30, N=400))
+    crr30 = write("crr30.json", CRR30)
+    call = write("call100.json", {"type": "call", "K": 100.0})
+    barrier = write("barrier.json", {"type": "barrier_up_out", "K": 100.0, "B": 130.0})
+    study = write("study256.json", dict(STUDY, Ns=[16, 256], threshold=None))
+    commands = [
+        ["price", "--market", big, "--payoff", call],
+        ["price", "--market", crr30, "--payoff", barrier],
+        ["np", "--market", big, "--payoff", call],
+        ["dynamics", "--market", big, "--payoff", call, "--state", "u,d,u"],
+        ["bounds", "--market", spec_dir["tri"], "--payoff", spec_dir["call1"]],
+        ["complete", "--market", crr30],
+        ["converge", "--study", study],
+        ["lan-report", "--study", study],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import lecam.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [lecam.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(name for name in sys.modules\n"
+        "                                if name.split('.')[0] == 'scipy')]))\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 def test_module_entry_point(spec_dir):

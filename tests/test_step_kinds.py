@@ -160,13 +160,14 @@ def outputs(n, seed):
     return out
 
 
-#: ``float.hex`` of :func:`outputs` as computed before steps were grouped
-#: once per market (per-step measure lists, ``dict`` keyed groupings).  The
-#: ``dynamic/call`` values are node prices with the observed moves pinned
-#: as fixed counts on the full market, not re-based on a float spot: within
-#: 3.2e-15 relative of the re-based values, both within 1.3e-14 of exact
-#: path sums for n <= 12.
-PINNED = {
+#: ``float.hex`` of :func:`outputs` as computed with scipy's binomial pmf
+#: and cdf (Boost's, behind ``scipy.stats.binom``) and before steps were
+#: grouped once per market (per-step measure lists, ``dict`` keyed
+#: groupings).  The ``dynamic/call`` values are node prices with the
+#: observed moves pinned as fixed counts on the full market, not re-based on
+#: a float spot: within 3.2e-15 relative of the re-based values, both within
+#: 1.3e-14 of exact path sums for n <= 12.
+REFERENCE = {
     6: {
         "call/direct": "0x1.a86cac2fa9c79p+2",
         "call/tests": "0x1.a86cac2fa9c78p+2",
@@ -353,11 +354,202 @@ PINNED = {
     },
 }
 
+#: ``float.hex`` of :func:`outputs` with the binomial pmf and cdf of
+#: :mod:`lecam._binom`: each within 1e-12 relative of :data:`REFERENCE`.
+PINNED = {
+    6: {
+        "call/direct": "0x1.a86cac2fa9c61p+2",
+        "call/tests": "0x1.a86cac2fa9c60p+2",
+        "call/alt0": "0x1.f559378f42632p-2",
+        "call/base0": "0x1.ac2c8e13a0eafp-2",
+        "put/direct": "0x1.f724fe1b2ee4fp+2",
+        "put/tests": "0x1.f724fe1b2ee58p+2",
+        "put/alt0": "0x1.055364385ece6p-1",
+        "put/base0": "0x1.29e9b8f62f8a8p-1",
+        "digital/direct": "0x1.a7f91f04edd67p-2",
+        "digital/tests": "0x1.a7f91f04edd67p-2",
+        "digital/alt0": "0x1.f559378f42632p-2",
+        "digital/base0": "0x1.ac2c8e13a0eafp-2",
+        "straddle/direct": "0x1.cfc8d5256c550p+3",
+        "straddle/tests": "0x1.cfc8d5256c558p+3",
+        "straddle/alt0": "0x1.f559378f42630p-2",
+        "straddle/base0": "0x1.ac2c8e13a0eaep-2",
+        "straddle/alt1": "0x1.055364385ece8p-1",
+        "straddle/base1": "0x1.29e9b8f62f8a9p-1",
+        "mixed/direct": "0x1.bac6293777103p+2",
+        "mixed/tests": "0x1.bac6293777102p+2",
+        "mixed/alt0": "0x1.f559378f42632p-2",
+        "mixed/base0": "0x1.ac2c8e13a0eafp-2",
+        "mixed/alt1": "0x1.42d4087ad0b88p-4",
+        "mixed/base1": "0x1.3a2ab9bc09ff4p-4",
+        "np/price": "0x1.a86cac2fa9c60p+2",
+        "np/risk": "0x1.db1fc03c880efp-2",
+        "dynamic/call": "0x1.52db6399013ebp+3",
+        "bounds/lower": "0x1.f90b46df20d61p+0",
+        "bounds/upper": "0x1.680a5cfcc9a67p+4",
+    },
+    7: {
+        "call/direct": "0x1.ca8c1ea25831dp+2",
+        "call/tests": "0x1.ca8c1ea258320p+2",
+        "call/alt0": "0x1.00e9a26714a61p-1",
+        "call/base0": "0x1.b31b1bb294176p-2",
+        "put/direct": "0x1.0ca23846eea83p+3",
+        "put/tests": "0x1.0ca23846eea84p+3",
+        "put/alt0": "0x1.fe2cbb31d6b40p-2",
+        "put/base0": "0x1.26727226b5f47p-1",
+        "digital/direct": "0x1.99c320c5f5d0ap-2",
+        "digital/tests": "0x1.99c320c5f5d0ap-2",
+        "digital/alt0": "0x1.00e9a26714a61p-1",
+        "digital/base0": "0x1.b31b1bb294176p-2",
+        "straddle/direct": "0x1.f1e847981ac03p+3",
+        "straddle/tests": "0x1.f1e847981ac04p+3",
+        "straddle/alt0": "0x1.00e9a26714a61p-1",
+        "straddle/base0": "0x1.b31b1bb29417bp-2",
+        "straddle/alt1": "0x1.fe2cbb31d6b3fp-2",
+        "straddle/base1": "0x1.26727226b5f46p-1",
+        "mixed/direct": "0x1.e7d25aa013b22p+2",
+        "mixed/tests": "0x1.e7d25aa013b2cp+2",
+        "mixed/alt0": "0x1.00e9a26714a61p-1",
+        "mixed/base0": "0x1.b31b1bb294176p-2",
+        "mixed/alt1": "0x1.acd7c5aa2ff4bp-4",
+        "mixed/base1": "0x1.b378e7e01819dp-4",
+        "np/price": "0x1.ca8c1ea258320p+2",
+        "np/risk": "0x1.d8692fcd6f773p-2",
+        "dynamic/call": "0x1.89983d625de1cp+3",
+        "bounds/lower": "0x1.659a76f493151p+2",
+        "bounds/upper": "0x1.58c9b55a00454p+4",
+    },
+    9: {
+        "call/direct": "0x1.9302d19c3c92ap+3",
+        "call/tests": "0x1.9302d19c3c928p+3",
+        "call/alt0": "0x1.21d417d3e16e2p-1",
+        "call/base0": "0x1.bd379fbc3b23fp-2",
+        "put/direct": "0x1.ba5efa91ff218p+3",
+        "put/tests": "0x1.ba5efa91ff214p+3",
+        "put/alt0": "0x1.bc57d0583d236p-2",
+        "put/base0": "0x1.21643021e26ddp-1",
+        "digital/direct": "0x1.9ce806da44039p-2",
+        "digital/tests": "0x1.9ce806da44039p-2",
+        "digital/alt0": "0x1.21d417d3e16e2p-1",
+        "digital/base0": "0x1.bd379fbc3b23fp-2",
+        "straddle/direct": "0x1.a6b0e6171dd8ep+4",
+        "straddle/tests": "0x1.a6b0e6171dd90p+4",
+        "straddle/alt0": "0x1.21d417d3e16e1p-1",
+        "straddle/base0": "0x1.bd379fbc3b242p-2",
+        "straddle/alt1": "0x1.bc57d0583d236p-2",
+        "straddle/base1": "0x1.21643021e26dap-1",
+        "mixed/direct": "0x1.9e182262f6ef3p+3",
+        "mixed/tests": "0x1.9e182262f6ef1p+3",
+        "mixed/alt0": "0x1.21d417d3e16e2p-1",
+        "mixed/base0": "0x1.bd379fbc3b23fp-2",
+        "mixed/alt1": "0x1.b19613a8e7612p-5",
+        "mixed/base1": "0x1.b4ec07a18064ap-5",
+        "np/price": "0x1.9302d19c3c928p+3",
+        "np/risk": "0x1.bcc867257a95cp-2",
+        "dynamic/call": "0x1.3522987dfde95p+3",
+        "bounds/lower": "0x1.894b05604d446p+3",
+        "bounds/upper": "0x1.22b41e0b64679p+5",
+    },
+    12: {
+        "call/direct": "0x1.43a1bab5e4c3fp+3",
+        "call/tests": "0x1.43a1bab5e4c38p+3",
+        "call/alt0": "0x1.2eaf8fcd6166ep-1",
+        "call/base0": "0x1.efb64fc73e562p-2",
+        "put/direct": "0x1.6afde3aba7523p+3",
+        "put/tests": "0x1.6afde3aba7524p+3",
+        "put/alt0": "0x1.a2a0e0653d326p-2",
+        "put/base0": "0x1.0824d81c60d4ep-1",
+        "digital/direct": "0x1.c58b41a17af2dp-2",
+        "digital/tests": "0x1.c58b41a17af2dp-2",
+        "digital/alt0": "0x1.2eaf8fcd6166ep-1",
+        "digital/base0": "0x1.efb64fc73e562p-2",
+        "straddle/direct": "0x1.574fcf30c60a4p+4",
+        "straddle/tests": "0x1.574fcf30c60a4p+4",
+        "straddle/alt0": "0x1.2eaf8fcd6166cp-1",
+        "straddle/base0": "0x1.efb64fc73e560p-2",
+        "straddle/alt1": "0x1.a2a0e0653d323p-2",
+        "straddle/base1": "0x1.0824d81c60d4ap-1",
+        "mixed/direct": "0x1.57a3c551fca2ap+3",
+        "mixed/tests": "0x1.57a3c551fca22p+3",
+        "mixed/alt0": "0x1.2eaf8fcd6166ep-1",
+        "mixed/base0": "0x1.efb64fc73e562p-2",
+        "mixed/alt1": "0x1.5ac41eddfbc6ap-4",
+        "mixed/base1": "0x1.5f03eb687e750p-4",
+        "np/price": "0x1.43a1bab5e4c38p+3",
+        "np/risk": "0x1.c967e74bbca1ap-2",
+        "dynamic/call": "0x1.582b650edb49fp+1",
+        "bounds/lower": "0x1.eec91e25755b0p+3",
+        "bounds/upper": "0x1.9104bc8ad977dp+4",
+    },
+    24: {
+        "call/direct": "0x1.5c3f91f8cf483p+4",
+        "call/tests": "0x1.5c3f91f8cf482p+4",
+        "call/alt0": "0x1.3c6986d227c76p-1",
+        "call/base0": "0x1.94f6e57620de0p-2",
+        "put/direct": "0x1.6feda673b08f4p+4",
+        "put/tests": "0x1.6feda673b08f4p+4",
+        "put/alt0": "0x1.872cf25bb0713p-2",
+        "put/base0": "0x1.35848d44ef90cp-1",
+        "digital/direct": "0x1.8199a59d80109p-2",
+        "digital/tests": "0x1.8199a59d80109p-2",
+        "digital/alt0": "0x1.3c6986d227c76p-1",
+        "digital/base0": "0x1.94f6e57620de0p-2",
+        "straddle/direct": "0x1.66169c363fefcp+5",
+        "straddle/tests": "0x1.66169c363fefcp+5",
+        "straddle/alt0": "0x1.3c6986d227c86p-1",
+        "straddle/base0": "0x1.94f6e57620ddcp-2",
+        "straddle/alt1": "0x1.872cf25bb070ep-2",
+        "straddle/base1": "0x1.35848d44ef921p-1",
+        "mixed/direct": "0x1.74eeaeb8d9232p+4",
+        "mixed/tests": "0x1.74eeaeb8d9232p+4",
+        "mixed/alt0": "0x1.3c6986d227c76p-1",
+        "mixed/base0": "0x1.94f6e57620de0p-2",
+        "mixed/alt1": "0x1.d447a90b63e67p-4",
+        "mixed/base1": "0x1.a96e86cb81b74p-4",
+        "np/price": "0x1.5c3f91f8cf482p+4",
+        "np/risk": "0x1.8e1cb5b37cfdap-2",
+        "dynamic/call": "0x1.160af4783132cp+4",
+        "bounds/lower": "0x1.0e9ffb619a562p+4",
+        "bounds/upper": "0x1.eaba0b414b9f3p+5",
+    },
+    41: {
+        "call/direct": "0x1.a0c779e095484p+3",
+        "call/tests": "0x1.a0c779e095480p+3",
+        "call/alt0": "0x1.127bc1effeccbp-1",
+        "call/base0": "0x1.9a8c3adec0f5ap-2",
+        "put/direct": "0x1.c823a2d657d79p+3",
+        "put/tests": "0x1.c823a2d657d7cp+3",
+        "put/alt0": "0x1.db087c2002659p-2",
+        "put/base0": "0x1.32b9e2909f84bp-1",
+        "digital/direct": "0x1.4947259a79bf4p-2",
+        "digital/tests": "0x1.4947259a79bf4p-2",
+        "digital/alt0": "0x1.127bc1effeccbp-1",
+        "digital/base0": "0x1.9a8c3adec0f5ap-2",
+        "straddle/direct": "0x1.b4758e5b768e7p+4",
+        "straddle/tests": "0x1.b4758e5b768eap+4",
+        "straddle/alt0": "0x1.127bc1effecc5p-1",
+        "straddle/base0": "0x1.9a8c3adec0f44p-2",
+        "straddle/alt1": "0x1.db087c200265ap-2",
+        "straddle/base1": "0x1.32b9e2909f83fp-1",
+        "mixed/direct": "0x1.8d76f22b7e261p+4",
+        "mixed/tests": "0x1.8d76f22b7e25cp+4",
+        "mixed/alt0": "0x1.127bc1effeccbp-1",
+        "mixed/base0": "0x1.9a8c3adec0f5ap-2",
+        "mixed/alt1": "0x1.13ebd7a9d320ep-1",
+        "mixed/base1": "0x1.0c95bb213a215p-1",
+        "np/price": "0x1.a0c779e095480p+3",
+        "np/risk": "0x1.ba97e7a1c4282p-2",
+        "dynamic/call": "0x1.49e6bbfd63ac7p+4",
+    },
+}
+
 
 @pytest.mark.parametrize("n", SIZES)
 def test_outputs_bitwise_equal_to_pinned(n):
     got = outputs(n, 100 + n)
     assert {key: float.hex(value) for key, value in got.items()} == PINNED[n]
+    for key, value in got.items():
+        assert value == pytest.approx(float.fromhex(REFERENCE[n][key]), rel=1e-12, abs=0)
 
 
 def test_interleaved_cases_have_two_groups_per_class():
