@@ -100,7 +100,7 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_measure(market: LatticeMarket, selector: str | None):
-    """Turn ``--measure`` into per-step vectors.
+    """Turn ``--measure`` into a measure argument of the pricing routes.
 
     ``designated`` picks the unique measure (complete markets) or the
     barycenter of the solution polytope; a comma-separated vector applies to
@@ -128,17 +128,19 @@ def _resolve_measure(market: LatticeMarket, selector: str | None):
         vec = [float(tok) for tok in selector.split(",")]
     except ValueError as exc:
         raise InvalidParams(f"cannot parse measure selector {selector!r}") from exc
-    return [np.array(vec)] * market.steps
+    return np.array(vec)
 
 
 def _parse_state(market: LatticeMarket, raw: str) -> PathState:
     """Moves as comma-separated tokens: ``u``/``d`` for two-point steps,
     otherwise integer move indices."""
     tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    steps = market.returns  # support sizes read once per kind
+    sizes, kinds = [len(step) for step in steps.kinds], steps.index[:len(tokens)].tolist()
     moves = []
     for j, tok in enumerate(tokens):
         if tok in ("u", "d"):
-            if j >= market.steps or len(market.returns[j]) != 2:
+            if j >= market.steps or sizes[kinds[j]] != 2:
                 raise InvalidParams(f"token {tok!r} needs a two-point step {j}")
             moves.append(0 if tok == "u" else 1)
         else:

@@ -353,14 +353,14 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
     return int(n)
 
 
-def _log_price_law(market: LatticeMarket, measures: Sequence[Sequence[float]],
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law of ``log(S_n / S_0)`` over the market's first ``n`` steps, on
-    the counts that carry mass: the grouped law of ``log(X_n / X_0)``
-    shifted by ``log B_n``."""
+def _log_price_law(market: LatticeMarket, measures, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of ``log(S_n / S_0)`` over the market's first ``n`` steps
+    under ``measures`` (one vector for all of them, or one per step), on the
+    counts that carry mass: the grouped law of ``log(X_n / X_0)`` shifted
+    by ``log B_n``."""
     head = market.head(n)
     try:
-        values, probs = terminal_log_law(head, measures[:n])
+        values, probs = terminal_log_law(head, measures)
     except SizeLimit as exc:
         raise SizeLimit(f"{exc}: the CDF sup-distance needs the sorted law of log S_t") from exc
     return values + math.log(head.bond_factor(n)), probs
@@ -441,7 +441,7 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     market, _ = _discrete_market(path, schedule, 1.0)
-    values, probs = _log_price_law(market, [path.probs] * n, n)
+    values, probs = _log_price_law(market, path.probs, n)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
     vols = schedule.step_vols[:n]
@@ -499,7 +499,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     model = build_discrete_model(path, schedule)
-    values, probs = _log_price_law(model.market, model.measures, n)
+    values, probs = _log_price_law(model.market, model.measures[:n], n)
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     measures = np.array(model.measures.kinds)[model.measures.index[:n]]

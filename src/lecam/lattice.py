@@ -22,11 +22,12 @@ experiments of :mod:`lecam.experiments`:
   ``image_experiment_check`` enumerate paths: small-``N`` oracles.
 
 Which steps are the same is decided once, by :func:`group_steps`: a market
-keeps its distinct steps and a per-step index (``step_kinds``), its return
-classes (``classes``, steps of equal values) derive from them, and step
-measures take the same form (:class:`StepKinds`).  Every law depends on a
-return class only through the multiset of its step measures, so the engines
-read groups ``[q, steps]`` per class (:func:`class_groups`, or built
+keeps its returns and bond rates as distinct steps and a per-step index
+(:class:`StepKinds`), its return classes (``classes``, steps of equal
+values) derive from them, and step measures take the same form.  Every law
+depends on a return class only through the multiset of its step measures,
+so the engines read groups ``[q, steps]`` per class (built in the one pass
+of :func:`as_step_measures` that also checks a measure argument, or
 directly from vertex multisets by ``pricing.price_bounds``), a closed-form
 multinomial each, their sums over the classes enumerated once by
 ``combine_additive_laws``.  Atoms and nodes take their spots from
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -171,15 +172,16 @@ class LatticeMarket:
         Per-step simple rates ``>= 0``; the bond factor of step ``j`` is
         ``1 + bond_rates[j]``.
 
-    Validation groups the steps once (``step_kinds``).
+    Both are given one item per step or as a :class:`StepKinds`; validation
+    groups them once and keeps them as :class:`StepKinds` (of float tuples
+    and of floats), so each distinct step is checked once.
     """
 
     steps: int
     horizon: float
     s0: float
-    returns: tuple[tuple[tuple[float, float], ...], ...]
-    bond_rates: tuple[float, ...]
-    step_kinds: StepKinds = field(init=False, repr=False, compare=False)
+    returns: StepKinds
+    bond_rates: StepKinds
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -191,7 +193,7 @@ class LatticeMarket:
         steps = group_steps(self.returns,
                             lambda step: tuple((float(v), float(p)) for v, p in step))
         rates = group_steps(self.bond_rates, float)
-        self.__dict__.update(returns=tuple(steps), bond_rates=tuple(rates), step_kinds=steps)
+        self.__dict__.update(returns=steps, bond_rates=rates)
         if len(steps) != self.steps or len(rates) != self.steps:
             raise InvalidParams("returns and bond_rates must have one entry per step")
         for step, j in zip(steps.kinds, steps.first.tolist()):
@@ -213,7 +215,7 @@ class LatticeMarket:
     @functools.cached_property
     def classes(self) -> StepKinds:
         """The return classes: the steps grouped by their values alone."""
-        return group_steps(self.step_kinds, lambda step: tuple(v for v, _ in step))
+        return group_steps(self.returns, lambda step: tuple(v for v, _ in step))
 
     def head(self, n: int) -> LatticeMarket:
         """The first ``n`` steps as a market, sharing their validation."""
@@ -221,8 +223,7 @@ class LatticeMarket:
             raise InvalidParams(f"a head needs 1 to {self.steps} steps, got {n}")
         head = object.__new__(LatticeMarket)
         head.__dict__.update(steps=n, horizon=n * self.horizon / self.steps, s0=self.s0,
-                             returns=self.returns[:n], bond_rates=self.bond_rates[:n],
-                             step_kinds=self.step_kinds[:n])
+                             returns=self.returns[:n], bond_rates=self.bond_rates[:n])
         return head
 
     # -- accessors ---------------------------------------------------------
@@ -239,7 +240,8 @@ class LatticeMarket:
     def bond_path(self) -> np.ndarray:
         """Gross bond values ``B_0 = 1, ..., B_N`` (read-only), the step
         factors ``1 + r_j`` multiplied left to right."""
-        path = np.cumprod(np.r_[1.0, 1.0 + np.array(self.bond_rates)])
+        rates = self.bond_rates
+        path = np.cumprod(np.r_[1.0, 1.0 + np.array(rates.kinds)[rates.index]])
         path.flags.writeable = False
         return path
 
@@ -272,7 +274,7 @@ class PathState:
     def validate(self, market: LatticeMarket) -> None:
         if self.t > market.steps:
             raise InvalidState(f"state time {self.t} exceeds market steps {market.steps}")
-        kinds = market.step_kinds
+        kinds = market.returns
         sizes = np.array([len(step) for step in kinds.kinds])[kinds.index[:self.t]]
         moves = np.array(self.moves)  # an object array for moves beyond int64
         bad = np.flatnonzero((moves < 0) | (moves >= sizes))
@@ -417,17 +419,17 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
 
 
 def market_to_json(m: LatticeMarket) -> dict:
-    return {
-        "N": m.steps,
-        "T": m.horizon,
-        "s0": m.s0,
-        "bond": {"r_simple_per_step": list(m.bond_rates)},
-        "returns": {
-            "type": "table",
-            "values": [[v for v, _ in step] for step in m.returns],
-            "probs": [[p for _, p in step] for step in m.returns],
-        },
-    }
+    """The plain dict of :func:`market_from_json`: a flat ``table`` and a
+    ``const`` rate when every step is the same, else per-step lists."""
+    if len(m.returns.kinds) == len(m.bond_rates.kinds) == 1:
+        (step,), bond = m.returns.kinds, {"const": m.bond_rates.kinds[0]}
+        values, probs = [v for v, _ in step], [p for _, p in step]
+    else:
+        bond = {"r_simple_per_step": list(m.bond_rates)}
+        values = [[v for v, _ in step] for step in m.returns]
+        probs = [[p for _, p in step] for step in m.returns]
+    return {"N": m.steps, "T": m.horizon, "s0": m.s0, "bond": bond,
+            "returns": {"type": "table", "values": values, "probs": probs}}
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +458,7 @@ def solve_martingale_measures(m: LatticeMarket) -> MartingaleMeasureSet:
     no strictly positive solution (all returns on one side of 1, or a
     coordinate forced to zero across the whole polytope).
     """
-    kinds = m.step_kinds
+    kinds = m.returns
     solutions = []
     for step, j in zip(kinds.kinds, kinds.first.tolist()):
         values = np.array([v for v, _ in step])
@@ -482,12 +484,23 @@ def is_complete(m: LatticeMarket) -> bool:
     return solve_martingale_measures(m).complete
 
 
-def as_step_measures(m: LatticeMarket, q) -> StepKinds:
-    """Normalize a measure argument to one probability vector per step:
-    a :class:`MartingaleMeasureSet` (its designated element), a single
-    vector (every step's) or a per-step sequence of vectors.  Each distinct
-    vector is validated once as a probability vector; martingale and
-    positivity checks are left to the callers that need them.
+def as_step_measures(m: LatticeMarket, q, strict: bool | None = None
+                     ) -> tuple[StepKinds, list[tuple[tuple[float, ...], list[list]]]]:
+    """Normalize a measure argument and group it by return class, in one pass.
+
+    ``q`` is a :class:`MartingaleMeasureSet` (its designated element), a
+    single vector (every step's), a per-step sequence of vectors or a
+    :class:`StepKinds`.  Each distinct (return class, vector) pair is
+    checked once, naming its first step: first as a probability vector on
+    the class's values, then, unless ``strict`` is ``None``, as a
+    martingale measure (``sum q*u = 1``), strictly positive if ``strict``.
+
+    Returns the per-step measures (for :func:`backward_induction`,
+    :func:`pinned_measures` and the path oracles) and the return classes of
+    ``m`` in order, each with its steps' measures grouped by equal value as
+    ``[q, steps]`` (first-seen order), the form of
+    :func:`terminal_log_masses`: every law here depends on a class only
+    through that multiset.
     """
     if isinstance(q, MartingaleMeasureSet):
         q = q.designated()
@@ -496,32 +509,29 @@ def as_step_measures(m: LatticeMarket, q) -> StepKinds:
         if q and np.isscalar(q[0]):
             q = StepKinds((q,), np.zeros(m.steps, dtype=np.intp))
     measures = group_steps(q, lambda v: np.array(v, dtype=float))
-    pairs = _joint(m.step_kinds, measures)
-    for (i, k), j in zip(pairs.kinds, pairs.first.tolist()):
-        v = measures.kinds[k]
-        if v.shape != (len(m.step_kinds.kinds[i]),):
+    classes = m.classes
+    pairs = _joint(classes, measures)
+    checked = [(classes.kinds[c], measures.kinds[k], j)
+               for (c, k), j in zip(pairs.kinds, pairs.first.tolist())]
+    for values, v, j in checked:
+        if v.shape != (len(values),):
             raise InvalidParams(f"step {j} measure has wrong length")
         if np.any(v < 0.0):
             raise InvalidParams(f"step {j} measure has negative mass")
         if not abs(float(v.sum()) - 1.0) <= ATOL:  # NaN fails too
             raise InvalidParams(f"step {j} measure sums to {float(v.sum())!r}")
-    return measures
-
-
-def require_martingale(m: LatticeMarket, step_measures: Sequence[np.ndarray],
-                       strict: bool = False) -> None:
-    """Check the one-step pricing identity ``sum q*u = 1`` per step."""
-    measures = group_steps(step_measures, np.asarray)
-    pairs = _joint(m.classes, measures)
-    for (c, k), j in zip(pairs.kinds, pairs.first.tolist()):
-        v = measures.kinds[k]
-        gap = abs(float(v @ np.array(m.classes.kinds[c])) - 1.0)
+    for values, v, j in checked if strict is not None else ():
+        gap = abs(float(v @ np.array(values)) - 1.0)
         if not gap <= ATOL:
             raise InvalidParams(
                 f"step {j} measure is not a martingale measure (gap {gap:.3e})"
             )
         if strict and not np.all(v > 0.0):
             raise InvalidParams(f"step {j} measure is not strictly positive")
+    groups: list[list] = [[] for _ in classes.kinds]
+    for (c, k), size in zip(pairs.kinds, np.bincount(pairs.index).tolist()):
+        groups[c].append([measures.kinds[k], size])
+    return measures, list(zip(classes.kinds, groups))
 
 
 def pinned_measures(m: LatticeMarket, step_measures: StepKinds,
@@ -530,7 +540,7 @@ def pinned_measures(m: LatticeMarket, step_measures: StepKinds,
     its move in ``state``, one per distinct (step kind, move): the law given
     the observed moves, the complementary experiment of the node's block."""
     state.validate(m)
-    kinds, t = m.step_kinds, state.t
+    kinds, t = m.returns, state.t
     width = max(map(len, kinds.kinds))
     units = len(kinds.kinds) * width  # codes below are pinned (kind, move) pairs
     codes = np.r_[kinds.index[:t] * width + np.array(state.moves, dtype=np.intp),
@@ -743,22 +753,6 @@ def combine_additive_laws(laws: Sequence[tuple[np.ndarray, np.ndarray]]
     return vals, probs
 
 
-def class_groups(m: LatticeMarket, step_measures: Sequence[np.ndarray]
-                 ) -> list[tuple[tuple[float, ...], list[list]]]:
-    """The return classes of ``m`` in order, each with its steps' measures
-    grouped by equal value as ``[q, steps]`` (first-seen order): every law
-    here depends on a class only through that multiset."""
-    measures = group_steps(step_measures, _as_float)
-    classes = m.classes
-    pairs = _joint(classes, measures)
-    groups: list[list] = [[] for _ in classes.kinds]
-    for (c, k), size in zip(pairs.kinds, np.bincount(pairs.index).tolist()):
-        if len(measures.kinds[k]) != len(classes.kinds[c]):
-            raise InvalidParams("all steps in a class must share the support size")
-        groups[c].append([measures.kinds[k], size])
-    return list(zip(classes.kinds, groups))
-
-
 def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
     """``log(X/X_0)`` contributed by one return class at integer count
     vectors (one row each), the one rule for atoms and nodes."""
@@ -788,7 +782,7 @@ def terminal_log_law(m: LatticeMarket,
     their combination, exceed the state cap, counted before they are built.
     """
     laws = []
-    for values, groups in class_groups(m, step_measures):
+    for values, groups in as_step_measures(m, step_measures)[1]:
         qs, sizes = zip(*groups)
         counts, probs = count_distribution(StepKinds(qs, np.arange(len(qs)).repeat(sizes)),
                                            LAW_TAIL)
@@ -811,7 +805,7 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
     """Masses of ``log(X_T / X_0)`` strictly below, exactly at and strictly
     above each of ``levels`` under ``Q`` and ``Q1 = (X_T/X_0) . Q``, shape
     ``(2, 3, len(levels))``, from the step measures grouped per return
-    class (``classes``, as :func:`class_groups` returns them), without
+    class (``classes``, as :func:`as_step_measures` returns them), without
     building or sorting any law of ``X_T``.
 
     Each group (a return class times an equal step measure) is a chain of
@@ -991,8 +985,7 @@ def discounted_likelihood_process(m: LatticeMarket, q) -> list[dict[tuple[int, .
     normalized discounted price, which is simultaneously the density process
     of ``Q1`` relative to the chosen martingale measure.
     """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures)
+    as_step_measures(m, q, strict=False)
     out: list[dict[tuple[int, ...], float]] = [{(): 1.0}]
     for t in range(1, m.steps + 1):
         values = m.step_values(t - 1)
@@ -1015,8 +1008,7 @@ def induced_experiment(m: LatticeMarket, q) -> FiniteExperiment:
     per-step martingale measures, ``Q1 = (X_T/X_0) . Q`` and ``P`` the
     real-world product measure.
     """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures, strict=True)
+    step_measures, _ = as_step_measures(m, q, strict=True)
     paths = enumerate_paths(m, limits.max_product_outcomes())
     base = path_probabilities(m, paths, step_measures)
     ratio = path_products(m, paths)[:, -1]
@@ -1040,7 +1032,7 @@ def verify_representation(m: LatticeMarket, q, atol: float = ATOL) -> bool:
     lattice (:func:`backward_induction`, within the state cap) and compared
     with ``X_t / X_0`` at every node of every date.
     """
-    step_measures = as_step_measures(m, q)
+    step_measures, _ = as_step_measures(m, q)
     for _, x, value in backward_induction(m, step_measures, lambda x: x):
         if not np.allclose(value, x, rtol=0.0, atol=atol):
             return False
@@ -1071,8 +1063,7 @@ def verify_mm_criterion(m: LatticeMarket, q, g,
     node on the tree).  The two sides are equivalent; the report carries
     both verdicts and the per-node values of side one.
     """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures, strict=True)
+    step_measures, _ = as_step_measures(m, q, strict=True)
     paths = enumerate_paths(m)
     total = paths.shape[0]
     if callable(g):
@@ -1133,8 +1124,7 @@ def image_experiment_check(m: LatticeMarket, q,
     ``Q1`` against the pushed ``Q`` on the coarsened field equals the price
     coordinate itself.
     """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures, strict=True)
+    step_measures, _ = as_step_measures(m, q, strict=True)
     if times is None:
         times_list = list(range(m.steps + 1))
     else:

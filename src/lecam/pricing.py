@@ -58,9 +58,7 @@ from .lattice import (
     PathState,
     as_step_measures,
     backward_induction,
-    class_groups,
     pinned_measures,
-    require_martingale,
     solve_martingale_measures,
     terminal_log_masses,
 )
@@ -373,12 +371,14 @@ def _knocked_out_values(m: LatticeMarket, terms: Sequence[PayoffTerm],
 
 
 def _expectations(m: LatticeMarket, payoff: Payoff,
-                  step_measures: Sequence[np.ndarray],
+                  step_measures: Sequence[np.ndarray], classes: Sequence[tuple],
                   weights: Callable[[PayoffTerm], tuple],
                   ) -> np.ndarray:
     """``E_Q((a * x + b) * phi)`` for every term, with ``(a, b) =
     weights(term)`` (scalars or equal-shaped arrays), ``x = X_T/X_0`` and
-    ``phi`` the term's test.
+    ``phi`` the term's test, under ``step_measures`` and their groups per
+    return class (``classes``), both of
+    :func:`lecam.lattice.as_step_measures`.
 
     Terminal terms combine the powers ``E_Q(phi)`` and ``E_Q(x * phi)`` of
     :func:`_terminal_powers`, also inside a sum with knock-out terms, so a
@@ -391,8 +391,7 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
     knock_out = [i for i, t in enumerate(payoff.terms) if not t.terminal_only]
     out: list = [None] * len(coeffs)
     if terminal:
-        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal],
-                                  class_groups(m, step_measures))
+        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal], classes)
         for i, (base, alt) in zip(terminal, powers):
             a, b = coeffs[i]
             out[i] = a * alt + b * base
@@ -405,9 +404,9 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
 
 
 def _discounted_value(m: LatticeMarket, payoff: Payoff,
-                      step_measures: Sequence[np.ndarray]) -> float:
+                      step_measures: Sequence[np.ndarray], classes: Sequence[tuple]) -> float:
     scale = m.s0 * m.bond_factor(m.steps)
-    terms = _expectations(m, payoff, step_measures,
+    terms = _expectations(m, payoff, step_measures, classes,
                           lambda term: (term.coeff * scale, -term.strike))
     return float(m.discount * terms.sum())
 
@@ -422,9 +421,7 @@ def price_direct(m: LatticeMarket, q, payoff: Payoff) -> float:
     (:func:`lecam.limits.max_states`), so large recombining markets stay
     cheap.
     """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures)
-    return _discounted_value(m, payoff, step_measures)
+    return _discounted_value(m, payoff, *as_step_measures(m, q, strict=False))
 
 
 def price_via_tests(m: LatticeMarket, q, payoff: Payoff) -> PriceReport:
@@ -440,9 +437,9 @@ def price_via_tests(m: LatticeMarket, q, payoff: Payoff) -> PriceReport:
     state cap bounds the atoms or lattice nodes.  Agrees with
     :func:`price_direct` to within 1e-12.
     """
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures, strict=True)
-    powers = _expectations(m, payoff, step_measures, lambda term: ((1.0, 0.0), (0.0, 1.0)))
+    step_measures, classes = as_step_measures(m, q, strict=True)
+    powers = _expectations(m, payoff, step_measures, classes,
+                           lambda term: ((1.0, 0.0), (0.0, 1.0)))
     disc = m.discount
     price = 0.0
     terms = []
@@ -499,9 +496,8 @@ def np_decomposition(m: LatticeMarket, q, payoff: Payoff) -> CallDecomposition:
     decided in count units, so the price equals :func:`price_via_tests`.
     """
     strike = _call_strike(payoff)
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures, strict=True)
-    masses = terminal_log_masses(class_groups(m, step_measures), _log_levels(m, [strike]))
+    _, classes = as_step_measures(m, q, strict=True)
+    masses = terminal_log_masses(classes, _log_levels(m, [strike]))
     below, at, above = masses[:, :, 0].T
     exp = FiniteExperiment(("x <= cutoff", "x > cutoff"),
                            {"Q": [below[0] + at[0], above[0]],
@@ -534,10 +530,9 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState) -> floa
         raise PathDependenceUnsupported(
             "dynamic prices are only defined here for terminal-value payoffs"
         )
-    step_measures = as_step_measures(m, q)
-    require_martingale(m, step_measures)
+    step_measures, _ = as_step_measures(m, q, strict=False)
     pinned = pinned_measures(m, step_measures, state)
-    return m.bond_factor(state.t) * _discounted_value(m, payoff, pinned)
+    return m.bond_factor(state.t) * _discounted_value(m, payoff, *as_step_measures(m, pinned))
 
 
 def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:
@@ -574,7 +569,7 @@ def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:
         combos *= math.comb(n + len(vs) - 1, len(vs) - 1)
         if combos > cap:
             raise SizeLimit(f"vertex multisets exceed cap {cap}")
-    # each class's multisets as the groups [vertex, steps] of class_groups,
+    # each class's multisets as the groups [vertex, steps] of as_step_measures,
     # vertices in their order (the first-seen order of ordered picks)
     per_class = [[[[vs[i], len(list(run))] for i, run in itertools.groupby(picks)]
                   for picks in itertools.combinations_with_replacement(range(len(vs)), n)]

@@ -55,7 +55,7 @@ from lecam.lattice import (
     _count_logs,
     _grouped_count_law,
     _window,
-    class_groups,
+    as_step_measures,
     combine_additive_laws,
     count_distribution,
     terminal_log_law,
@@ -491,7 +491,7 @@ def full_log_law(market, measures, n):
     sorted and exactly equal atoms merged, shifted by ``log B_n``."""
     head = market.head(n)
     laws = []
-    for values, groups in class_groups(head, measures[:n]):
+    for values, groups in as_step_measures(head, measures[:n])[1]:
         counts, probs = count_distribution([q for q, size in groups for _ in range(size)])
         laws.append((_count_logs(counts, values), probs))
     logs, probs = combine_additive_laws(laws)

@@ -6,6 +6,7 @@ paths are certified by the slowest possible oracle.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -43,11 +44,9 @@ from lecam import limits
 from lecam.lattice import (
     as_step_measures,
     backward_induction,
-    class_groups,
     count_distribution,
     path_products,
     pinned_measures,
-    require_martingale,
     terminal_log_law,
     terminal_log_masses,
 )
@@ -662,7 +661,7 @@ class TestComplementaryMarket:
             m = random_market(rng, max_steps=3)
             if m.steps < 2:
                 continue
-            qs = as_step_measures(m, solve_martingale_measures(m).designated())
+            qs, _ = as_step_measures(m, solve_martingale_measures(m).designated())
             exp = induced_experiment(m, qs)
             t = int(rng.integers(1, m.steps))
             part = Partition.by_key(exp.outcomes, lambda w: w[:t])
@@ -778,6 +777,23 @@ class TestJson:
             np.testing.assert_allclose(back.step_probs(j), m.step_probs(j))
             assert back.bond_rates[j] == pytest.approx(m.bond_rates[j])
 
+    def test_round_trip_is_exact_and_compact_for_one_kind(self):
+        one = build_crr(1.2, 0.9, 1.01, 0.5, 6, 100.0)
+        up, down = ((1.2, 0.5), (0.9, 0.5)), ((1.1, 0.25), (0.95, 0.75))
+        rates = LatticeMarket(4, 2.0, 3.0, (up,) * 4, (0.0, 0.01, 0.0, 0.01))
+        steps = LatticeMarket(4, 2.0, 3.0, (up, down, up, down), (0.01,) * 4)
+        for m in (one, rates, steps):
+            assert market_from_json(market_to_json(m)) == m
+        doc = market_to_json(one)
+        assert doc["bond"] == {"const": one.bond_rates[0]}
+        assert doc["returns"]["values"] == [v for v, _ in one.returns[0]]
+        for m in (rates, steps):
+            doc = market_to_json(m)
+            assert doc["bond"] == {"r_simple_per_step": list(m.bond_rates)}
+            assert doc["returns"]["values"] == [[v for v, _ in step] for step in m.returns]
+        big = build_crr(1.0002, 0.9998, 1.0, 0.5, 10**6, 100.0)
+        assert len(json.dumps(market_to_json(big))) < 1024
+
     def test_crr_returns_are_divided_by_bond(self):
         doc = {
             "N": 1, "T": 1.0, "s0": 4.0,
@@ -813,7 +829,7 @@ class TestJson:
 class TestMeasureCoercion:
     def test_single_vector_broadcasts(self):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 3, 4.0)
-        qs = as_step_measures(m, [1 / 3, 2 / 3])
+        qs, _ = as_step_measures(m, [1 / 3, 2 / 3])
         assert len(qs) == 3
         for v in qs:
             np.testing.assert_allclose(v, [1 / 3, 2 / 3])
@@ -885,16 +901,16 @@ class TestDistinctStepChecks:
             as_step_measures(m, [good2, good3, negative, good3])
         off = np.array([0.5, 0.5])
         with pytest.raises(InvalidParams, match="^step 2 measure is not a martingale"):
-            require_martingale(m, [good2, good3, off, good3])
+            as_step_measures(m, [good2, good3, off, good3], strict=False)
         # the same vector is a martingale measure at one step, not the next
         wide = LatticeMarket(2, 1.0, 1.0, (self.GOOD, ((3.0, 0.5), (0.5, 0.5))),
                              (0.0,) * 2)
         with pytest.raises(InvalidParams, match="^step 1 measure is not a martingale"):
-            require_martingale(wide, [good2, good2])
+            as_step_measures(wide, [good2, good2], strict=False)
         edge = np.array([0.0, 1.0, 0.0])
-        require_martingale(m, [good2, edge, good2, edge])
+        as_step_measures(m, [good2, edge, good2, edge], strict=False)
         with pytest.raises(InvalidParams, match="^step 1 measure is not strictly"):
-            require_martingale(m, [good2, edge, good2, edge], strict=True)
+            as_step_measures(m, [good2, edge, good2, edge], strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +986,7 @@ class TestTerminalLogMasses:
                 logs = np.array([sum(math.log(m.returns[j][i][0]) for j, i in enumerate(p))
                                  for p in paths])
                 levels = probe_levels(logs[probs > 0.0])
-                got = terminal_log_masses(class_groups(m, qs), levels)
+                got = terminal_log_masses(as_step_measures(m, qs)[1], levels)
                 want = masses_oracle(logs, probs, ratios, levels)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
@@ -980,7 +996,7 @@ class TestTerminalLogMasses:
         values = (1.05, 1.0, 0.95)
         step = tuple((v, 1 / 3) for v in values)
         m = LatticeMarket(4, 1.0, 1.0, (step,) * 4, (0.0,) * 4)
-        groups = class_groups(m, [np.array([0.0, 1.0, 0.0])] * 4)
+        _, groups = as_step_measures(m, [np.array([0.0, 1.0, 0.0])] * 4)
         got = terminal_log_masses(groups, [-0.1, 0.0, 0.1])
         want = [[[0, 0, 1], [0, 1, 0], [1, 0, 0]]] * 2  # below, at, above
         np.testing.assert_array_equal(got, want)
@@ -998,7 +1014,7 @@ class TestTerminalLogMasses:
             qs = solve_martingale_measures(m).designated()
             logs, probs = terminal_log_law(m, qs)
             levels = probe_levels(logs)[:: max(1, len(logs) // 40)]
-            got = terminal_log_masses(class_groups(m, qs), levels)
+            got = terminal_log_masses(as_step_measures(m, qs)[1], levels)
             want = masses_oracle(logs, probs, np.exp(logs), levels)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
@@ -1007,28 +1023,27 @@ class TestTerminalLogMasses:
         qs = solve_martingale_measures(m).designated()
         levels = [-0.1, 0.0, 0.1]
         np.testing.assert_array_equal(
-            terminal_log_masses(class_groups(m, [q.tolist() for q in qs]), levels),
-            terminal_log_masses(class_groups(m, qs), levels))
+            terminal_log_masses(as_step_measures(m, [q.tolist() for q in qs])[1], levels),
+            terminal_log_masses(as_step_measures(m, qs)[1], levels))
         step = ((1.1, 0.5), (0.9, 0.5))
         m = LatticeMarket(2, 1.0, 1.0, (step, step), (0.0, 0.0))
-        with pytest.raises(InvalidParams, match="share the support size"):
-            terminal_log_masses(class_groups(m, [np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])]),
-                                levels)
+        with pytest.raises(InvalidParams, match="^step 1 measure has wrong length"):
+            as_step_measures(m, [np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])])
 
     def test_cap_checks_class_states_and_atoms(self, monkeypatch):
         m = build_crr(1.1, 0.9, 1.0, 0.5, 8, 1.0)
         qs = solve_martingale_measures(m).designated()
         monkeypatch.setenv("LECAM_MAX_PATHS", "8")
         with pytest.raises(SizeLimit, match="count states 9 exceed cap 8"):
-            terminal_log_masses(class_groups(m, qs), [0.0])
+            terminal_log_masses(as_step_measures(m, qs)[1], [0.0])
         # two classes of 9 states each: 9 atoms enumerated, the other class in closed form
         one, two = ((1.1, 0.5), (0.9, 0.5)), ((1.2, 0.5), (0.85, 0.5))
         m = LatticeMarket(16, 1.0, 1.0, (one,) * 8 + (two,) * 8, (0.0,) * 16)
         qs = solve_martingale_measures(m).designated()
         monkeypatch.setenv("LECAM_MAX_PATHS", "9")
-        terminal_log_masses(class_groups(m, qs), [0.0])
+        terminal_log_masses(as_step_measures(m, qs)[1], [0.0])
         three = ((1.3, 0.5), (0.75, 0.5))
-        m = LatticeMarket(24, 1.0, 1.0, m.returns + (three,) * 8, (0.0,) * 24)
+        m = LatticeMarket(24, 1.0, 1.0, tuple(m.returns) + (three,) * 8, (0.0,) * 24)
         qs = solve_martingale_measures(m).designated()
         with pytest.raises(SizeLimit, match="terminal atoms exceed cap 9"):
-            terminal_log_masses(class_groups(m, qs), [0.0])
+            terminal_log_masses(as_step_measures(m, qs)[1], [0.0])

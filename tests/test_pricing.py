@@ -878,7 +878,7 @@ class TestPriceBoundsMultisets:
         pair = ((1.05, 0.4), (0.97, 0.6))
         cycle = (tri, quad, tri_other, pair, tri, quad, pair)
         m = LatticeMarket(7, 1.0, 2.0, cycle, RATES6 + (0.004,))
-        assert len(m.step_kinds.kinds) == 4 and len(m.classes.kinds) == 3
+        assert len(m.returns.kinds) == 4 and len(m.classes.kinds) == 3
         strike = m.s0 * m.bond_factor(m.steps) * 0.9871
         lows, highs = self.ordered_bounds(m, strike)
         calls = count_laws(monkeypatch)

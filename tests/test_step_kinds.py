@@ -24,7 +24,7 @@ from lecam import (
     solve_martingale_measures,
 )
 from lecam import lattice
-from lecam.lattice import as_step_measures, group_steps, require_martingale
+from lecam.lattice import as_step_measures, group_steps
 
 
 class TestStepKinds:
@@ -58,7 +58,7 @@ class TestStepKinds:
         up, down = ((1.2, 0.5), (0.9, 0.5)), ((1.2, 0.25), (0.9, 0.75))
         other = ((1.1, 0.5), (0.95, 0.5))
         m = LatticeMarket(5, 1.0, 1.0, (up, other, down, up, other), (0.0,) * 5)
-        assert m.step_kinds.index.tolist() == [0, 1, 2, 0, 1]
+        assert m.returns.index.tolist() == [0, 1, 2, 0, 1]
         assert m.classes.kinds == ((1.2, 0.9), (1.1, 0.95))
         assert m.classes.index.tolist() == [0, 1, 0, 0, 1]
         assert m.classes.first.tolist() == [0, 1]
@@ -71,7 +71,7 @@ class TestStepKinds:
         monkeypatch.setattr(LatticeMarket, "__post_init__", None)
         head = m.head(4)
         assert head == want
-        assert head.step_kinds.index.tolist() == want.step_kinds.index.tolist()
+        assert head.returns.index.tolist() == want.returns.index.tolist()
         assert head.classes.kinds == want.classes.kinds
         assert head.bond_factor(4) == want.bond_factor(4)
         for n in (0, 7, -1):
@@ -83,10 +83,10 @@ class TestStepKinds:
                           (0.0,) * 4)
         assert solve_martingale_measures(m) == solve_martingale_measures(m)
         assert hash(solve_martingale_measures(m)) == hash(solve_martingale_measures(m))
-        one = as_step_measures(m, solve_martingale_measures(m))
-        assert one == as_step_measures(m, [np.array(q) for q in one])
+        one, _ = as_step_measures(m, solve_martingale_measures(m))
+        assert one == as_step_measures(m, [np.array(q) for q in one])[0]
         assert one != one[:3]
-        assert one != as_step_measures(m, list(one)[:3] + [np.array([0.5, 0.5])])
+        assert one != as_step_measures(m, list(one)[:3] + [np.array([0.5, 0.5])])[0]
         assert group_steps("abab") == group_steps("abab") != group_steps("abba")
 
     def test_measure_lists_of_the_wrong_length_are_rejected(self):
@@ -94,12 +94,64 @@ class TestStepKinds:
         q = np.array([1 / 3, 2 / 3])
         for qs in ([q] * 3, [q] * 5, [q]):
             message = f"^expected 4 step measures, got {len(qs)}$"
-            for check in (lambda: require_martingale(m, qs),
+            for check in (lambda: as_step_measures(m, qs, strict=False),
                           lambda: lattice.terminal_log_law(m, qs),
-                          lambda: lattice.terminal_log_masses(lattice.class_groups(m, qs), [0.0]),
+                          lambda: price_direct(m, qs, payoff_european_call(1.0)),
                           lambda: as_step_measures(m, qs)):
                 with pytest.raises(InvalidParams, match=message):
                     check()
+
+
+class TestGroupedOnce:
+    """A market keeps only its grouped steps, and each pricing route joins
+    its measures to the return classes once."""
+
+    TWO = ((1.2, 0.5), (0.9, 0.5))
+    OTHER = ((1.1, 0.25), (0.95, 0.75))
+
+    def counted(self, monkeypatch, name):
+        calls = []
+        original = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name,
+                            lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
+        return calls
+
+    def test_each_route_joins_measures_to_classes_once(self, monkeypatch):
+        m = LatticeMarket(6, 1.0, 100.0, (self.TWO, self.OTHER) * 3, (0.01, 0.0) * 3)
+        q = solve_martingale_measures(m)
+        call, barrier = payoff_european_call(100.0), payoff_from_json(
+            {"type": "barrier_up_out", "K": 100.0, "B": 150.0})
+        joins = self.counted(monkeypatch, "_joint")
+        routes = ((lambda: price_direct(m, q, call), 1),
+                  (lambda: price_direct(m, q, barrier), 1),
+                  (lambda: price_via_tests(m, q, call), 1),
+                  (lambda: np_decomposition(m, q, call), 1),
+                  (lambda: dynamic_price(m, q, call, PathState(3, (0, 1, 1))), 2))
+        for route, want in routes:
+            joins.clear()
+            route()
+            assert len(joins) == want
+
+    def test_market_keeps_grouped_steps_and_head_does_not_regroup(self, monkeypatch):
+        m = LatticeMarket(6, 1.0, 100.0, (self.TWO, self.OTHER) * 3, (0.01, 0.0) * 3)
+        assert isinstance(m.returns, lattice.StepKinds)
+        assert isinstance(m.bond_rates, lattice.StepKinds)
+        assert m.returns.kinds == (self.TWO, self.OTHER) and m.bond_rates.kinds == (0.01, 0.0)
+        groups = self.counted(monkeypatch, "group_steps")
+        head = m.head(3)
+        assert groups == []
+        assert isinstance(head.returns, lattice.StepKinds) and list(head.returns) == [
+            self.TWO, self.OTHER, self.TWO]
+        assert head.bond_path.tolist() == m.bond_path[:4].tolist()
+
+    def test_probability_checks_come_before_martingale_checks(self):
+        m = LatticeMarket(3, 1.0, 1.0, (self.TWO,) * 3, (0.0,) * 3)
+        off, good = np.array([0.5, 0.5]), np.array([1 / 3, 2 / 3])
+        with pytest.raises(InvalidParams, match="^step 2 measure has negative mass"):
+            as_step_measures(m, [off, good, np.array([1.5, -0.5])], strict=True)
+        with pytest.raises(InvalidParams, match="^step 0 measure is not a martingale"):
+            as_step_measures(m, [off, good, good], strict=True)
+        as_step_measures(m, [off, good, good])  # no martingale check asked
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +606,8 @@ def test_outputs_bitwise_equal_to_pinned(n):
 
 def test_interleaved_cases_have_two_groups_per_class():
     m, qs = interleaved_case(9, 109)
-    groups = lattice.class_groups(m, qs)
-    assert [[size for _, size in class_groups] for _, class_groups in groups] == [[3, 2], [2, 2]]
+    _, groups = as_step_measures(m, qs)
+    assert [[size for _, size in per_class] for _, per_class in groups] == [[3, 2], [2, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +642,6 @@ class TestFirstOffendingStep:
         m = build_crr(1.001, 0.999, 1.0, 0.5, self.N, 100.0)
         qs = self.measures([0.6, 0.4])
         with pytest.raises(InvalidParams, match="^step 70000 measure is not a martingale"):
-            require_martingale(m, qs)
+            as_step_measures(m, qs, strict=False)
         with pytest.raises(InvalidParams, match="^step 70000 measure is not a martingale"):
             price_via_tests(m, qs, payoff_european_call(100.0))
