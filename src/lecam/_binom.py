@@ -27,7 +27,7 @@ would dominate there.
 
 ``ndtr(z)`` is the standard normal cdf from the rational approximations
 of erf and erfc of Cephes (after Cody 1969), each region of ``z`` a slice
-of the sorted argument.
+of the sorted argument; ``normal_cdf(z)`` is the same on one Python float.
 """
 
 from __future__ import annotations
@@ -386,8 +386,10 @@ def _half_erf(x):
     return 0.5 * (x * _horner(_T, w) / _horner(_U, w))
 
 
-def _ndtr1(z: float) -> float:
-    """:func:`ndtr` on a Python float, with the C library's ``erfc``."""
+def normal_cdf(z: float) -> float:
+    """``Phi(z)`` on a Python float, the package's one scalar ``Phi``: as
+    :func:`ndtr`, with the C library's ``erfc`` in the tails, so the lower
+    tail keeps its relative accuracy."""
     x = z * math.sqrt(0.5)
     if x < -1.0:
         return 0.5 * math.erfc(-x)
@@ -404,7 +406,7 @@ def ndtr(z) -> np.ndarray:
     ``SMALL_N`` elements run on Python floats."""
     z = np.asarray(z, dtype=float)
     if len(z) <= SMALL_N:
-        return np.array([_ndtr1(v) for v in z.tolist()])
+        return np.array([normal_cdf(v) for v in z.tolist()])
     order = None
     if np.any(z[1:] < z[:-1]):
         order = np.argsort(z)

@@ -19,15 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._binom import normal_cdf
 from .errors import InvalidParams, UnsupportedTest
 from .pricing import Payoff, PriceReport, TermPowers
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the error function (absolute error ~1e-16)."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 @dataclass(frozen=True)

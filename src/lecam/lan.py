@@ -7,22 +7,23 @@ with ``E(g) = 0``, ``E(g^2) = 1`` and ``g >= -C``; the perturbed laws
 per step and compounding returns ``(1 + sigma*sqrt(T/N)*g) / (1 + rho*T/N)``
 produces lattice markets whose log prices obey a local asymptotic normality
 expansion.  The diagnostics here take means and variances as sums of
-per-step moments, exact because the steps are independent, and the CDF
-sup-distance from the finite-``N`` sorted law of ``log S_t`` on the counts
-that carry mass (:func:`lecam.lattice.terminal_log_law` on the discrete
-model's market, grouping equal steps, each binomial draw on its Hoeffding
-window), the one consumer of that law in the package.  The counts left out
-hold at most ``LAW_TAIL = 1e-20`` of the mass per draw, ``4e-20`` in all for
-the one- and two-piece schedules here, and move the distance by no more.
-Call prices come from
-:func:`lecam.pricing.price_direct`, which builds no law of ``S_T``.  The
-diagnostics report the distance from the Gaussian limit:
+per-step moments, exact because the steps are independent.  Under ``P0``
+they also take the CDF sup-distance from the finite-``N`` sorted law of
+``log S_t`` on the counts that carry mass
+(:func:`lecam.lattice.terminal_log_law` on the discrete model's market,
+grouping equal steps, each binomial draw on its Hoeffding window), the one
+law of ``log S_t`` built in the package.  The counts left out hold at most
+``LAW_TAIL = 1e-20`` of the mass per draw, ``4e-20`` in all for the one- and
+two-piece schedules here, and move the distance by no more.  Call prices
+come from :func:`lecam.pricing.price_direct`, which builds no law of
+``S_T``.  The diagnostics report the distance from the Gaussian limit:
 
-* under the real-world products: mean/variance against ``(-v/2, v)`` with
-  ``v`` the integrated squared volatility, plus a CDF sup-distance;
-* under the per-step martingale measures: means of the linear statistic and
-  of ``log S`` against the integrated rate and ``integral(r - sigma^2/2)``
-  — the measure-change counterpart of the limit law;
+* under the real-world products (LAN): mean/variance of ``log S`` against
+  ``(-v/2, v)`` with ``v`` the integrated squared volatility, plus the CDF
+  sup-distance;
+* under the per-step martingale measures (the third-lemma shift): means and
+  variances of the linear statistic and of ``log S`` against the integrated
+  rate, ``integral(r - sigma^2/2)`` and ``v``, from moments alone;
 * call prices against the closed-form limit price.
 """
 
@@ -353,19 +354,6 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
     return int(n)
 
 
-def _log_price_law(market: LatticeMarket, measures, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The law of ``log(S_n / S_0)`` over the market's first ``n`` steps
-    under ``measures`` (one vector for all of them, or one per step), on the
-    counts that carry mass: the grouped law of ``log(X_n / X_0)`` shifted
-    by ``log B_n``."""
-    head = market.head(n)
-    try:
-        values, probs = terminal_log_law(head, measures)
-    except SizeLimit as exc:
-        raise SizeLimit(f"{exc}: the CDF sup-distance needs the sorted law of log S_t") from exc
-    return values + math.log(head.bond_factor(n)), probs
-
-
 def _step_moves(path: TangentPath, schedule: Schedule, n: int) -> np.ndarray:
     """Per-step perturbations ``sigma_j sqrt(T/N) g``, shape ``(n, k)``."""
     return schedule.step_vols[:n, None] * np.array(path.g)
@@ -414,8 +402,9 @@ def _cdf_sup_distance(values: np.ndarray, probs: np.ndarray,
 @dataclass(frozen=True)
 class LanReport:
     """Law of ``log S`` under the real-world products vs its limit;
-    ``states`` counts the atoms of the windowed law of
-    :func:`lecam.lattice.terminal_log_law`."""
+    ``states`` counts the atoms of its windowed law
+    (:func:`lecam.lattice.terminal_log_law`), from which
+    ``cdf_sup_distance`` is taken."""
 
     N: int
     t: float
@@ -440,8 +429,12 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     """
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
-    market, _ = _discrete_market(path, schedule, 1.0)
-    values, probs = _log_price_law(market, path.probs, n)
+    head = _discrete_market(path, schedule, 1.0)[0].head(n)
+    try:
+        values, probs = terminal_log_law(head, path.probs)
+    except SizeLimit as exc:
+        raise SizeLimit(f"{exc}: the CDF sup-distance needs the sorted law of log S_t") from exc
+    values = values + math.log(head.bond_factor(n))  # log(X_n / X_0) to log(S_n / S_0)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
     vols = schedule.step_vols[:n]
@@ -462,7 +455,7 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
 
 @dataclass(frozen=True)
 class ThirdLemmaReport:
-    """Laws under the designated martingale measures vs their limits.
+    """Moments under the designated martingale measures vs their limits.
 
     ``z`` is the linear statistic ``sum sigma_j sqrt(T/N) g(x_j)``; its limit
     mean is the integrated rate.  ``log S`` has limit mean
@@ -470,8 +463,7 @@ class ThirdLemmaReport:
     ``integral sigma^2``.  ``alpha`` is the accumulated squared local
     parameter ``sum theta_j^2``, with ``theta_j = rho_j sqrt(T/N) / sigma_j``
     the parameter of step ``j``'s designated measure (reported, no limit
-    asserted).  ``states`` counts the atoms of the windowed law of ``log S``,
-    as in :class:`LanReport`.
+    asserted).  All are sums of per-step moments: no law is built.
     """
 
     N: int
@@ -485,13 +477,11 @@ class ThirdLemmaReport:
     logs_var: float
     logs_var_gap: float
     alpha: float
-    cdf_sup_distance: float
-    states: int
 
 
 def third_lemma_check(path: TangentPath, schedule: Schedule,
                       t: float | None = None) -> ThirdLemmaReport:
-    """Measure-changed laws against the shifted Gaussian limit.
+    """Measure-changed moments against the shifted Gaussian limit.
 
     The measures are those of :func:`build_discrete_model`, so every step of
     the grid, not only those up to ``t``, must admit one.
@@ -499,7 +489,6 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
     model = build_discrete_model(path, schedule)
-    values, probs = _log_price_law(model.market, model.measures[:n], n)
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     measures = np.array(model.measures.kinds)[model.measures.index[:n]]
@@ -518,10 +507,6 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
         logs_var=s_var,
         logs_var_gap=abs(s_var - v_limit),
         alpha=sum(theta**2 for theta in model.thetas[:n]),
-        cdf_sup_distance=_cdf_sup_distance(
-            values, probs, r_limit - 0.5 * v_limit, v_limit
-        ),
-        states=len(values),
     )
 
 

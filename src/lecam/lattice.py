@@ -13,8 +13,9 @@ experiments of :mod:`lecam.experiments`:
   units, without any law of ``X_T``;
 * ``terminal_log_law`` is the sorted law of ``log(X_T/X_0)`` on the counts
   that carry mass, each binomial draw on its Hoeffding window, for the one
-  consumer of a sorted CDF (the sup-distance of :mod:`lecam.lan`); prices
-  never window a draw, as a far tail term needs its tail-relative accuracy;
+  consumer of a sorted CDF (the ``P0`` sup-distance of :mod:`lecam.lan`);
+  prices never window a draw, as a far tail term needs its tail-relative
+  accuracy;
 * ``backward_induction`` rolls node values back over the recombined
   lattice, whose nodes are integer count vectors per return class; it
   prices barriers and serves ``verify_representation``;
@@ -375,6 +376,12 @@ def market_from_json(doc: Mapping) -> LatticeMarket:
         raise InvalidParams(f"market spec malformed: {exc}") from exc
 
 
+def _every_step(item, steps: int) -> StepKinds:
+    """``item`` at each of ``steps`` steps, stored once; for ``steps < 1``
+    no steps and no kind, so that the market rejects the size first."""
+    return StepKinds((item,) * (steps > 0), np.zeros(max(steps, 0), dtype=np.intp))
+
+
 def _market_from_json(doc: Mapping) -> LatticeMarket:
     steps = int(doc["N"])
     horizon = float(doc["T"])
@@ -383,9 +390,9 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
     ret = doc["returns"]
 
     if "const" in bond:
-        rates = [float(bond["const"])] * steps
+        rates = _every_step(float(bond["const"]), steps)
     elif "r_simple_per_step" in bond:
-        rates = [float(r) for r in bond["r_simple_per_step"]]
+        rates = group_steps([float(r) for r in bond["r_simple_per_step"]])
         if len(rates) != steps:
             raise InvalidParams("r_simple_per_step length must equal N")
     else:
@@ -396,8 +403,8 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
         u = float(ret["u"])
         d = float(ret["d"])
         p = float(ret.get("p", 0.5))
-        # rates grouped by value first, so that each distinct rate builds one step
-        steps_returns = group_steps(group_steps(rates), lambda r: _crr_step(u, d, p, 1.0 + r))
+        # one step built per distinct rate
+        steps_returns = group_steps(rates, lambda r: _crr_step(u, d, p, 1.0 + r))
     elif kind == "table":
         values = ret["values"]
         probs = ret["probs"]
@@ -411,11 +418,11 @@ def _market_from_json(doc: Mapping) -> LatticeMarket:
             )
         else:
             one = tuple(zip(map(float, values), map(float, probs), strict=True))
-            steps_returns = (one,) * steps
+            steps_returns = _every_step(one, steps)
     else:
         raise InvalidParams(f"unknown returns type {kind!r}")
 
-    return LatticeMarket(steps, horizon, s0, steps_returns, tuple(rates))
+    return LatticeMarket(steps, horizon, s0, steps_returns, rates)
 
 
 def market_to_json(m: LatticeMarket) -> dict:

@@ -2,13 +2,16 @@
 
 The closed forms (normal CDF, lognormal call price) are compared against
 2001-node Gauss-Legendre integrals of the defining densities, so the only
-trusted primitive is polynomial integration.
+trusted primitive is polynomial integration.  The normal CDF's far lower
+tail, below what an absolute error shows, is checked against
+``scipy.special.ndtr`` (a test-only dependency).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from lecam import (
     BSModel,
@@ -87,6 +90,14 @@ class TestNormalCdf:
         rng = np.random.default_rng(RNG_SEED)
         for x in rng.uniform(-6.0, 6.0, size=50):
             assert abs(normal_cdf(float(x)) - cdf_oracle(float(x))) <= 1e-12
+
+    def test_relative_error_in_the_lower_tail(self):
+        """No cancellation below the center: 7.6e-24 at -10, not 0."""
+        xs = np.linspace(-37.0, 8.0, 4501)
+        want = ndtr(xs)
+        got = np.array([normal_cdf(x) for x in xs.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert normal_cdf(-10.0) == pytest.approx(7.619853024160526e-24, rel=1e-13)
 
 
 class TestStepFunction:

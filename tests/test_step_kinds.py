@@ -144,6 +144,26 @@ class TestGroupedOnce:
             self.TWO, self.OTHER, self.TWO]
         assert head.bond_path.tolist() == m.bond_path[:4].tolist()
 
+    @pytest.mark.parametrize("bond, lists", [({"const": 0.01}, 0),
+                                             ({"r_simple_per_step": [0.01, 0.0] * 500_000}, 1)])
+    def test_crr_spec_groups_its_rates_once(self, monkeypatch, bond, lists):
+        """At N = 10^6 a CRR spec hands ``group_steps`` its per-step rate list
+        once and a constant rate never; then only grouped steps follow."""
+        walked = []
+        original = lattice.group_steps
+
+        def counted(items, *args):
+            if not isinstance(items, lattice.StepKinds):
+                walked.append(len(items))
+            return original(items, *args)
+
+        monkeypatch.setattr(lattice, "group_steps", counted)
+        m = lattice.market_from_json({"N": 10**6, "T": 1.0, "s0": 100.0, "bond": bond,
+                                      "returns": {"type": "crr", "u": 1.01, "d": 0.99}})
+        assert walked == [10**6] * lists
+        assert len(m.returns) == len(m.bond_rates) == 10**6
+        assert len(m.returns.kinds) == len(m.bond_rates.kinds) == 1 + lists
+
     def test_probability_checks_come_before_martingale_checks(self):
         m = LatticeMarket(3, 1.0, 1.0, (self.TWO,) * 3, (0.0,) * 3)
         off, good = np.array([0.5, 0.5]), np.array([1 / 3, 2 / 3])
