@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    price       price a payoff on a lattice market (or price bounds)
+    price       price a payoff directly and from test powers
     dynamics    price at an interior node reached by observed moves
     complete    classify the market's martingale measure set
     bounds      price range over product martingale measures (one vertex
@@ -15,7 +15,10 @@ Subcommands::
 Exit codes: 0 success, 1 incomplete (``complete`` only), 2 no-arbitrage
 violation, 3 malformed specs or invalid parameters, 4 convergence threshold
 violated, 5 self-check failed (``price``: direct and test-power prices
-differ by more than 1e-12 relative; ``np``: Bayes-risk identity).  All
+differ by more than 1e-12 relative; ``np``: Bayes-risk identity).  Each
+command builds one record and prints it in its ``--format``: JSON, or
+``name = value`` lines named as the JSON fields (CSV rows for ``converge``
+and ``lan-report``; ``price`` and ``complete`` write their own lines).  All
 floats are printed with 12 significant digits, ``.`` decimal separator and
 ``\n`` line endings, so outputs are byte-stable.  The environment variable
 ``LECAM_MAX_PATHS`` overrides the enumeration caps.
@@ -59,6 +62,7 @@ EXIT_SELF_CHECK = 5
 #: Relative tolerance of the direct vs test-power price check in ``price``.
 ROUTE_RTOL = 1e-12
 
+#: CSV headers; their fields are the JSON keys of each row.
 CONVERGE_HEADER = "N,p_N,p_BS,abs_gap,noether_max,var_gap"
 LAN_HEADER = ("N,t,noether_max,riemann_gap,p0_mean_gap,p0_var_gap,p0_cdf_sup,"
               "q_z_mean_gap,q_logs_mean_gap,q_logs_var_gap,alpha")
@@ -80,13 +84,39 @@ def _round12(obj):
     return obj
 
 
-def _emit(lines: Sequence[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+def _value(x) -> str:
+    """A field in text or CSV: ints as they are, lists comma-joined, floats
+    by :func:`fmt`."""
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, list):
+        return ",".join(_value(v) for v in x)
+    return fmt(x)
+
+
+def _emit(args, record, text: Sequence[str] | None = None) -> None:
+    """Print a command's one ``record`` in ``args.format`` to ``args.out``.
+
+    JSON is the record rounded by :func:`_round12`.  Otherwise ``text``
+    lines when the command passes its own; else a list of rows prints as
+    CSV, header first (rows are dicts keyed by the header's fields), and a
+    dict as one ``name = value`` line per field.
+    """
+    if args.format == "json":
+        lines = [json.dumps(_round12(record))]
+    elif text is not None:
+        lines = text
+    elif isinstance(record, list):
+        lines = [",".join(record[0])] + [",".join(map(_value, row.values()))
+                                         for row in record]
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        lines = [f"{name} = {_value(x)}" for name, x in record.items()]
+    out = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(out)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(out)
 
 
 def _load_json(path: str) -> dict:
@@ -112,7 +142,7 @@ def _resolve_measure(market: LatticeMarket, selector: str | None):
         if not solutions.complete:
             raise InvalidParams(
                 "market is incomplete: pass --measure (e.g. 'designated' or a "
-                "per-step vector) or use --bounds"
+                "per-step vector) or run 'lecam bounds'"
             )
         return solutions.designated()
     if selector == "designated":
@@ -156,35 +186,19 @@ def _parse_state(market: LatticeMarket, raw: str) -> PathState:
 # ---------------------------------------------------------------------------
 
 def _cmd_price(args) -> int:
-    if args.bounds:
-        return _cmd_bounds(args)
     market = market_from_json(_load_json(args.market))
     payoff = payoff_from_json(_load_json(args.payoff))
     measures = _resolve_measure(market, args.measure)
     direct = price_direct(market, measures, payoff)
     report = price_via_tests(market, measures, payoff)
     diff = abs(direct - report.price)
-    if args.format == "json":
-        doc = _round12({
-            "price_direct": direct,
-            "price_via_tests": report.price,
-            "diff": diff,
-            "report": report.to_json(),
-        })
-        _emit([json.dumps(doc)], args.out)
-    else:
-        lines = [
-            f"price_direct = {fmt(direct)}",
-            f"price_via_tests = {fmt(report.price)}",
-            f"diff = {fmt(diff)}",
-            f"discount = {fmt(report.discount)}",
-        ]
-        for term in report.terms:
-            lines.append(
-                f"term {term.label}: power_alt = {fmt(term.power_alt)}, "
-                f"power_base = {fmt(term.power_base)}"
-            )
-        _emit(lines, args.out)
+    text = [f"{name} = {fmt(x)}" for name, x in (
+        ("price_direct", direct), ("price_via_tests", report.price),
+        ("diff", diff), ("discount", report.discount))]
+    text += [f"term {term.label}: power_alt = {fmt(term.power_alt)}, "
+             f"power_base = {fmt(term.power_base)}" for term in report.terms]
+    _emit(args, {"price_direct": direct, "price_via_tests": report.price,
+                 "diff": diff, "report": report.to_json()}, text)
     if not diff <= ROUTE_RTOL * max(1.0, abs(direct)):
         raise SelfCheckFailed(
             f"price_direct and price_via_tests differ by {fmt(diff)}"
@@ -196,10 +210,7 @@ def _cmd_bounds(args) -> int:
     market = market_from_json(_load_json(args.market))
     payoff = payoff_from_json(_load_json(args.payoff))
     lower, upper = price_bounds(market, payoff)
-    if args.format == "json":
-        _emit([json.dumps(_round12({"lower": lower, "upper": upper}))], args.out)
-    else:
-        _emit([f"lower = {fmt(lower)}", f"upper = {fmt(upper)}"], args.out)
+    _emit(args, {"lower": lower, "upper": upper})
     return EXIT_OK
 
 
@@ -209,40 +220,27 @@ def _cmd_dynamics(args) -> int:
     measures = _resolve_measure(market, args.measure)
     state = _parse_state(market, args.state)
     price = dynamic_price(market, measures, payoff, state)
-    if args.format == "json":
-        doc = _round12({"t": state.t, "moves": list(state.moves), "price": price})
-        _emit([json.dumps(doc)], args.out)
-    else:
-        moves = ",".join(str(i) for i in state.moves)
-        _emit([f"t = {state.t}", f"moves = {moves}", f"price = {fmt(price)}"], args.out)
+    _emit(args, {"t": state.t, "moves": list(state.moves), "price": price})
     return EXIT_OK
 
 
 def _cmd_complete(args) -> int:
     market = market_from_json(_load_json(args.market))
     solutions = solve_martingale_measures(market)
-    lines = [f"complete: {'true' if solutions.complete else 'false'}"]
+    text = [f"complete: {'true' if solutions.complete else 'false'}"]
     two_point = all(len(step.vertices[0]) == 2 for step in solutions.per_step.kinds)
     if solutions.complete and two_point:
         taus = {fmt(step.vertices[0][0]) for step in solutions.per_step.kinds}
         if len(taus) == 1:
-            lines.append(f"tau = {next(iter(taus))}")
+            text.append(f"tau = {next(iter(taus))}")
     for j, step in enumerate(solutions.per_step):
-        vertices = " | ".join(
-            ",".join(fmt(x) for x in v) for v in step.vertices
-        )
-        lines.append(f"step {j + 1}: {step.kind} {vertices}")
-    if args.format == "json":
-        doc = _round12({
-            "complete": solutions.complete,
-            "steps": [
-                {"kind": step.kind, "vertices": [list(v) for v in step.vertices]}
-                for step in solutions.per_step
-            ],
-        })
-        _emit([json.dumps(doc)], args.out)
-    else:
-        _emit(lines, args.out)
+        vertices = " | ".join(",".join(fmt(x) for x in v) for v in step.vertices)
+        text.append(f"step {j + 1}: {step.kind} {vertices}")
+    _emit(args, {
+        "complete": solutions.complete,
+        "steps": [{"kind": step.kind, "vertices": [list(v) for v in step.vertices]}
+                  for step in solutions.per_step],
+    }, text)
     return EXIT_OK if solutions.complete else EXIT_INCOMPLETE
 
 
@@ -251,23 +249,9 @@ def _cmd_np(args) -> int:
     payoff = payoff_from_json(_load_json(args.payoff))
     measures = _resolve_measure(market, args.measure)
     dec = np_decomposition(market, measures, payoff)
-    if args.format == "json":
-        doc = _round12({
-            "cutoff": dec.cutoff,
-            "lambda0": dec.priors.lambda0,
-            "lambda1": dec.priors.lambda1,
-            "bayes_risk": dec.risk,
-            "price": dec.price,
-        })
-        _emit([json.dumps(doc)], args.out)
-    else:
-        _emit([
-            f"cutoff = {fmt(dec.cutoff)}",
-            f"lambda0 = {fmt(dec.priors.lambda0)}",
-            f"lambda1 = {fmt(dec.priors.lambda1)}",
-            f"bayes_risk = {fmt(dec.risk)}",
-            f"price = {fmt(dec.price)}",
-        ], args.out)
+    _emit(args, {"cutoff": dec.cutoff, "lambda0": dec.priors.lambda0,
+                 "lambda1": dec.priors.lambda1, "bayes_risk": dec.risk,
+                 "price": dec.price})
     return EXIT_OK
 
 
@@ -278,23 +262,8 @@ def _cmd_converge(args) -> int:
         raise InvalidParams(f"threshold must be finite, got {threshold!r}")
     rows = convergence_study(study.path, study.family(), study.payoff,
                              study.bs, study.Ns)
-    if args.format == "json":
-        doc = _round12([
-            {
-                "N": r.N, "p_N": r.p_n, "p_BS": r.p_limit, "abs_gap": r.abs_gap,
-                "noether_max": r.noether_max, "var_gap": r.var_gap,
-            }
-            for r in rows
-        ])
-        _emit([json.dumps(doc)], args.out)
-    else:
-        lines = [CONVERGE_HEADER]
-        for r in rows:
-            lines.append(",".join([
-                str(r.N), fmt(r.p_n), fmt(r.p_limit), fmt(r.abs_gap),
-                fmt(r.noether_max), fmt(r.var_gap),
-            ]))
-        _emit(lines, args.out)
+    _emit(args, [dict(zip(CONVERGE_HEADER.split(","), (
+        r.N, r.p_n, r.p_limit, r.abs_gap, r.noether_max, r.var_gap))) for r in rows])
     if threshold is not None and not rows[-1].abs_gap <= threshold:
         sys.stderr.write(
             f"threshold violated: |p_N - p_BS| = {fmt(rows[-1].abs_gap)} "
@@ -307,35 +276,16 @@ def _cmd_converge(args) -> int:
 def _cmd_lan_report(args) -> int:
     study = study_from_json(_load_json(args.study))
     family = study.family()
-    t = args.t
-    records = []
+    rows = []
     for N in study.Ns:
         schedule = family(int(N))
-        diag = lan_diagnostics(study.path, schedule, t)
-        third = third_lemma_check(study.path, schedule, t)
-        records.append((diag, third))
-    if args.format == "json":
-        doc = _round12([
-            {
-                "N": d.N, "t": d.t, "noether_max": d.noether_max,
-                "riemann_gap": d.riemann_gap, "p0_mean_gap": d.mean_gap,
-                "p0_var_gap": d.var_gap, "p0_cdf_sup": d.cdf_sup_distance,
-                "q_z_mean_gap": q.z_mean_gap, "q_logs_mean_gap": q.logs_mean_gap,
-                "q_logs_var_gap": q.logs_var_gap, "alpha": q.alpha,
-            }
-            for d, q in records
-        ])
-        _emit([json.dumps(doc)], args.out)
-    else:
-        lines = [LAN_HEADER]
-        for d, q in records:
-            lines.append(",".join([
-                str(d.N), fmt(d.t), fmt(d.noether_max), fmt(d.riemann_gap),
-                fmt(d.mean_gap), fmt(d.var_gap), fmt(d.cdf_sup_distance),
-                fmt(q.z_mean_gap), fmt(q.logs_mean_gap), fmt(q.logs_var_gap),
-                fmt(q.alpha),
-            ]))
-        _emit(lines, args.out)
+        d = lan_diagnostics(study.path, schedule, args.t)
+        q = third_lemma_check(study.path, schedule, args.t)
+        rows.append(dict(zip(LAN_HEADER.split(","), (
+            d.N, d.t, d.noether_max, d.riemann_gap, d.mean_gap, d.var_gap,
+            d.cdf_sup_distance, q.z_mean_gap, q.logs_mean_gap, q.logs_var_gap,
+            q.alpha))))
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -365,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price", help="price a payoff")
     add_common(p, measure=True)
-    p.add_argument("--bounds", action="store_true",
-                   help="report the price range instead of a single price")
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("bounds", help="price range over product martingale measures")

@@ -612,4 +612,6 @@ def study_from_json(doc: Mapping) -> StudySpec:
         threshold = None if threshold is None else float(threshold)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidParams(f"study spec malformed: {exc}") from exc
+    if not Ns:
+        raise InvalidParams("need at least one lattice size")
     return StudySpec(path=path, bs=bs, payoff=payoff, Ns=Ns, threshold=threshold)

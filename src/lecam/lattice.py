@@ -561,14 +561,15 @@ def pinned_measures(m: LatticeMarket, step_measures: StepKinds,
 # path enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_paths(m: LatticeMarket, max_paths: int | None = None) -> np.ndarray:
+def enumerate_paths(m: LatticeMarket) -> np.ndarray:
     """All move-index paths as an ``(P, N)`` integer matrix.
 
     The first step varies slowest, matching ``itertools.product`` order, so
-    paths sharing a prefix are contiguous.
+    paths sharing a prefix are contiguous.  Raises :class:`SizeLimit` beyond
+    ``limits.max_paths()`` paths.
     """
     sizes = m.support_sizes()
-    cap = limits.max_paths(max_paths)
+    cap = limits.max_paths()
     total = 1
     for k in sizes:
         total *= k
@@ -1016,7 +1017,7 @@ def induced_experiment(m: LatticeMarket, q) -> FiniteExperiment:
     real-world product measure.
     """
     step_measures, _ = as_step_measures(m, q, strict=True)
-    paths = enumerate_paths(m, limits.max_product_outcomes())
+    paths = enumerate_paths(m)
     base = path_probabilities(m, paths, step_measures)
     ratio = path_products(m, paths)[:, -1]
     real = path_probabilities(m, paths, m.real_world_measures())

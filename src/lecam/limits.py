@@ -4,10 +4,8 @@ All exhaustive enumerations in the package (path spaces, product outcome
 spaces, grouped convolution states, recombined-lattice nodes, the vertex
 multisets of ``price_bounds``) are guarded by a cap and raise
 :class:`~lecam.errors.SizeLimit` beyond it.  The environment variable
-``LECAM_MAX_PATHS`` overrides every cap at once.  Functions that build
-states read their cap from here; only ``lattice.enumerate_paths`` also
-takes an explicit bound (``max_paths``, which wins over both), because
-``lattice.induced_experiment`` passes it the product-outcome cap.
+``LECAM_MAX_PATHS`` overrides every cap at once.  Every function that
+builds states reads its cap from here and takes none as an argument.
 """
 
 from __future__ import annotations
@@ -51,12 +49,8 @@ def _override(default: int) -> int:
     return value
 
 
-def max_paths(given: int | None = None) -> int:
-    if given is None:
-        return _override(DEFAULT_MAX_PATHS)
-    if given <= 0:
-        raise InvalidParams(f"cap must be positive, got {given}")
-    return given
+def max_paths() -> int:
+    return _override(DEFAULT_MAX_PATHS)
 
 
 def max_product_outcomes() -> int:

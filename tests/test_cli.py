@@ -158,20 +158,6 @@ class TestPrice:
             assert rc == 3
             assert capsys.readouterr().err.startswith("error:")
 
-    def test_bounds_flag_matches_bounds_command(self, spec_dir, capsys):
-        rc = main(["price", "--market", spec_dir["tri"],
-                   "--payoff", spec_dir["call1"], "--bounds"])
-        flag_out = capsys.readouterr().out
-        assert rc == 0
-        rc = main(["bounds", "--market", spec_dir["tri"],
-                   "--payoff", spec_dir["call1"]])
-        cmd_out = capsys.readouterr().out
-        assert rc == 0
-        assert flag_out == cmd_out
-        vals = text_values(cmd_out)
-        assert vals["lower"] == pytest.approx(0.0, abs=1e-15)
-        assert vals["upper"] == pytest.approx(0.25, abs=1e-14)
-
     def test_arbitrage_exits_2(self, spec_dir, capsys):
         rc = main(["price", "--market", spec_dir["arb"],
                    "--payoff", spec_dir["call5"]])
@@ -699,6 +685,16 @@ class TestErrorPaths:
             assert rc == 3
             assert capsys.readouterr().err.startswith("error: study spec malformed")
 
+    @pytest.mark.parametrize("command", ["converge", "lan-report"])
+    def test_empty_sizes_exit_3(self, spec_dir, capsys, command):
+        path = spec_dir["dir"] / "empty.json"
+        path.write_text(json.dumps(dict(STUDY, Ns=[])))
+        rc = main([command, "--study", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "error: need at least one lattice size\n"
+
     def test_table_lengths_must_match(self, spec_dir, capsys):
         """A table with more values than probs is rejected, not truncated."""
         bad = spec_dir["dir"] / "table.json"
@@ -799,6 +795,60 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert rc == 3
         assert "count states 9 exceed cap 4" in captured.err
+
+
+class TestFormats:
+    """Each command's text or CSV fields equal its JSON fields of the same
+    name, both printed to 12 significant digits."""
+
+    def both(self, capsys, argv):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        return text, json.loads(capsys.readouterr().out)
+
+    def test_name_value_commands(self, spec_dir, capsys):
+        market = spec_dir["dir"] / "crr3.json"
+        market.write_text(json.dumps(dict(CRR30, N=3, s0=5.0)))
+        strangle = spec_dir["dir"] / "strangle.json"
+        strangle.write_text(json.dumps({"type": "strangle", "K1": 4.5, "K2": 5.5}))
+        specs = ["--market", str(market), "--payoff", str(strangle)]
+        text, doc = self.both(capsys, ["price", *specs])
+        vals, report = text_values(text), doc["report"]
+        for name in ("price_direct", "price_via_tests", "diff"):
+            assert vals[name] == doc[name], name
+        assert vals["discount"] == report["discount"]
+        terms = [line for line in text.splitlines() if line.startswith("term ")]
+        assert len(terms) == len(report["terms"]) == 2
+        for line, term in zip(terms, report["terms"]):
+            label, _, powers = line.removeprefix("term ").partition(": ")
+            assert label == term["label"]
+            assert text_values(powers.replace(", ", "\n")) == {
+                "power_alt": term["power_alt"], "power_base": term["power_base"]}
+        text, doc = self.both(capsys, ["bounds", "--market", spec_dir["tri"],
+                                       "--payoff", spec_dir["call1"]])
+        assert text_values(text) == doc == {"lower": 0.0, "upper": 0.25}
+        for argv in (["np", "--market", str(market), "--payoff", spec_dir["call5"]],
+                     ["dynamics", *specs, "--state", "u,1"]):
+            text, doc = self.both(capsys, argv)
+            vals = text_values(text)
+            assert list(vals) == list(doc), argv[0]
+            for name, value in doc.items():
+                if isinstance(value, list):
+                    assert vals[name] == ",".join(map(str, value))
+                else:
+                    assert vals[name] == value, name
+
+    @pytest.mark.parametrize("command", ["converge", "lan-report"])
+    def test_csv_commands(self, spec_dir, capsys, command):
+        header = {"converge": CONVERGE_HEADER, "lan-report": LAN_HEADER}[command]
+        text, doc = self.both(capsys, [command, "--study", spec_dir["study"]])
+        lines = text.splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + len(doc) == 3
+        for line, row in zip(lines[1:], doc):
+            assert list(row) == header.split(",")
+            assert [float(cell) for cell in line.split(",")] == list(row.values())
 
 
 class TestDeterminism:

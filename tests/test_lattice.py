@@ -331,10 +331,11 @@ class TestEnumeration:
         assert prices[0, -1] == pytest.approx(16.0, rel=1e-14)
         assert prices[0, 0] == pytest.approx(4.0)
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         m = build_crr(2.0, 0.5, 1.0, 0.5, 10, 4.0)
-        with pytest.raises(SizeLimit):
-            enumerate_paths(m, max_paths=100)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "100")
+        with pytest.raises(SizeLimit, match="exceeds cap 100"):
+            enumerate_paths(m)
 
     def test_terminal_law_matches_brute_force(self):
         rng = np.random.default_rng(RNG_SEED)
