@@ -8,11 +8,13 @@ per step and compounding returns ``(1 + sigma*sqrt(T/N)*g) / (1 + rho*T/N)``
 produces lattice markets whose log prices obey a local asymptotic normality
 expansion.  The diagnostics here take means and variances as sums of
 per-step moments, exact because the steps are independent.  Under ``P0``
-they also take the CDF sup-distance from the finite-``N`` sorted law of
+they also take the CDF sup-distance from the finite-``N`` atoms of
 ``log S_t`` on the counts that carry mass
-(:func:`lecam.lattice.terminal_log_law` on the discrete model's market,
+(:func:`lecam.lattice.terminal_log_atoms` on the discrete model's market,
 grouping equal steps, each binomial draw on its Hoeffding window), the one
-law of ``log S_t`` built in the package.  The counts left out hold at most
+law of ``log S_t`` built in the package.  The atoms stay unsorted: bucket
+bounds on their masses show where the supremum can lie, and only the atoms
+there are sorted and see ``Phi``.  The counts left out hold at most
 ``LAW_TAIL = 1e-20`` of the mass per draw, ``4e-20`` in all for the one- and
 two-piece schedules here, and move the distance by no more.  Call prices
 come from :func:`lecam.pricing.price_direct`, which builds no law of
@@ -44,7 +46,7 @@ from .errors import (
     SizeLimit,
     ThetaOutOfRange,
 )
-from .lattice import LatticeMarket, StepKinds, group_steps, terminal_log_law
+from .lattice import LatticeMarket, StepKinds, group_steps, terminal_log_atoms
 from .pricing import Payoff, payoff_from_json, price_direct
 
 ATOL = 1e-12
@@ -367,44 +369,88 @@ def _moment_sums(probs: np.ndarray, contrib: np.ndarray) -> tuple[float, float]:
     return float(means.sum()), float(var)
 
 
-#: Beyond this many standard deviations ``Phi`` is 0 or 1 to within 1e-17.
+#: Half-width in standard deviations of the window that the sup-distance
+#: splits into buckets; ``Phi`` is within 1e-17 of 0 or 1 beyond it.
 _TAIL_Z = 8.5
+#: Atoms per bucket of that window.
+_BUCKET_ATOMS = 16
+#: Laws of at most this many atoms are sorted whole: bucketing them costs
+#: more than it saves.
+_SORT_ATOMS = 4096
+#: Added to every bucket's upper bound: it covers the rounding of the bucket
+#: index and of the edges (below 1e-14 in ``z``, so 4e-15 in ``Phi``) and of
+#: ``Phi`` itself (2e-16 per value).
+_BOUND_SLACK = 1e-13
 
 
 def _cdf_sup_distance(values: np.ndarray, probs: np.ndarray,
                       mean: float, var: float) -> float:
-    """Kolmogorov distance ``sup_y |F(y) - Phi((y - mean)/sd)|`` for the law
-    ``(values, probs)``, exact to within 3e-16: ``Phi``
-    (:func:`lecam._binom.ndtr`) is within 2e-16 of its exact value, and
-    within 1e-17 of 0 or 1 beyond ``_TAIL_Z``.
+    """Kolmogorov distance ``sup_y |F(y) - Phi((y - mean)/sd)|`` for the
+    atoms ``(values, probs)``, unsorted and possibly repeated, within 1e-15
+    of the same supremum over the sorted law with a long-double cumulative
+    sum.
 
-    ``values`` must be sorted increasingly, as :func:`terminal_log_law` returns them.
-    That law leaves out at most ``LAW_TAIL`` times its number of binomial
-    draws of the mass (``4e-20`` for the schedules of :mod:`lecam.lan`), so
-    ``F`` and the distance are within that of the full law's.
     ``F`` is a step function and ``Phi`` increasing, so the sup is attained
     at an atom: by the right limit ``F(v)`` above ``Phi(v)``, or by the left
-    limit ``F(v-) = F(v) - P(v)`` below it.  Atoms more than ``_TAIL_Z``
-    standard deviations out see ``Phi`` as 0 or 1, so there the sup is ``F``
-    just below the window or ``1 - F`` at its top, and ``Phi`` is only
-    evaluated inside the window.
+    limit ``F(v-)`` below it.  The window ``mean +- _TAIL_Z sd`` is split
+    into equal buckets, about ``_BUCKET_ATOMS`` atoms each, and the atoms
+    beyond it fall into two end buckets reaching to ``Phi = 0`` and ``1``.
+    One cast to integers finds each atom's bucket and one ``bincount`` the
+    bucket masses, so ``F`` is known at every edge.  Over a bucket from
+    ``F_start`` to ``F_end`` the gap is at most ``F_end - Phi(left edge)``
+    and ``Phi(right edge) - F_start``, and at least ``F_end - Phi(right
+    edge)`` and ``Phi(left edge) - F_start``: only the atoms of buckets
+    whose upper bound reaches the largest lower bound are sorted and see
+    ``Phi``.  Equal
+    atoms need no merge: the right limit is read at the last of them and the
+    left limit at the first.  Laws of at most ``_SORT_ATOMS`` atoms are
+    sorted whole.  Cumulative sums are long doubles.
     """
     sd = math.sqrt(var)
-    lo, hi = np.searchsorted(values, (mean - _TAIL_Z * sd, mean + _TAIL_Z * sd))
-    cum = np.cumsum(probs)
-    gap = cum[lo:hi] - ndtr((values[lo:hi] - mean) / sd)
-    below = cum[lo - 1] if lo > 0 else 0.0
-    above = 1.0 - cum[hi - 1] if hi > 0 else 1.0
-    return float(max(below, above, gap.max(initial=0.0),
-                     (probs[lo:hi] - gap).max(initial=0.0)))
+    if len(values) <= _SORT_ATOMS:
+        order = np.argsort(values)
+        probs = probs[order]
+        return _sup_at_atoms((values[order] - mean) / sd, probs,
+                             np.cumsum(probs, dtype=np.longdouble))
+    buckets = len(values) // _BUCKET_ATOMS
+    scale = buckets / (2.0 * _TAIL_Z)
+    at = values - mean
+    at *= scale / sd
+    at += _TAIL_Z * scale + 1.0           # bucket 0 below the window, buckets + 1 above
+    np.clip(at, 0.0, buckets + 1.0, out=at)
+    at = at.astype(np.intp)
+    mass = np.bincount(at, weights=probs, minlength=buckets + 2)
+    end = np.cumsum(mass, dtype=np.longdouble).astype(float)
+    start = np.r_[0.0, end[:-1]]
+    edges = np.r_[0.0, ndtr(np.linspace(-_TAIL_Z, _TAIL_Z, buckets + 1)), 1.0]
+    left, right = edges[:-1], edges[1:]
+    lower = np.maximum(end - right, left - start).max()
+    upper = np.maximum(end - left, right - start) + _BOUND_SLACK
+    pick = np.flatnonzero((upper >= lower)[at])
+    pick = pick[np.argsort(values[pick])]
+    at, probs = at[pick], probs[pick]
+    cum = np.cumsum(probs, dtype=np.longdouble)
+    first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+    cum += np.repeat(start[at[first]] - (cum[first] - probs[first]),
+                     np.diff(first, append=len(at)))
+    return _sup_at_atoms((values[pick] - mean) / sd, probs, cum)
+
+
+def _sup_at_atoms(z: np.ndarray, probs: np.ndarray, cum: np.ndarray) -> float:
+    """``max |F - Phi|`` over sorted atoms at ``z`` with ``F = cum`` at each
+    atom: ``cum - Phi`` (the right limit) and ``Phi - (cum - probs)`` (the
+    left limit)."""
+    phi = ndtr(z)
+    cum = cum.astype(float)
+    return float(max((cum - phi).max(), (phi - (cum - probs)).max()))
 
 
 @dataclass(frozen=True)
 class LanReport:
     """Law of ``log S`` under the real-world products vs its limit;
-    ``states`` counts the atoms of its windowed law
-    (:func:`lecam.lattice.terminal_log_law`), from which
-    ``cdf_sup_distance`` is taken."""
+    ``states`` counts the atoms of its windowed law as they are built
+    (:func:`lecam.lattice.terminal_log_atoms`, equal values not merged), the
+    count the state cap checks, from which ``cdf_sup_distance`` is taken."""
 
     N: int
     t: float
@@ -431,10 +477,9 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
     t_val = n * schedule.dt
     head = _discrete_market(path, schedule, 1.0)[0].head(n)
     try:
-        values, probs = terminal_log_law(head, path.probs)
+        values, probs = terminal_log_atoms(head, path.probs)
     except SizeLimit as exc:
-        raise SizeLimit(f"{exc}: the CDF sup-distance needs the sorted law of log S_t") from exc
-    values = values + math.log(head.bond_factor(n))  # log(X_n / X_0) to log(S_n / S_0)
+        raise SizeLimit(f"{exc}: the CDF sup-distance needs the law of log S_t") from exc
     v_limit = schedule.limit_sigma.integral_sq(t_val)
     mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
     vols = schedule.step_vols[:n]
@@ -448,7 +493,10 @@ def lan_diagnostics(path: TangentPath, schedule: Schedule,
         var=var,
         mean_gap=abs(mean + 0.5 * v_limit),
         var_gap=abs(var - v_limit),
-        cdf_sup_distance=_cdf_sup_distance(values, probs, -0.5 * v_limit, v_limit),
+        # the atoms are log(X_n / X_0) = log(S_n / S_0) - log B_n: shift the mean instead
+        cdf_sup_distance=_cdf_sup_distance(values, probs,
+                                           -0.5 * v_limit - math.log(head.bond_factor(n)),
+                                           v_limit),
         states=len(values),
     )
 

@@ -11,11 +11,12 @@ experiments of :mod:`lecam.experiments`:
   masses below, at and above given levels of ``log(X_T/X_0)`` under ``Q``
   and ``Q1 = (X_T/X_0) . Q``, from binomial tails, ties decided in count
   units, without any law of ``X_T``;
-* ``terminal_log_law`` is the sorted law of ``log(X_T/X_0)`` on the counts
-  that carry mass, each binomial draw on its Hoeffding window, for the one
-  consumer of a sorted CDF (the ``P0`` sup-distance of :mod:`lecam.lan`);
-  prices never window a draw, as a far tail term needs its tail-relative
-  accuracy;
+* ``terminal_log_atoms`` lists the atoms of ``log(X_T/X_0)`` on the counts
+  that carry mass, unsorted, each binomial draw on its Hoeffding window,
+  for the ``P0`` sup-distance of :mod:`lecam.lan`; ``terminal_log_law``
+  sorts them and merges equal values, the sorted law that tests compare
+  against; prices never window a draw, as a far tail term needs its
+  tail-relative accuracy;
 * ``backward_induction`` rolls node values back over the recombined
   lattice, whose nodes are integer count vectors per return class; it
   prices barriers and serves ``verify_representation``;
@@ -692,8 +693,8 @@ def count_distribution(qs: Sequence[np.ndarray],
     saddle point beyond), the groups convolved.  Raises
     :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
     pairwise sums that merge two groups, exceed the state cap.  A private
-    ``tail > 0`` keeps each binomial draw on its :func:`_window` (the law of
-    :func:`terminal_log_law`), and the cap then counts the windowed rows.
+    ``tail > 0`` keeps each binomial draw on its :func:`_window` (the atoms of
+    :func:`terminal_log_atoms`), and the cap then counts the windowed rows.
     """
     measures = group_steps(qs, _as_float)
     k = len(measures.kinds[0])
@@ -767,27 +768,27 @@ def _count_logs(counts: np.ndarray, values: Sequence[float]) -> np.ndarray:
     return counts @ np.log(values)
 
 
-#: Tail left out of each binomial draw of :func:`terminal_log_law`: a draw
+#: Tail left out of each binomial draw of :func:`terminal_log_atoms`: a draw
 #: keeps the counts of its Hoeffding window (:func:`_window`), at most this
 #: share of its row's mass outside.  A constant of the law, not a setting.
 LAW_TAIL = 1e-20
 
 
-def terminal_log_law(m: LatticeMarket,
-                     step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The law of ``log(X_T / X_0)`` under per-step measures on the counts
-    that carry mass, values strictly increasing.
+def terminal_log_atoms(m: LatticeMarket,
+                       step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of ``log(X_T / X_0)`` under per-step measures on the counts
+    that carry mass, as :func:`combine_additive_laws` enumerates them:
+    unsorted, and one value may be listed more than once.
 
     One grouped count law per return class keeps the state space polynomial
     in ``N``; each of its binomial draws (one per live outcome but the last,
     per group of equal step measures) keeps only the counts of its Hoeffding
     window for :data:`LAW_TAIL`, so it drops at most ``LAW_TAIL`` times the
-    mass of its rows.  The law misses at most ``LAW_TAIL`` times its number
+    mass of its rows.  The atoms miss at most ``LAW_TAIL`` times their number
     of draws, at most ``4e-20`` for two classes of trinomial steps, and no
-    CDF moves by more.  The atoms of :func:`combine_additive_laws` are sorted
-    once and exactly equal neighbours merged.  Raises
-    :class:`~lecam.errors.SizeLimit` when the windowed rows of a class, or
-    their combination, exceed the state cap, counted before they are built.
+    CDF moves by more.  Raises :class:`~lecam.errors.SizeLimit` when the
+    windowed rows of a class, or their combination, exceed the state cap,
+    counted before they are built.
     """
     laws = []
     for values, groups in as_step_measures(m, step_measures)[1]:
@@ -795,7 +796,16 @@ def terminal_log_law(m: LatticeMarket,
         counts, probs = count_distribution(StepKinds(qs, np.arange(len(qs)).repeat(sizes)),
                                            LAW_TAIL)
         laws.append((_count_logs(counts, values), probs))
-    logs, probs = combine_additive_laws(laws)
+    return combine_additive_laws(laws)
+
+
+def terminal_log_law(m: LatticeMarket,
+                     step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The law of ``log(X_T / X_0)`` under per-step measures on the counts
+    that carry mass, values strictly increasing: the atoms of
+    :func:`terminal_log_atoms` sorted once and exactly equal neighbours
+    merged."""
+    logs, probs = terminal_log_atoms(m, step_measures)
     order = np.argsort(logs)
     logs, probs = logs[order], probs[order]
     first = np.flatnonzero(np.r_[True, logs[1:] != logs[:-1]])
@@ -926,7 +936,7 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     A node at date ``t`` is keyed by its integer count vector per return
     class (``m.classes``), so node grids have one axis per class.
     Its ``X_t / X_0`` is ``exp`` of the classes' contributions summed in
-    class order, as the atoms of :func:`terminal_log_law`.  Node values
+    class order, as the atoms of :func:`terminal_log_atoms`.  Node values
     have the grid as their leading axes; they start as ``terminal(x_T)``
     and roll back by ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
     ``knocked(t, x_t)`` is true, values are set to zero at date ``t``; the

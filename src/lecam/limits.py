@@ -22,10 +22,11 @@ DEFAULT_MAX_PATHS = 5_000_000
 DEFAULT_MAX_OUTCOMES = 1 << 24
 
 #: Count states of each return class (the rows of each windowed draw for
-#: the sorted law of ``X_T``), the terminal atoms that
+#: the atoms of ``X_T``), the terminal atoms that
 #: ``lattice.combine_additive_laws`` enumerates (for test powers and for the
-#: sorted law), the pairwise sums that merge groups of a count law, and the
-#: nodes of all dates of the recombined lattice in backward induction.
+#: sup-distance of ``lan-report``), the pairwise sums that merge groups of a
+#: count law, and the nodes of all dates of the recombined lattice in
+#: backward induction.
 DEFAULT_MAX_STATES = 10_000_000
 
 #: Product martingale measures priced by ``price_bounds``: vertex multisets

@@ -601,8 +601,8 @@ class TestLanReport:
         """Each row builds the law of its P0 sup-distance and no other: the
         designated measures' side is moments only, with or without a rate."""
         laws = []
-        original = lan.terminal_log_law
-        monkeypatch.setattr(lan, "terminal_log_law",
+        original = lan.terminal_log_atoms
+        monkeypatch.setattr(lan, "terminal_log_atoms",
                             lambda *args: laws.append(args) or original(*args))
         study = dict(STUDY, Ns=[4, 16, 64], bs=dict(STUDY["bs"], rate=rate))
         path = spec_dir["dir"] / "rows.json"
@@ -645,7 +645,7 @@ class TestLanReport:
             tracemalloc.stop()
         captured = capsys.readouterr()
         assert rc == 3
-        assert f"exceed cap {atoms - 1}: the CDF sup-distance needs the sorted law" in captured.err
+        assert f"exceed cap {atoms - 1}: the CDF sup-distance needs the law of log S_t" in captured.err
         assert 0 < sum(evaluated) < atoms // 100
         assert peak < 8 * atoms
         monkeypatch.delenv("LECAM_MAX_PATHS")

@@ -4,7 +4,9 @@ The module under test computes exact laws of additive statistics through a
 convolution DP; the oracle here walks every path of a small lattice with
 ``itertools.product`` and accumulates the statistic literally.  On lattices
 too large to enumerate, the sup-CDF law, whose binomial draws keep only
-their Hoeffding windows, is checked against the law with every count.
+their Hoeffding windows, is checked against the law with every count.  The
+sup-CDF distance, taken from unsorted atoms in bucket bounds, is checked
+against the sorted route with a long-double running sum.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from scipy.special import bdtr, bdtrc
 
 from lecam import (
     BSModel,
+    LatticeMarket,
     InvalidParams,
     InvalidTangent,
     LemmaHypothesisViolated,
@@ -46,7 +49,9 @@ from lecam import (
     third_lemma_check,
     verify_representation,
 )
-from lecam.lan import _cdf_sup_distance
+from lecam import lan
+from lecam._binom import ndtr
+from lecam.lan import _BUCKET_ATOMS, _SORT_ATOMS, _TAIL_Z, _cdf_sup_distance
 from lecam.lattice import (
     LAW_TAIL,
     _binom_pmf,
@@ -58,6 +63,7 @@ from lecam.lattice import (
     as_step_measures,
     combine_additive_laws,
     count_distribution,
+    terminal_log_atoms,
     terminal_log_law,
 )
 
@@ -95,6 +101,29 @@ def brute_states(vals):
     """Distinct atoms of an enumerated law (path sums that differ only by
     rounding count once)."""
     return len(np.unique(np.round(vals, 12)))
+
+
+def sorted_sup_distance(values, probs, mean, var):
+    """Kolmogorov distance ``sup_y |F(y) - Phi((y - mean)/sd)|`` the sorted
+    way, the oracle of :func:`lecam.lan._cdf_sup_distance`: the atoms sorted
+    and exactly equal ones merged, ``F`` a long-double running sum (64-bit
+    mantissa: over 3e5 atoms its rounding stays orders of magnitude below
+    the 1e-15 of the comparisons, where a float64 sum drifts by 1.5e-14),
+    the right limit ``F(v) - Phi(v)`` and the left limit ``Phi(v) - F(v-)``
+    at every atom within ``_TAIL_Z`` standard deviations, and beyond them
+    ``Phi`` taken as 0 or 1."""
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
+    first = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    values, probs = values[first], np.add.reduceat(probs, first)
+    sd = math.sqrt(var)
+    lo, hi = np.searchsorted(values, (mean - _TAIL_Z * sd, mean + _TAIL_Z * sd))
+    cum = np.cumsum(probs, dtype=np.longdouble)
+    gap = cum[lo:hi] - ndtr((values[lo:hi] - mean) / sd)
+    below = cum[lo - 1] if lo > 0 else 0.0
+    above = 1.0 - cum[hi - 1] if hi > 0 else 1.0
+    return float(max(below, above, gap.max(initial=0.0),
+                     (probs[lo:hi] - gap).max(initial=0.0)))
 
 
 def hoeffding_halfwidth(n):
@@ -345,7 +374,7 @@ class TestLanDiagnostics:
             assert report.mean_gap == pytest.approx(abs(mean + 0.5 * v), abs=1e-12)
             assert report.var_gap == pytest.approx(abs(var - v), abs=1e-12)
             assert report.cdf_sup_distance == pytest.approx(
-                _cdf_sup_distance(values, probs, -0.5 * v, v), abs=1e-12
+                sorted_sup_distance(values, probs, -0.5 * v, v), abs=1e-12
             )
             # atoms of the windowed law: at n <= 23 steps each window holds every count
             assert hoeffding_halfwidth(n) >= n
@@ -398,7 +427,32 @@ class TestLanDiagnostics:
         assert fine.states == math.floor(128 + s) - math.ceil(128 - s) + 1 == 155
 
 
+def shuffled(rng, values, probs):
+    order = rng.permutation(len(values))
+    return values[order], probs[order]
+
+
+def law_moments(values, probs):
+    mean = float(probs @ values)
+    return mean, float(probs @ (values - mean) ** 2)
+
+
+def lattice_atoms(rng, n):
+    """About ``n`` unsorted atoms of a sum of two independent binomial
+    lattices with incommensurate steps, the shape of the laws of
+    ``lan-report``, as :func:`combine_additive_laws` lists them."""
+    k = max(1, math.isqrt(n) - 1)
+    laws = []
+    for step in (1.0, math.sqrt(2.0)):
+        counts = np.arange(k + 1)
+        laws.append((step * counts, _binom_pmf(counts, k, float(rng.uniform(0.3, 0.7)))))
+    return combine_additive_laws(laws)
+
+
 class TestCdfSupDistance:
+    """The sup-distance from unsorted atoms, in bucket bounds, against the
+    sorted oracle :func:`sorted_sup_distance`, to within 1e-15."""
+
     def brute(self, values, probs, mean, var, ys):
         """max over ``ys`` of |F(y) - Phi|, F summed atom by atom."""
         sd = math.sqrt(var)
@@ -408,17 +462,23 @@ class TestCdfSupDistance:
             for y in ys
         )
 
+    def check(self, rng, values, probs, mean, var):
+        values, probs = shuffled(rng, np.asarray(values, dtype=float),
+                                 np.asarray(probs, dtype=float))
+        got = _cdf_sup_distance(values, probs, mean, var)
+        assert abs(got - sorted_sup_distance(values, probs, mean, var)) <= 1e-15
+        return got
+
     def test_exact_at_the_atoms(self):
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(20):
             k = int(rng.integers(2, 7))
             # ties possible; two atoms far out in the tails where Phi is 0 or 1
-            values = np.sort(np.append(np.round(rng.normal(0.0, 1.0, k), 1),
-                                       rng.choice([-40.0, 40.0], 2)))
+            values = np.append(np.round(rng.normal(0.0, 1.0, k), 1), rng.choice([-40.0, 40.0], 2))
             probs = rng.random(k + 2) + 0.05
             probs /= probs.sum()
             mean, var = float(rng.normal(0.0, 0.3)), float(rng.uniform(0.3, 2.0))
-            got = _cdf_sup_distance(values, probs, mean, var)
+            got = self.check(rng, values, probs, mean, var)
             eps = 1e-10
             ys = [v + s for v in values for s in (0.0, -eps)]
             ys += list(np.linspace(-8.0, 8.0, 2001))
@@ -426,6 +486,72 @@ class TestCdfSupDistance:
             # a grid that misses the atoms can only read lower
             grid = np.linspace(mean - 8.0, mean + 8.0, 1000)
             assert self.brute(values, probs, mean, var, grid) <= got + 1e-15
+
+    @pytest.mark.parametrize("n", [5, 100, _SORT_ATOMS, _SORT_ATOMS + 1, 20_000, 300_000])
+    def test_lattice_laws_of_every_size(self, n):
+        rng = np.random.default_rng(n)
+        values, probs = lattice_atoms(rng, n)
+        mean, var = law_moments(values, probs)
+        for shift in (0.0, 0.3):  # centred, and off-centre by 0.3 sd
+            self.check(rng, values, probs, mean + shift * math.sqrt(var), var)
+
+    @pytest.mark.parametrize("steps", [3, 120])
+    def test_equal_atoms_across_classes(self, steps):
+        """``log 4 == 2 log 2``, so the classes ``(2, 0.5)`` and ``(4, 0.25)``
+        list one value as several atoms, by count vectors whose sums are
+        exactly equal: 16 atoms for 3 steps each (sorted whole), 93 * 77 on
+        the windows of 120 (in buckets)."""
+        two, four = ((2.0, 0.5), (0.5, 0.5)), ((4.0, 0.5), (0.25, 0.5))
+        m = LatticeMarket(2 * steps, 1.0, 1.0, (two, four) * steps, (0.0,) * (2 * steps))
+        values, probs = terminal_log_atoms(m, solve_martingale_measures(m).designated())
+        assert len(values) == {3: 16, 120: 93 * 77}[steps] > len(np.unique(values))
+        assert (len(values) > _SORT_ATOMS) == (steps == 120)
+        mean, var = law_moments(values, probs)
+        self.check(np.random.default_rng(steps), values, probs, mean, var)
+
+    def test_atoms_on_bucket_edges(self):
+        """With mean 0 and variance 1 every atom sits on a bucket edge of
+        the window, as close as floats allow, one for every edge in turn."""
+        rng = np.random.default_rng(RNG_SEED)
+        buckets = 600
+        edges = np.linspace(-_TAIL_Z, _TAIL_Z, buckets + 1)
+        values = np.resize(edges, buckets * _BUCKET_ATOMS)
+        probs = np.exp(-0.5 * values ** 2) * rng.uniform(0.5, 1.5, len(values))
+        probs /= probs.sum()
+        self.check(rng, values, probs, 0.0, 1.0)
+        self.check(rng, values, probs, *law_moments(values, probs))
+
+    @pytest.mark.parametrize("n", [50, 6000])
+    def test_atoms_beyond_the_window(self, n):
+        """Atoms beyond ``_TAIL_Z`` standard deviations on both sides, with
+        little mass there and with so much that the tails hold the sup."""
+        rng = np.random.default_rng(n)
+        far = rng.uniform(_TAIL_Z, 40.0, n // 5) * rng.choice([-1.0, 1.0], n // 5)
+        values = np.concatenate((rng.normal(0.0, 1.0, n - n // 5), far))
+        for far_mass in (1e-6, 0.3):
+            probs = np.where(np.abs(values) > _TAIL_Z, far_mass, 1.0) * rng.uniform(0.5, 1.5, n)
+            probs /= probs.sum()
+            self.check(rng, values, probs, 0.0, 1.0)
+
+    def test_one_atom(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for value in (0.3, -2.0, 20.0):
+            got = self.check(rng, [value], [1.0], 0.0, 1.0)
+            assert got == pytest.approx(max(ndtr(np.array([value]))[0],
+                                            1.0 - ndtr(np.array([value]))[0]), abs=1e-16)
+
+    def test_all_mass_in_one_bucket(self):
+        """Every atom in one bucket, which is then sorted whole: spread
+        below a bucket's width, and all on one value; and the same atoms
+        against a narrow Gaussian centred on them."""
+        rng = np.random.default_rng(RNG_SEED)
+        n = 2 * _SORT_ATOMS
+        assert 1e-4 < 2.0 * _TAIL_Z / (n // _BUCKET_ATOMS)
+        probs = rng.random(n)
+        probs /= probs.sum()
+        for values in (0.2 + 1e-4 * rng.random(n), np.full(n, 0.2)):
+            self.check(rng, values, probs, 0.0, 1.0)
+            self.check(rng, values, probs, 0.2, 1e-6)
 
 
 class TestThirdLemma:
@@ -536,15 +662,16 @@ class TestWindowedLaw:
         r = sched.limit_rate.integral(diag.t)
         model = build_discrete_model(path, sched)
         values, probs = full_log_law(model.market, [path.probs] * sched.N, n)
-        assert abs(diag.cdf_sup_distance - _cdf_sup_distance(values, probs, -0.5 * v, v)) <= 1e-15
+        oracle = sorted_sup_distance(values, probs, -0.5 * v, v)
+        assert abs(diag.cdf_sup_distance - oracle) <= 1e-15
         assert diag.states < len(values)
         # the same window under the tilted designated measures
         head = model.market.head(n)
-        logs, masses = terminal_log_law(head, model.measures[:n])
+        logs, masses = terminal_log_atoms(head, model.measures[:n])
         values, probs = full_log_law(model.market, model.measures, n)
         windowed = _cdf_sup_distance(logs + math.log(head.bond_factor(n)), masses,
                                      r - 0.5 * v, v)
-        assert abs(windowed - _cdf_sup_distance(values, probs, r - 0.5 * v, v)) <= 1e-15
+        assert abs(windowed - sorted_sup_distance(values, probs, r - 0.5 * v, v)) <= 1e-15
         assert len(logs) < len(values)
 
     def test_each_window_leaves_at_most_the_tail(self):
@@ -587,6 +714,22 @@ class TestWindowedLaw:
                     got, want = _chain(n, q, outcomes), seed_chain(n, q, outcomes)
                     for a, b in zip(got, want):
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_phi_at_most_once_per_four_atoms(self, monkeypatch):
+        """The two-piece trinomial study at N = 64 lists 561^2 = 314,721
+        atoms; the sup-distance evaluates ``Phi`` at the bucket edges and at
+        the atoms of the buckets where the sup can lie, at most one point
+        per four atoms."""
+        evaluated = []
+
+        def counted(z):
+            evaluated.append(len(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(lan, "ndtr", counted)
+        report = lan_diagnostics(symmetric_trinomial_tangent(TRINOMIAL), two_piece_schedule(64))
+        assert report.states == 561 ** 2
+        assert 0 < sum(evaluated) <= report.states // 4
 
     def test_size_guard_trinomial_4096(self):
         """The baseline trinomial study (0.25 / 0.5 / 0.25, sigma 0.2) at

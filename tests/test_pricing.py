@@ -759,8 +759,9 @@ class TestClosedFormPowers:
         def forbidden(*args, **kwargs):
             raise AssertionError("terminal prices must not build the law of X_T")
 
-        monkeypatch.setattr(lattice, "terminal_log_law", forbidden)
-        monkeypatch.setattr(lan, "terminal_log_law", forbidden)
+        for name in ("terminal_log_law", "terminal_log_atoms"):
+            monkeypatch.setattr(lattice, name, forbidden)
+        monkeypatch.setattr(lan, "terminal_log_atoms", forbidden)
         crr = build_crr(1.1, 0.9, 1.01, 0.5, 12, 100.0)
         qs = solve_martingale_measures(crr).designated()
         straddle = payoff_straddle(101.0)
