@@ -50,7 +50,8 @@ from .pricing import (
     price_direct,
     price_via_tests,
 )
-from .lan import convergence_study, lan_diagnostics, study_from_json, third_lemma_check
+from .lan import (convergence_study, discrete_market, lan_diagnostics, study_from_json,
+                  third_lemma_check)
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 1
@@ -279,8 +280,9 @@ def _cmd_lan_report(args) -> int:
     rows = []
     for N in study.Ns:
         schedule = family(int(N))
-        d = lan_diagnostics(study.path, schedule, args.t)
-        q = third_lemma_check(study.path, schedule, args.t)
+        market = discrete_market(study.path, schedule)
+        d = lan_diagnostics(study.path, schedule, args.t, market)
+        q = third_lemma_check(study.path, schedule, args.t, market)
         rows.append(dict(zip(LAN_HEADER.split(","), (
             d.N, d.t, d.noether_max, d.riemann_gap, d.mean_gap, d.var_gap,
             d.cdf_sup_distance, q.z_mean_gap, q.logs_mean_gap, q.logs_var_gap,

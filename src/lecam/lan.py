@@ -6,9 +6,14 @@ with ``E(g) = 0``, ``E(g^2) = 1`` and ``g >= -C``; the perturbed laws
 ``0 <= theta < 1/C``.  Scaling the perturbation like ``sigma * sqrt(T/N)``
 per step and compounding returns ``(1 + sigma*sqrt(T/N)*g) / (1 + rho*T/N)``
 produces lattice markets whose log prices obey a local asymptotic normality
-expansion.  The diagnostics here take means and variances as sums of
-per-step moments, exact because the steps are independent.  Under ``P0``
-they also take the CDF sup-distance from the finite-``N`` atoms of
+expansion.  A schedule's steps come in few kinds, one per distinct
+``(step_vol, step_rate)`` pair (``Schedule.kinds``): the discrete market
+has one step kind per pair, and the diagnostics take means and variances
+(and ``alpha`` and the Riemann sum) as sums of per-kind moments weighted by
+step counts, exact because the steps are independent.  A ``lan-report`` row
+builds its market once (:func:`discrete_market`) and passes it to both
+:func:`lan_diagnostics` and :func:`third_lemma_check`.  Under ``P0``
+the diagnostics also take the CDF sup-distance from the finite-``N`` atoms of
 ``log S_t`` on the counts that carry mass
 (:func:`lecam.lattice.terminal_log_atoms` on the discrete model's market,
 grouping equal steps, each binomial draw on its Hoeffding window), the one
@@ -205,8 +210,12 @@ class Schedule:
     perturbation is ``sigmas[j] * sqrt(T/N)``); ``rhos[j]`` the un-scaled
     simple rate (per-step rate ``rhos[j] * T/N``).  The limit functions are
     kept alongside so diagnostics can compute their integrals.  Validation
-    computes the per-step volatilities and rates once, as read-only arrays
-    (``step_vols``, ``step_rates``).
+    converts ``sigmas`` and ``rhos`` once, keeps them as tuples of floats and
+    computes the per-step volatilities and rates as read-only arrays
+    (``step_vols``, ``step_rates``) and the step kinds (``kinds``): each
+    step's ``(step_vol, step_rate)`` pair, stored once per distinct pair.
+    The discrete market has one step kind per pair, and the diagnostics'
+    sums run over the kinds, each weighted by its number of steps.
     """
 
     N: int
@@ -217,6 +226,7 @@ class Schedule:
     limit_rate: StepFunction
     step_vols: np.ndarray = field(init=False, repr=False, compare=False)
     step_rates: np.ndarray = field(init=False, repr=False, compare=False)
+    kinds: StepKinds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -237,8 +247,16 @@ class Schedule:
             raise InvalidParams("limit rate horizon does not match the grid")
         vols, rates = sigmas * math.sqrt(self.dt), rhos * self.dt
         vols.flags.writeable = rates.flags.writeable = False
+        # runs of equal pairs start where either array changes; equal runs merge
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (vols[1:] != vols[:-1]) | (rates[1:] != rates[:-1]))))
+        pairs: dict = {}
+        runs = [pairs.setdefault(pair, len(pairs))
+                for pair in zip(vols[starts].tolist(), rates[starts].tolist())]
+        kinds = StepKinds(tuple(pairs), np.repeat(np.array(runs, dtype=np.intp),
+                                                  np.diff(starts, append=self.N)))
         self.__dict__.update(sigmas=tuple(sigmas.tolist()), rhos=tuple(rhos.tolist()),
-                             step_vols=vols, step_rates=rates)
+                             step_vols=vols, step_rates=rates, kinds=kinds)
 
     @property
     def dt(self) -> float:
@@ -284,8 +302,9 @@ class Schedule:
         sigma_at, rate_at = (np.minimum(np.searchsorted(f.ends, mids), len(f.ends) - 1)
                              for f in (limit_sigma, limit_rate))
         rhos = np.array([(math.exp(r * dt) - 1.0) / dt for r in limit_rate.values])
-        return cls(N=N, horizon=horizon, rhos=tuple(rhos[rate_at].tolist()),
-                   sigmas=tuple(np.array(limit_sigma.values)[sigma_at].tolist()),
+        # arrays here, converted to tuples once by validation
+        return cls(N=N, horizon=horizon, rhos=rhos[rate_at],
+                   sigmas=np.array(limit_sigma.values)[sigma_at],
                    limit_sigma=limit_sigma, limit_rate=limit_rate)
 
 
@@ -299,18 +318,15 @@ class DiscreteModel:
     thetas: StepKinds
 
 
-def _discrete_market(path: TangentPath, schedule: Schedule,
-                     s0: float) -> tuple[LatticeMarket, StepKinds]:
-    """The market of :func:`build_discrete_model`, without its measures, and
-    each step's ``(step_vol, step_rate)``, once per distinct pair: the runs
-    of equal pairs start where either array changes, and equal runs merge."""
-    vols, rates = schedule.step_vols, schedule.step_rates
-    starts = np.flatnonzero(np.r_[True, (vols[1:] != vols[:-1]) | (rates[1:] != rates[:-1])])
-    kinds: dict = {}
-    runs = [kinds.setdefault(pair, len(kinds))
-            for pair in zip(vols[starts].tolist(), rates[starts].tolist())]
-    params = StepKinds(tuple(kinds), np.repeat(np.array(runs, dtype=np.intp),
-                                               np.diff(starts, append=schedule.N)))
+def discrete_market(path: TangentPath, schedule: Schedule, s0: float = 1.0) -> LatticeMarket:
+    """The market of :func:`build_discrete_model` without its measures, one
+    step kind per step kind of ``schedule``: a ``lan-report`` row builds it
+    once and passes it to :func:`lan_diagnostics` and
+    :func:`third_lemma_check`.
+
+    Raises :class:`~lecam.errors.ThetaOutOfRange` when ``N`` is too small for
+    the given volatility (a return value would hit zero).
+    """
     g = np.array(path.g)
 
     def step_returns(vol_rate: tuple[float, float]) -> tuple:
@@ -322,23 +338,24 @@ def _discrete_market(path: TangentPath, schedule: Schedule,
         values = (1.0 + vol * g) / (1.0 + rate)
         return tuple(zip(values.tolist(), path.probs))
 
-    market = LatticeMarket(steps=schedule.N, horizon=schedule.horizon, s0=s0,
-                           returns=group_steps(params, step_returns),
-                           bond_rates=group_steps(params, lambda vol_rate: vol_rate[1]))
-    return market, params
+    kinds = schedule.kinds
+    return LatticeMarket(steps=schedule.N, horizon=schedule.horizon, s0=s0,
+                         returns=group_steps(kinds, step_returns),
+                         bond_rates=group_steps(kinds, lambda vol_rate: vol_rate[1]))
 
 
 def build_discrete_model(path: TangentPath, schedule: Schedule,
                          s0: float = 1.0) -> DiscreteModel:
-    """Market with step returns ``(1 + sigma_j*sqrt(T/N)*g) / (1 + rho_j*T/N)``.
+    """Market with step returns ``(1 + sigma_j*sqrt(T/N)*g) / (1 + rho_j*T/N)``
+    (:func:`discrete_market`) and its designated measures.
 
     Raises :class:`~lecam.errors.ThetaOutOfRange` when ``N`` is too small for
     the given volatility (a return value would hit zero).
     """
-    market, params = _discrete_market(path, schedule, s0)
-    measures = group_steps(params,
+    market = discrete_market(path, schedule, s0)
+    measures = group_steps(schedule.kinds,
                            lambda vol_rate: tuple(one_period_mm(path, *vol_rate).tolist()))
-    thetas = group_steps(params, lambda vol_rate: vol_rate[1] / vol_rate[0])
+    thetas = group_steps(schedule.kinds, lambda vol_rate: vol_rate[1] / vol_rate[0])
     return DiscreteModel(market=market, measures=measures, thetas=thetas)
 
 
@@ -356,17 +373,28 @@ def _grid_steps(schedule: Schedule, t: float | None) -> int:
     return int(n)
 
 
-def _step_moves(path: TangentPath, schedule: Schedule, n: int) -> np.ndarray:
-    """Per-step perturbations ``sigma_j sqrt(T/N) g``, shape ``(n, k)``."""
-    return schedule.step_vols[:n, None] * np.array(path.g)
+def _kinds(schedule: Schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step volatility ``sigma sqrt(T/N)`` and step rate of each step
+    kind of ``schedule``, and its number of steps among the first ``n``."""
+    vols, rates = np.array(schedule.kinds.kinds).T
+    return vols, rates, np.bincount(schedule.kinds.index[:n], minlength=len(vols))
 
 
-def _moment_sums(probs: np.ndarray, contrib: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of ``sum_j contrib[j, x_j]`` with independent steps
-    ``x_j ~ probs[j]``: exact as sums of per-step moments."""
+def _designated(path: TangentPath, schedule: Schedule) -> np.ndarray:
+    """The designated one-period measure of each step kind of ``schedule``,
+    one row per kind."""
+    return np.array([one_period_mm(path, *vol_rate) for vol_rate in schedule.kinds.kinds])
+
+
+def _moment_sums(probs: np.ndarray, contrib: np.ndarray,
+                 counts: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of ``sum_j contrib[k_j, x_j]`` with independent
+    steps ``x_j ~ probs[k_j]``, ``counts[k]`` steps of kind ``k``: exact as
+    per-kind moments weighted by the counts (``probs`` one row per kind, or
+    one vector for all)."""
     means = (probs * contrib).sum(axis=1)
-    var = (probs * (contrib - means[:, None]) ** 2).sum()
-    return float(means.sum()), float(var)
+    var = (probs * (contrib - means[:, None]) ** 2).sum(axis=1)
+    return float(counts @ means), float(counts @ var)
 
 
 #: Half-width in standard deviations of the window that the sup-distance
@@ -464,31 +492,33 @@ class LanReport:
     states: int
 
 
-def lan_diagnostics(path: TangentPath, schedule: Schedule,
-                    t: float | None = None) -> LanReport:
+def lan_diagnostics(path: TangentPath, schedule: Schedule, t: float | None = None,
+                    market: LatticeMarket | None = None) -> LanReport:
     """Compare the law of ``log S_t`` under ``P0``-products with the
     Gaussian local expansion.
 
-    Needs no martingale measure.  Raises
+    ``market`` is the schedule's :func:`discrete_market` (any ``s0``), built
+    here when not given.  Needs no martingale measure.  Raises
     :class:`~lecam.errors.ThetaOutOfRange` on a grid too coarse for the
     volatility, as :func:`build_discrete_model` does.
     """
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
-    head = _discrete_market(path, schedule, 1.0)[0].head(n)
+    if market is None:
+        market = discrete_market(path, schedule)
+    head = market.head(n)
     try:
         values, probs = terminal_log_atoms(head, path.probs)
     except SizeLimit as exc:
         raise SizeLimit(f"{exc}: the CDF sup-distance needs the law of log S_t") from exc
     v_limit = schedule.limit_sigma.integral_sq(t_val)
-    mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + _step_moves(path, schedule, n)))
-    vols = schedule.step_vols[:n]
-    riemann = abs(sum((vols ** 2).tolist()) - v_limit)
+    vols, _, counts = _kinds(schedule, n)
+    mean, var = _moment_sums(np.array(path.probs), np.log(1.0 + vols[:, None] * path.g), counts)
     return LanReport(
         N=schedule.N,
         t=t_val,
-        noether_max=float(vols.max()),
-        riemann_gap=riemann,
+        noether_max=float(vols[counts > 0].max()),
+        riemann_gap=abs(float(counts @ vols ** 2) - v_limit),
         mean=mean,
         var=var,
         mean_gap=abs(mean + 0.5 * v_limit),
@@ -527,22 +557,26 @@ class ThirdLemmaReport:
     alpha: float
 
 
-def third_lemma_check(path: TangentPath, schedule: Schedule,
-                      t: float | None = None) -> ThirdLemmaReport:
+def third_lemma_check(path: TangentPath, schedule: Schedule, t: float | None = None,
+                      market: LatticeMarket | None = None) -> ThirdLemmaReport:
     """Measure-changed moments against the shifted Gaussian limit.
 
     The measures are those of :func:`build_discrete_model`, so every step of
-    the grid, not only those up to ``t``, must admit one.
+    the grid, not only those up to ``t``, must admit one, and its market
+    must be valid: ``market`` is the schedule's :func:`discrete_market`,
+    built here when not given.
     """
     n = _grid_steps(schedule, t)
     t_val = n * schedule.dt
-    model = build_discrete_model(path, schedule)
+    if market is None:
+        discrete_market(path, schedule)
+    measures = _designated(path, schedule)
     r_limit = schedule.limit_rate.integral(t_val)
     v_limit = schedule.limit_sigma.integral_sq(t_val)
-    measures = np.array(model.measures.kinds)[model.measures.index[:n]]
-    moves = _step_moves(path, schedule, n)
-    z_mean, z_var = _moment_sums(measures, moves)
-    s_mean, s_var = _moment_sums(measures, np.log(1.0 + moves))
+    vols, rates, counts = _kinds(schedule, n)
+    moves = vols[:, None] * path.g
+    z_mean, z_var = _moment_sums(measures, moves, counts)
+    s_mean, s_var = _moment_sums(measures, np.log(1.0 + moves), counts)
     return ThirdLemmaReport(
         N=schedule.N,
         t=t_val,
@@ -554,7 +588,7 @@ def third_lemma_check(path: TangentPath, schedule: Schedule,
         logs_mean_gap=abs(s_mean - (r_limit - 0.5 * v_limit)),
         logs_var=s_var,
         logs_var_gap=abs(s_var - v_limit),
-        alpha=sum(theta**2 for theta in model.thetas[:n]),
+        alpha=float(counts @ (rates / vols) ** 2),
     )
 
 
@@ -594,10 +628,12 @@ def convergence_study(path: TangentPath, family: Callable[[int], Schedule],
     rows = []
     for N in Ns:
         schedule = family(int(N))
-        model = build_discrete_model(path, schedule, s0=bs.s0)
-        p_n = price_direct(model.market, model.measures, payoff)
-        _, var = _moment_sums(np.array(model.measures.kinds)[model.measures.index],
-                              np.log(1.0 + _step_moves(path, schedule, schedule.N)))
+        market = discrete_market(path, schedule, bs.s0)
+        measures = _designated(path, schedule)
+        p_n = price_direct(market, group_steps(StepKinds(tuple(measures), schedule.kinds.index)),
+                           payoff)
+        vols, _, counts = _kinds(schedule, schedule.N)
+        _, var = _moment_sums(measures, np.log(1.0 + vols[:, None] * path.g), counts)
         rows.append(ConvergenceRow(
             N=int(N),
             p_n=p_n,

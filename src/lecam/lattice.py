@@ -13,10 +13,8 @@ experiments of :mod:`lecam.experiments`:
   units, without any law of ``X_T``;
 * ``terminal_log_atoms`` lists the atoms of ``log(X_T/X_0)`` on the counts
   that carry mass, unsorted, each binomial draw on its Hoeffding window,
-  for the ``P0`` sup-distance of :mod:`lecam.lan`; ``terminal_log_law``
-  sorts them and merges equal values, the sorted law that tests compare
-  against; prices never window a draw, as a far tail term needs its
-  tail-relative accuracy;
+  for the ``P0`` sup-distance of :mod:`lecam.lan`; prices never window a
+  draw, as a far tail term needs its tail-relative accuracy;
 * ``backward_induction`` rolls node values back over the recombined
   lattice, whose nodes are integer count vectors per return class; it
   prices barriers and serves ``verify_representation``;
@@ -77,8 +75,8 @@ ATOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class StepKinds(Sequence):
     """One item per step, each distinct item stored once: step ``j`` holds
-    ``kinds[index[j]]``, kinds in order of first occurrence (``first[k]``),
-    so checks run once per kind still name the first offending step."""
+    ``kinds[index[j]]``, kinds in order of first occurrence, so checks run
+    once per kind and still name the first offending step (``first``)."""
 
     kinds: tuple
     index: np.ndarray
@@ -97,6 +95,9 @@ class StepKinds(Sequence):
 
     @functools.cached_property
     def first(self) -> np.ndarray:
+        """The first step of each kind, from a sort of the whole index: the
+        checks that run once per kind read it only to name the step in an
+        error, so a valid market is checked in work per kind."""
         return _by_first_step(self.index)[2]
 
     def __eq__(self, other) -> bool:
@@ -198,21 +199,22 @@ class LatticeMarket:
         self.__dict__.update(returns=steps, bond_rates=rates)
         if len(steps) != self.steps or len(rates) != self.steps:
             raise InvalidParams("returns and bond_rates must have one entry per step")
-        for step, j in zip(steps.kinds, steps.first.tolist()):
+        for k, step in enumerate(steps.kinds):
             if not step:
-                raise InvalidParams(f"step {j} has no return values")
+                raise InvalidParams(f"step {steps.first[k]} has no return values")
             vals, probs = zip(*step)
             if not all(0.0 < v < math.inf for v in vals):
-                raise InvalidParams(f"step {j} has a nonpositive or non-finite return value")
+                raise InvalidParams(
+                    f"step {steps.first[k]} has a nonpositive or non-finite return value")
             if len(set(vals)) != len(vals):
-                raise InvalidParams(f"step {j} repeats a return value")
+                raise InvalidParams(f"step {steps.first[k]} repeats a return value")
             if not all(0.0 < p <= 1.0 for p in probs):
-                raise InvalidParams(f"step {j} has a probability outside (0, 1]")
+                raise InvalidParams(f"step {steps.first[k]} has a probability outside (0, 1]")
             if not abs(sum(probs) - 1.0) <= ATOL:
-                raise InvalidParams(f"step {j} probabilities sum to {sum(probs)!r}")
-        for r, j in zip(rates.kinds, rates.first.tolist()):
+                raise InvalidParams(f"step {steps.first[k]} probabilities sum to {sum(probs)!r}")
+        for k, r in enumerate(rates.kinds):
             if not 0.0 <= r < math.inf:
-                raise InvalidParams(f"step {j} bond rate is negative or not finite")
+                raise InvalidParams(f"step {rates.first[k]} bond rate is negative or not finite")
 
     @functools.cached_property
     def classes(self) -> StepKinds:
@@ -220,9 +222,12 @@ class LatticeMarket:
         return group_steps(self.returns, lambda step: tuple(v for v, _ in step))
 
     def head(self, n: int) -> LatticeMarket:
-        """The first ``n`` steps as a market, sharing their validation."""
+        """The first ``n`` steps as a market, sharing their validation (the
+        market itself for all its steps)."""
         if not 1 <= n <= self.steps:
             raise InvalidParams(f"a head needs 1 to {self.steps} steps, got {n}")
+        if n == self.steps:
+            return self
         head = object.__new__(LatticeMarket)
         head.__dict__.update(steps=n, horizon=n * self.horizon / self.steps, s0=self.s0,
                              returns=self.returns[:n], bond_rates=self.bond_rates[:n])
@@ -468,18 +473,18 @@ def solve_martingale_measures(m: LatticeMarket) -> MartingaleMeasureSet:
     """
     kinds = m.returns
     solutions = []
-    for step, j in zip(kinds.kinds, kinds.first.tolist()):
+    for k, step in enumerate(kinds.kinds):
         values = np.array([v for v, _ in step])
         vertices = _step_vertices(values)
         if not vertices:
             raise NoArbitrageViolation(
-                f"step {j}: returns {values.tolist()} all on one side of 1"
+                f"step {kinds.first[k]}: returns {values.tolist()} all on one side of 1"
             )
         covered = np.any(np.array(vertices) > 0.0, axis=0)
         if not covered.all():
             dead = np.flatnonzero(~covered).tolist()
             raise NoArbitrageViolation(
-                f"step {j}: no equivalent martingale measure "
+                f"step {kinds.first[k]}: no equivalent martingale measure "
                 f"(coordinates {dead} forced to zero)"
             )
         solutions.append(StepSolution(tuple(tuple(v) for v in vertices)))
@@ -519,23 +524,22 @@ def as_step_measures(m: LatticeMarket, q, strict: bool | None = None
     measures = group_steps(q, lambda v: np.array(v, dtype=float))
     classes = m.classes
     pairs = _joint(classes, measures)
-    checked = [(classes.kinds[c], measures.kinds[k], j)
-               for (c, k), j in zip(pairs.kinds, pairs.first.tolist())]
-    for values, v, j in checked:
+    checked = [(classes.kinds[c], measures.kinds[k]) for c, k in pairs.kinds]
+    for i, (values, v) in enumerate(checked):
         if v.shape != (len(values),):
-            raise InvalidParams(f"step {j} measure has wrong length")
+            raise InvalidParams(f"step {pairs.first[i]} measure has wrong length")
         if np.any(v < 0.0):
-            raise InvalidParams(f"step {j} measure has negative mass")
+            raise InvalidParams(f"step {pairs.first[i]} measure has negative mass")
         if not abs(float(v.sum()) - 1.0) <= ATOL:  # NaN fails too
-            raise InvalidParams(f"step {j} measure sums to {float(v.sum())!r}")
-    for values, v, j in checked if strict is not None else ():
+            raise InvalidParams(f"step {pairs.first[i]} measure sums to {float(v.sum())!r}")
+    for i, (values, v) in enumerate(checked if strict is not None else ()):
         gap = abs(float(v @ np.array(values)) - 1.0)
         if not gap <= ATOL:
             raise InvalidParams(
-                f"step {j} measure is not a martingale measure (gap {gap:.3e})"
+                f"step {pairs.first[i]} measure is not a martingale measure (gap {gap:.3e})"
             )
         if strict and not np.all(v > 0.0):
-            raise InvalidParams(f"step {j} measure is not strictly positive")
+            raise InvalidParams(f"step {pairs.first[i]} measure is not strictly positive")
     groups: list[list] = [[] for _ in classes.kinds]
     for (c, k), size in zip(pairs.kinds, np.bincount(pairs.index).tolist()):
         groups[c].append([measures.kinds[k], size])
@@ -797,19 +801,6 @@ def terminal_log_atoms(m: LatticeMarket,
                                            LAW_TAIL)
         laws.append((_count_logs(counts, values), probs))
     return combine_additive_laws(laws)
-
-
-def terminal_log_law(m: LatticeMarket,
-                     step_measures: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The law of ``log(X_T / X_0)`` under per-step measures on the counts
-    that carry mass, values strictly increasing: the atoms of
-    :func:`terminal_log_atoms` sorted once and exactly equal neighbours
-    merged."""
-    logs, probs = terminal_log_atoms(m, step_measures)
-    order = np.argsort(logs)
-    logs, probs = logs[order], probs[order]
-    first = np.flatnonzero(np.r_[True, logs[1:] != logs[:-1]])
-    return logs[first], np.add.reduceat(probs, first)
 
 
 #: Tie tolerance in count units: a level within this distance of an integer

@@ -611,6 +611,20 @@ class TestLanReport:
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3
         assert len(laws) == 3
 
+    @pytest.mark.parametrize("t", [[], ["--t", "0.5"]])
+    def test_one_market_per_row(self, spec_dir, capsys, monkeypatch, t):
+        """Both diagnostics of a row read the one discrete market it builds."""
+        built = []
+        original = LatticeMarket.__post_init__
+        monkeypatch.setattr(LatticeMarket, "__post_init__",
+                            lambda market: built.append(market.steps) or original(market))
+        study = dict(STUDY, Ns=[4, 16, 64], bs=dict(STUDY["bs"], rate={"const": 0.03}))
+        path = spec_dir["dir"] / "rows.json"
+        path.write_text(json.dumps(study))
+        assert main(["lan-report", "--study", str(path)] + t) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3
+        assert built == [4, 16, 64]
+
     @pytest.mark.parametrize("tangent, sigma, rate, n", [
         ({"type": "crr", "a": 1.0, "b": 1.0}, {"pieces": [[0.5, 0.2], [1.0, 0.3]]},
          {"pieces": [[0.5, 0.01], [1.0, 0.03]]}, 2048),

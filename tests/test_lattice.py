@@ -47,9 +47,10 @@ from lecam.lattice import (
     count_distribution,
     path_products,
     pinned_measures,
-    terminal_log_law,
     terminal_log_masses,
 )
+
+from law_oracles import terminal_log_law
 
 RNG_SEED = 42
 

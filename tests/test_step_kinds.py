@@ -9,9 +9,13 @@ import pytest
 from lecam import (
     InvalidParams,
     LatticeMarket,
+    NoArbitrageViolation,
     PathState,
     build_crr,
+    convergence_study,
+    discrete_market,
     dynamic_price,
+    lan_diagnostics,
     np_decomposition,
     payoff_digital,
     payoff_european_call,
@@ -22,6 +26,8 @@ from lecam import (
     price_direct,
     price_via_tests,
     solve_martingale_measures,
+    study_from_json,
+    third_lemma_check,
 )
 from lecam import lattice
 from lecam.lattice import as_step_measures, group_steps
@@ -95,7 +101,7 @@ class TestStepKinds:
         for qs in ([q] * 3, [q] * 5, [q]):
             message = f"^expected 4 step measures, got {len(qs)}$"
             for check in (lambda: as_step_measures(m, qs, strict=False),
-                          lambda: lattice.terminal_log_law(m, qs),
+                          lambda: lattice.terminal_log_atoms(m, qs),
                           lambda: price_direct(m, qs, payoff_european_call(1.0)),
                           lambda: as_step_measures(m, qs)):
                 with pytest.raises(InvalidParams, match=message):
@@ -163,6 +169,41 @@ class TestGroupedOnce:
         assert walked == [10**6] * lists
         assert len(m.returns) == len(m.bond_rates) == 10**6
         assert len(m.returns.kinds) == len(m.bond_rates.kinds) == 1 + lists
+
+    def test_valid_routes_never_look_up_first_steps(self, monkeypatch):
+        """Building, solving and pricing valid markets, and the lan rows,
+        never compute ``StepKinds.first``: it only names a step in an error."""
+        def forbidden(kinds):
+            raise AssertionError("StepKinds.first computed for valid input")
+
+        monkeypatch.setattr(lattice.StepKinds, "first", property(forbidden))
+        markets = (LatticeMarket(6, 1.0, 100.0, (self.TWO, self.OTHER) * 3, (0.01, 0.0) * 3),
+                   build_crr(1.2, 0.9, 1.01, 0.5, 5, 100.0),
+                   lattice.market_from_json({
+                       "N": 3, "T": 1.0, "s0": 100.0, "bond": {"r_simple_per_step": [0.0] * 3},
+                       "returns": {"type": "table", "values": [[1.2, 1.0, 0.9]] * 3,
+                                   "probs": [[0.25, 0.5, 0.25]] * 3}}))
+        call, barrier = payoff_european_call(100.0), payoff_from_json(
+            {"type": "barrier_up_out", "K": 100.0, "B": 150.0})
+        for m in markets:
+            q = solve_martingale_measures(m)
+            as_step_measures(m, q, strict=True)
+            lattice.terminal_log_atoms(m, q.designated())
+            price_direct(m, q, call)
+            price_direct(m, q, barrier)
+            price_via_tests(m, q, call)
+            dynamic_price(m, q, call, PathState(2, (0, 1)))
+        np_decomposition(markets[1], solve_martingale_measures(markets[1]), call)
+        study = study_from_json({
+            "tangent": {"type": "symmetric_trinomial", "probs": [0.25, 0.5, 0.25]},
+            "bs": {"s0": 100.0, "T": 1.0, "sigma": {"pieces": [[0.5, 0.2], [1.0, 0.3]]},
+                   "rate": {"pieces": [[0.5, 0.01], [1.0, 0.03]]}},
+            "payoff": {"type": "call", "K": 100.0}, "Ns": [8, 32]})
+        convergence_study(study.path, study.family(), study.payoff, study.bs, study.Ns)
+        schedule = study.family()(32)
+        market = discrete_market(study.path, schedule)
+        lan_diagnostics(study.path, schedule, 0.5, market)
+        third_lemma_check(study.path, schedule, 0.5, market)
 
     def test_probability_checks_come_before_martingale_checks(self):
         m = LatticeMarket(3, 1.0, 1.0, (self.TWO,) * 3, (0.0,) * 3)
@@ -665,3 +706,27 @@ class TestFirstOffendingStep:
             as_step_measures(m, qs, strict=False)
         with pytest.raises(InvalidParams, match="^step 70000 measure is not a martingale"):
             price_via_tests(m, qs, payoff_european_call(100.0))
+
+
+class TestFirstOffendingSolvedStep:
+    """Martingale measures are solved once per step kind: a bad kind first
+    met mid-market, between good kinds that alternate, is named by its
+    first step."""
+
+    N, BAD = 100_000, 70_000
+    STEPS = (((1.001, 0.5), (0.999, 0.5)), ((1.002, 0.25), (0.998, 0.75)))
+
+    @pytest.mark.parametrize("bad, message", [
+        (((1.1, 0.5), (1.2, 0.5)), r"^step 70000: returns \[1\.1, 1\.2\] all on one side of 1$"),
+        (((1.0, 0.5), (1.2, 0.5)),
+         r"^step 70000: no equivalent martingale measure \(coordinates \[1\] forced to zero\)$"),
+    ], ids=["one-side", "forced-to-zero"])
+    def test_solving_names_the_first_bad_step(self, bad, message):
+        steps = [self.STEPS[j % 2] for j in range(self.N)]
+        steps[self.BAD] = steps[self.BAD + 3] = steps[-1] = bad
+        m = LatticeMarket(self.N, 1.0, 100.0, tuple(steps), (0.0,) * self.N)
+        assert len(m.returns.kinds) == 3
+        with pytest.raises(NoArbitrageViolation, match=message):
+            solve_martingale_measures(m)
+        with pytest.raises(NoArbitrageViolation, match=message):
+            price_bounds(m, payoff_european_call(100.0))
