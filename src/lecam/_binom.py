@@ -2,8 +2,9 @@
 
 ``binom_pmf(k, n, p)`` and ``binom_cdf(k, n, p)`` (``P(X <= k)``, ``k``
 floored) broadcast their arguments like ufuncs; ``p`` holds a scalar or a
-few values per call.  Counts outside ``[0, n]`` give ``0`` (the cdf ``0``
-or ``1``) without evaluating anything.  Three regimes:
+few values per call (``binom_cdf`` also takes them as a flat list, each
+element picking its value by position).  Counts outside ``[0, n]`` give
+``0`` (the cdf ``0`` or ``1``) without evaluating anything.  Three regimes:
 
 * ``n <= SMALL_N``: ``C(n, k) p^k q^(n-k)`` with exact binomial
   coefficients; the cdf sums these terms over the tail on the far side of
@@ -328,16 +329,24 @@ def binom_pmf(k, n, p):
     return out.reshape(both.shape)[()]
 
 
-def binom_cdf(k, n, p):
+def binom_cdf(k, n, p, at=None):
     """``P(X <= k)`` for ``X ~ Bin(n, p)`` (``k`` floored), broadcast over
-    the arguments."""
-    both = np.broadcast(k, n, p)
-    if both.size <= SMALL_N:
-        return np.array([_cdf1(float(kk), int(nn), float(pp))
-                         for kk, nn, pp in both]).reshape(both.shape)[()]
-    values = np.asarray(p, dtype=float)  # each element of p is a row of the exact tables
-    k, n, at = (_flat(a, both.shape, np.intp) for a in (
-        np.floor(k), n, np.arange(values.size).reshape(values.shape)))
+    the arguments; given ``at``, broadcast with ``k`` and ``n`` instead of
+    ``p``, each element takes the value at ``at`` of ``p`` flattened."""
+    if at is None:
+        both = np.broadcast(k, n, p)
+        if both.size <= SMALL_N:
+            return np.array([_cdf1(float(kk), int(nn), float(pp))
+                             for kk, nn, pp in both]).reshape(both.shape)[()]
+        values = np.asarray(p, dtype=float)  # each element of p is a row of the exact tables
+        at = np.arange(values.size).reshape(values.shape)
+    else:
+        values = np.asarray(p, dtype=float).ravel()
+        both = np.broadcast(k, n, at)
+        if both.size <= SMALL_N:
+            return np.array([_cdf1(float(kk), int(nn), float(values[aa]))
+                             for kk, nn, aa in both]).reshape(both.shape)[()]
+    k, n, at = (_flat(a, both.shape, np.intp) for a in (np.floor(k), n, at))
     values = values.ravel()
     out = _by((k >= 0) & (k < n),
               lambda k, n, at: _by(n <= SMALL_N, functools.partial(_cdf_exact, values),

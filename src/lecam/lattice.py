@@ -10,7 +10,9 @@ experiments of :mod:`lecam.experiments`:
 * ``terminal_log_masses`` gives the test powers of terminal payoffs: the
   masses below, at and above given levels of ``log(X_T/X_0)`` under ``Q``
   and ``Q1 = (X_T/X_0) . Q``, from binomial tails, ties decided in count
-  units, without any law of ``X_T``;
+  units, without any law of ``X_T``; ``multiset_log_masses`` gives the
+  same masses for every assignment of vertex multisets to the return
+  classes in one pass, one row each, for ``pricing.price_bounds``;
 * ``terminal_log_atoms`` lists the atoms of ``log(X_T/X_0)`` on the counts
   that carry mass, unsorted, each binomial draw on its Hoeffding window,
   for the ``P0`` sup-distance of :mod:`lecam.lan`; prices never window a
@@ -27,13 +29,13 @@ keeps its returns and bond rates as distinct steps and a per-step index
 values) derive from them, and step measures take the same form.  Every law
 depends on a return class only through the multiset of its step measures,
 so the engines read groups ``[q, steps]`` per class (built in the one pass
-of :func:`as_step_measures` that also checks a measure argument, or
-directly from vertex multisets by ``pricing.price_bounds``), a closed-form
-multinomial each, their sums over the classes enumerated once by
-``combine_additive_laws``.  Atoms and nodes take their spots from
-``_count_logs`` (per class ``counts @ log(values)``, summed in class order)
-and are compared as floats, so a barrier level exactly on a node is decided
-by rounding; ``terminal_log_masses`` decides ties in count units of its
+of :func:`as_step_measures` that also checks a measure argument), a
+closed-form multinomial each, their sums over the classes enumerated once
+by ``combine_additive_laws``; ``multiset_log_masses`` reads the vertices
+of each class and counts them per row instead.  Atoms and nodes take their
+spots from ``_count_logs`` (per class ``counts @ log(values)``, summed in
+class order) and are compared as floats, so a barrier level exactly on a
+node is decided by rounding; ``terminal_log_masses`` decides ties in count units of its
 closed-form draw, so terminal prices do not depend on that rounding.
 
 Node prices need no market of their own: :func:`pinned_measures` pins each
@@ -652,13 +654,23 @@ def _chain(n: int, q: np.ndarray, outcomes: np.ndarray,
         lo, width = _window(rest, p, tail)
         if tail and width.sum() > (cap := limits.max_states()):
             raise SizeLimit(f"count states exceed cap {cap}")
-        row = np.repeat(np.arange(len(rest)), width)
-        draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width - lo, width)
+        row, draw, pmf = _draw_step(rest, p, lo, width)
         counts = counts[row]
         counts[:, i] = draw
-        probs = probs[row] * _binom_pmf(draw, rest[row], p)
+        probs = probs[row] * pmf
         rest = rest[row] - draw
     return counts, probs, rest
+
+
+def _draw_step(n: np.ndarray, p, lo, width: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ragged binomial draw: row ``i`` draws the counts ``lo[i]`` to
+    ``lo[i] + width[i] - 1`` of ``Bin(n[i], p)`` (or ``p[i]``).  Returns
+    each draw's row, the draw and its probability, rows in order and draws
+    ascending."""
+    row = np.repeat(np.arange(len(n)), width)
+    draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width - lo, width)
+    return row, draw, _binom_pmf(draw, n[row], p[row] if np.ndim(p) else p)
 
 
 def _identical_law(n: int, q: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:
@@ -852,10 +864,8 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
                 last, last_values, saving = group, values, (group[1] + live - 1) / (live - 1)
 
     logs, probs, draws = np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64)
-    log_lo, delta, rho, tilt, drift = 0.0, 1.0, 0.0, 0.0, 0.0
-    if last is None:  # no random step: a draw of none, its unit the smallest log gap of a step
-        delta = min((np.diff(np.log(np.sort(values))).min()
-                     for values, _ in classes if len(values) > 1), default=1.0)
+    if last is None:
+        log_lo, delta, drift, p = _no_draw([values for values, _ in classes])
     else:
         q, size = last
         live = np.flatnonzero(q)
@@ -863,12 +873,7 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
         if len(live) > 2:
             counts, probs, draws = _chain(size, q, live[:-2])
             logs = _count_logs(counts, last_values)
-        (v_lo, q_lo), (v_hi, q_hi) = sorted((last_values[i], float(q[i])) for i in live[-2:])
-        log_lo, delta = math.log(v_lo), math.log(v_hi) - math.log(v_lo)
-        rho = q_hi / (q_lo + q_hi)
-        # log of the draw's mean return, from its mean excess over one
-        drift = math.log1p((q_lo * (v_lo - 1.0) + q_hi * (v_hi - 1.0)) / (q_lo + q_hi))
-        tilt = min(rho * v_hi * math.exp(-drift), 1.0)
+        log_lo, delta, drift, p = _last_draw(last_values, q, live[-2:])
     laws = [(logs, probs)]  # the chain first, so each of its draws repeats in ravel order
     for values, fixed, random in split:  # a class with nothing left adds 0.0 to every atom
         rest = [g for g in random if g is not last]
@@ -879,14 +884,143 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
     draws = draws.repeat(len(logs) // len(draws))
     base = logs + draws * log_lo
     weights = np.array([probs, probs * np.exp(logs + draws * drift)])
-    p = np.array([rho, 1.0 - rho, tilt, 1.0 - tilt]).reshape(2, 2, 1, 1)
     levels = np.asarray(levels, dtype=float)
     return sum(_draw_tails(levels, base[s:s + _TAIL_CHUNK], draws[s:s + _TAIL_CHUNK],
                            weights[:, s:s + _TAIL_CHUNK], delta, p)
                for s in range(0, len(logs), _TAIL_CHUNK))
 
 
-#: Atoms whose tails are evaluated at once, bounding the temporaries.
+def _last_draw(values: Sequence[float], q: np.ndarray, pair: np.ndarray
+               ) -> tuple[float, float, float, np.ndarray]:
+    """The closed-form draw ``Bin(n, rho)`` of a group with measure ``q`` on
+    ``values`` between the outcomes ``pair``: the log ``log_lo`` of its
+    smaller value, the log gap ``delta`` to the larger one, the log of its
+    mean return and the probabilities ``p`` of :func:`_draw_tails`."""
+    (v_lo, q_lo), (v_hi, q_hi) = sorted((values[i], float(q[i])) for i in pair)
+    rho = q_hi / (q_lo + q_hi)
+    # log of the draw's mean return, from its mean excess over one
+    drift = math.log1p((q_lo * (v_lo - 1.0) + q_hi * (v_hi - 1.0)) / (q_lo + q_hi))
+    tilt = min(rho * v_hi * math.exp(-drift), 1.0)
+    p = np.array([rho, 1.0 - rho, tilt, 1.0 - tilt]).reshape(2, 2, 1, 1)
+    return math.log(v_lo), math.log(v_hi) - math.log(v_lo), drift, p
+
+
+def _no_draw(classes: Sequence[Sequence[float]]) -> tuple[float, float, float, np.ndarray]:
+    """:func:`_last_draw` with no random step: a draw of none, its unit the
+    smallest log gap between the values of a step."""
+    delta = min((np.diff(np.log(np.sort(values))).min()
+                 for values in classes if len(values) > 1), default=1.0)
+    return 0.0, delta, 0.0, np.array([0.0, 1.0, 0.0, 1.0]).reshape(2, 2, 1, 1)
+
+
+def _compositions(n: int, k: int) -> np.ndarray:
+    """The ``C(n + k - 1, k - 1)`` ways to spread ``n`` steps over ``k``
+    parts, one count vector per row, in the order of
+    ``itertools.combinations_with_replacement(range(k), n)``: the first
+    part's count descending, then the next part's."""
+    counts = np.zeros((1, k), dtype=np.int64)
+    rest = np.full(1, n, dtype=np.int64)
+    for i in range(k - 1):
+        width = rest + 1
+        row = np.repeat(np.arange(len(rest)), width)
+        taken = np.repeat(rest + np.cumsum(width) - width, width) - np.arange(len(row))
+        counts = counts[row]
+        counts[:, i] = taken
+        rest = rest[row] - taken
+    counts[:, -1] = rest
+    return counts
+
+
+def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.ndarray], int]],
+                        levels: Sequence[float]) -> np.ndarray:
+    """The masses of :func:`terminal_log_masses` under every product measure
+    that gives the ``steps`` steps of each return class ``values`` a
+    multiset of its ``vertices`` (measures with at most two live outcomes,
+    as :func:`solve_martingale_measures` finds them), shape ``(R, 2, 3,
+    len(levels))``: one row per assignment of a multiset to every class,
+    ``R = prod C(steps + V - 1, V - 1)`` for ``V`` vertices, the first
+    class's multisets varying slowest, each class's in the order of
+    ``itertools.combinations_with_replacement`` of its vertices.
+
+    Under an assignment a class's law is a product of independent
+    binomials, one per vertex: the vertex's ``rho`` is fixed and only its
+    count varies from row to row.  So all rows are priced in one pass.  In
+    each row the group (a class times a vertex) with the most steps stays
+    in closed form, as :func:`terminal_log_masses` picks it, its ties
+    decided in its count units; every other group's draw is enumerated per
+    row (:func:`_draw_step`, one ragged step for all rows per group
+    enumerated), and :func:`_add_row_tails` adds each atom's masses to its
+    row, atoms in chunks of :data:`_TAIL_CHUNK` and rows in blocks of about
+    as many atoms, in an order that does not depend on the chunks.
+
+    Raises :class:`~lecam.errors.SizeLimit`, before any law is built, at the
+    first row whose count states of a class (``C(n + k - 1, k - 1)`` over
+    the ``n`` steps of its vertices with two live outcomes) or whose atoms
+    exceed the state cap.
+    """
+    cap = limits.max_states()
+    parts = [_compositions(steps, len(vertices)) for _, vertices, steps in classes]
+    picks = np.indices([len(part) for part in parts]).reshape(len(parts), -1)
+    counts = np.concatenate([part[pick] for part, pick in zip(parts, picks)], axis=1)
+    groups = [(c, values, q, np.flatnonzero(q))
+              for c, (values, vertices, _) in enumerate(classes) for q in vertices]
+    random = [g for g, (*_, live) in enumerate(groups) if len(live) == 2]
+    fixed = [g for g, (*_, live) in enumerate(groups) if len(live) == 1]
+    # the draws of the groups with two live outcomes (a draw of none without any)
+    log_lo, delta, drift, p = zip(*([_last_draw(*groups[g][1:]) for g in random] or
+                                    [_no_draw([values for values, _, _ in classes])]))
+    log_lo, delta, drift, p = np.array(log_lo), np.array(delta), np.array(drift), np.concatenate(
+        p, axis=2)
+    random_counts = counts[:, random]
+    # each row's closed-form draw, as terminal_log_masses picks it: its group
+    # with the most steps, the first on ties; the other groups are enumerated
+    which = (np.argmax(random_counts, axis=1) if random
+             else np.zeros(len(counts), dtype=np.intp))
+    closed = np.arange(len(random)) == which[:, None]
+    closed_counts = random_counts[closed] if random else np.zeros(len(counts), dtype=np.int64)
+    enumerated = np.where(closed, 0, random_counts)
+    order = np.argsort(closed, axis=1, kind="stable")[:, :-1]  # each row's enumerated groups
+
+    atoms = np.prod(enumerated + 1.0, axis=1)
+    steps = random_counts @ (np.array([groups[g][0] for g in random], dtype=np.intp)[:, None]
+                             == np.arange(len(classes)))
+    if atoms.max() > cap or any(
+            math.comb(int(n) + len(values) - 1, len(values) - 1) > cap
+            for n, (values, _, _) in zip(steps.max(axis=0, initial=0), classes)):
+        for row, size in zip(steps.tolist(), atoms.tolist()):
+            for n, (values, _, _) in zip(row, classes):
+                _check_count_states(n, len(values), cap)
+            if size > cap:
+                raise SizeLimit(f"terminal atoms exceed cap {cap}")
+
+    # each row's log with no count on the larger value of any enumerated draw
+    fixed_logs = [math.log(values[live[0]]) for _, values, _, live in groups if len(live) == 1]
+    offset = enumerated @ log_lo[:len(random)] + counts[:, fixed] @ np.array(fixed_logs)
+    levels = np.asarray(levels, dtype=float)
+    out = np.zeros((len(counts), 2, 3, len(levels)))
+    sizes = atoms.astype(np.int64)
+    blocks = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _TAIL_CHUNK, prepend=-1))
+    for start, stop in zip(blocks, np.r_[blocks[1:], len(counts)]):
+        rows = np.arange(start, stop)
+        logs, probs = offset[rows], np.ones(len(rows))
+        for i in range(order.shape[1]):
+            g = order[rows, i]
+            n = enumerated[rows, g]
+            sub, draw, pmf = _draw_step(n, p[0, 0, g, 0], 0, n + 1)
+            rows, logs, probs = rows[sub], logs[sub] + draw * delta[g[sub]], probs[sub] * pmf
+        kind, n = which[rows], closed_counts[rows]
+        base = logs + n * log_lo[kind]
+        weights = np.array([probs, probs * np.exp(logs + n * drift[kind])])
+        for s in range(0, len(rows), _TAIL_CHUNK):
+            chunk = slice(s, s + _TAIL_CHUNK)
+            _add_row_tails(levels, base[chunk], n[chunk], weights[:, chunk], delta, p,
+                           kind[chunk], rows[chunk], out)
+    return out
+
+
+#: Atoms whose tails are evaluated at once, bounding the temporaries; the
+#: rows of :func:`multiset_log_masses` are also built in blocks of about as
+#: many atoms.
 _TAIL_CHUNK = 1 << 15
 
 
@@ -895,23 +1029,64 @@ def _draw_tails(levels: np.ndarray, base: np.ndarray, draws: np.ndarray,
     """The masses of :func:`terminal_log_masses` over atoms of log ``base``,
     each followed by ``draws`` steps of ``delta`` taken with probability
     ``p[0, 0]`` under ``Q`` and ``p[1, 0]`` under ``Q1`` (``p[:, 1]`` the
-    complements); ``weights`` holds the atoms' masses under both.  Both
-    tails are lower tails, the upper one of the mirrored draw.  Levels
-    clipped half a count outside ``[0, n]`` keep their tails and sit at no
-    atom."""
+    complements); ``weights`` holds the atoms' masses under both."""
+    tails, at = _atom_tails(levels, base, draws, delta, p)
+    out = np.empty((2, 3, len(levels)))
+    out[:, ::2] = (weights[:, None, None] @ tails)[:, :, 0]
+    out[:, 1] = (weights[:, None] @ at)[:, 0]
+    return out
+
+
+def _add_row_tails(levels: np.ndarray, base: np.ndarray, draws: np.ndarray,
+                   weights: np.ndarray, delta: np.ndarray, p: np.ndarray,
+                   kind: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_draw_tails` with one of several closed-form draws per atom,
+    its ``kind`` (``delta[kind]`` and ``p[:, :, kind]``), and the masses of
+    each atom added to its row of ``out``, one atom after the other, so
+    that a row cut across chunks sums as if it were not.  ``rows`` is
+    nondecreasing, and every row after the first is new to ``out``."""
+    tails, at = _atom_tails(levels, base, draws, delta, p, kind)
+    # one bin per (row, measure, side, level), each atom's masses in atom
+    # order after the first row's sums so far, which it goes on from
+    width = 6 * len(levels)
+    masses, bins = np.empty(width * (len(rows) + 1)), np.empty(width * (len(rows) + 1), np.intp)
+    masses[:width], bins[:width] = out[rows[0]].ravel(), np.arange(width)
+    each = masses[width:].reshape((2, 3) + at.shape[1:])
+    np.multiply(weights[:, None, :, None], tails, out=each[:, ::2])
+    np.multiply(weights[:, :, None], at, out=each[:, 1])
+    change = np.r_[False, rows[1:] != rows[:-1]]
+    np.add(np.cumsum(change)[:, None] * width, np.arange(width).reshape(6, 1, -1),
+           out=bins[width:].reshape((6,) + at.shape[1:]))
+    sums = np.bincount(bins, masses)
+    change[0] = True
+    out[rows[change]] = sums.reshape((-1,) + out.shape[1:])
+
+
+def _atom_tails(levels: np.ndarray, base: np.ndarray, draws: np.ndarray, delta, p: np.ndarray,
+                kind: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per atom of :func:`_draw_tails` the lower tails below and above each
+    level, shape ``(2, 2, atoms, levels)``, and the masses at it, shape
+    ``(2, atoms, levels)``: both tails are lower tails, the upper one of the
+    mirrored draw, and levels clipped half a count outside ``[0, n]`` keep
+    their tails and sit at no atom.  The draw is one, or each atom's
+    ``kind`` of several (``delta[kind]`` and ``p[:, :, kind]``)."""
+    if kind is not None:
+        delta = delta[kind][:, None]
     n = draws[:, None]
     t = np.minimum(np.maximum((levels - base[:, None]) / delta, -0.5), n + 0.5)
     r = np.rint(t)
     tie = np.abs(t - r) <= TIE_TOL
     high = np.where(tie, r, np.floor(t))    # last count not above the level
     ends = np.array([high - tie, n - 1.0 - high])
-    tails = _binom_cdf(ends, n, p)  # 0 at the end -1
-    at = (np.where(tie, _binom_pmf(r, n, p[:, 0]), 0.0) if tie.any()
+    if kind is None:
+        tails, low = _binom_cdf(ends, n, p), p[:, 0]  # 0 at the end -1
+    else:  # each atom's p from the few draws' values, so the exact tables stay few
+        tails = _binom_cdf(ends, n, p, np.arange(4).reshape(2, 2, 1, 1) * p.shape[2]
+                           + kind[:, None])
+        low = p[:, 0, kind]
+    at = (np.where(tie, _binom_pmf(r, n, low), 0.0) if tie.any()
           else np.zeros((2,) + tie.shape))
-    out = np.empty((2, 3, len(levels)))
-    out[:, ::2] = (weights[:, None, None] @ tails)[:, :, 0]
-    out[:, 1] = (weights[:, None] @ at)[:, 0]
-    return out
+    return tails, at
 
 
 # ---------------------------------------------------------------------------

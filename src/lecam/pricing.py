@@ -37,7 +37,6 @@ explicit cuts, so that limit models can integrate them in closed form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -57,7 +56,9 @@ from .lattice import (
     LatticeMarket,
     PathState,
     as_step_measures,
+    _step_vertices,
     backward_induction,
+    multiset_log_masses,
     pinned_measures,
     solve_martingale_measures,
     terminal_log_masses,
@@ -318,30 +319,32 @@ def _log_levels(m: LatticeMarket, cuts: Sequence[float]) -> list[float]:
 
 
 def _terminal_powers(m: LatticeMarket, terms: Sequence[PayoffTerm],
-                     classes: Sequence[tuple]) -> np.ndarray:
+                     log_masses: Callable[[list[float]], np.ndarray]) -> np.ndarray:
     """``[E_Q(phi), E_Q(x * phi)]`` for each of ``terms``, all terminal, read
-    from the masses of ``log x`` around the levels of the term's cuts
-    (:func:`lecam.lattice.terminal_log_masses` of the step measures grouped
-    per return class, ``classes``), ties decided in count units.
+    from the masses of ``log x`` below, at and above the levels of the
+    term's cuts, ``log_masses(levels)``: shape ``(2, 3, len(levels))`` from
+    :func:`lecam.lattice.terminal_log_masses` for one measure, or with a
+    leading axis of rows from :func:`lecam.lattice.multiset_log_masses`,
+    which the powers keep after the terms' axis.  Ties are decided there,
+    in count units.
 
     An open interval between two cuts takes its mass from the side with the
     smaller tail, so every interval keeps the relative accuracy of a tail.
     """
     # a test without cuts gets one at zero, which every S_T lies above
     cuts = [t.terminal.cuts or (0.0,) for t in terms]
-    levels = _log_levels(m, [c for term in cuts for c in term])
-    masses = terminal_log_masses(classes, levels)
+    masses = log_masses(_log_levels(m, [c for term in cuts for c in term]))
     out = []
     start = 0
     for term, term_cuts in zip(terms, cuts):
-        below, at, above = masses[:, :, start:start + len(term_cuts)].transpose(1, 0, 2)
+        below, at, above = (masses[..., side, start:start + len(term_cuts)] for side in range(3))
         start += len(term_cuts)
         opens, points = term.terminal.open_values, term.terminal.point_values or (0.0,)
-        power = opens[0] * below[:, 0] + opens[-1] * above[:, -1] + at @ points
+        power = opens[0] * below[..., 0] + opens[-1] * above[..., -1] + at @ points
         if len(opens) > 2:
-            inner = np.where(below[:, 1:] <= above[:, :-1],
-                             below[:, 1:] - below[:, :-1] - at[:, :-1],
-                             above[:, :-1] - above[:, 1:] - at[:, 1:])
+            inner = np.where(below[..., 1:] <= above[..., :-1],
+                             below[..., 1:] - below[..., :-1] - at[..., :-1],
+                             above[..., :-1] - above[..., 1:] - at[..., 1:])
             power += inner @ opens[1:-1]
         out.append(power)
     return np.array(out)
@@ -391,7 +394,8 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
     knock_out = [i for i, t in enumerate(payoff.terms) if not t.terminal_only]
     out: list = [None] * len(coeffs)
     if terminal:
-        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal], classes)
+        powers = _terminal_powers(m, [payoff.terms[i] for i in terminal],
+                                  lambda levels: terminal_log_masses(classes, levels))
         for i, (base, alt) in zip(terminal, powers):
             a, b = coeffs[i]
             out[i] = a * alt + b * base
@@ -544,11 +548,14 @@ def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:
     share their polytope and are exchangeable: the law of ``X_T`` depends
     on the class's step measures only through their multiset.  So each
     class ranges over the multisets of its vertices, ``C(n_c + V_c - 1,
-    V_c - 1)`` for ``n_c`` steps and ``V_c`` vertices, and the product over
-    classes is priced once per assignment: the min and max range over the
-    same prices as an enumeration of every ordered vertex tuple.  The
-    assignments are capped (:func:`lecam.limits.max_combos`) before any
-    law is built.
+    V_c - 1)`` for ``n_c`` steps and ``V_c`` vertices, and every assignment
+    of a multiset to each class is one row of a single batched pass
+    (:func:`lecam.lattice.multiset_log_masses`): every vertex has at most
+    two live outcomes, so under an assignment a class's law is a product of
+    binomials that differ from row to row only in their counts.  The min
+    and max range over the same prices as an enumeration of every ordered
+    vertex tuple.  The assignments are capped
+    (:func:`lecam.limits.max_combos`) before any law is built.
 
     This is not the no-arbitrage (superhedging) interval, which also allows
     node-dependent choices and can be wider: for digitals at ``N = 4`` by up
@@ -559,25 +566,19 @@ def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:
             "price bounds are implemented for terminal-value payoffs"
         )
     cap = limits.max_combos()
-    solutions = solve_martingale_measures(m)
+    solve_martingale_measures(m)  # the arbitrage check, naming the first bad step
     classes = m.classes
     members = np.bincount(classes.index).tolist()
-    vertices = [[np.array(v) for v in solutions.per_step[j].vertices]
-                for j in classes.first.tolist()]
+    vertices = [_step_vertices(np.array(values)) for values in classes.kinds]
     combos = 1
     for n, vs in zip(members, vertices):
         combos *= math.comb(n + len(vs) - 1, len(vs) - 1)
         if combos > cap:
             raise SizeLimit(f"vertex multisets exceed cap {cap}")
-    # each class's multisets as the groups [vertex, steps] of as_step_measures,
-    # vertices in their order (the first-seen order of ordered picks)
-    per_class = [[[[vs[i], len(list(run))] for i, run in itertools.groupby(picks)]
-                  for picks in itertools.combinations_with_replacement(range(len(vs)), n)]
-                 for n, vs in zip(members, vertices)]
     scale = m.s0 * m.bond_factor(m.steps)
     a, b = np.array([(term.coeff * scale, -term.strike) for term in payoff.terms]).T
-    prices = []
-    for assignment in itertools.product(*per_class):
-        base, alt = _terminal_powers(m, payoff.terms, list(zip(classes.kinds, assignment))).T
-        prices.append(m.discount * (a * alt + b * base).sum())
-    return float(min(prices)), float(max(prices))
+    base, alt = np.moveaxis(_terminal_powers(
+        m, payoff.terms, lambda levels: multiset_log_masses(
+            list(zip(classes.kinds, vertices, members)), levels)), -1, 0)
+    prices = m.discount * (a[:, None] * alt + b[:, None] * base).sum(axis=0)
+    return float(prices.min()), float(prices.max())

@@ -187,6 +187,22 @@ def test_broadcast_shapes_and_scalars():
     assert binom_pmf(3, 10, 0.5) == pytest.approx(120 / 1024, rel=1e-15)
 
 
+@pytest.mark.parametrize("size", [6, 400])
+def test_cdf_picks_p_by_position(size):
+    """``at`` picks each element's value of ``p`` from a few: the cdf with
+    those values broadcast, on the Python-float path of a small call and on
+    the exact and incomplete-beta paths of a large one (whose exact tables
+    depend on how many values there are)."""
+    rng = np.random.default_rng(size)
+    values = np.array([[0.2, 0.8], [0.35, 0.5]])
+    at = rng.integers(0, 4, size=(size, 1))
+    n = rng.integers(0, 120, size=(size, 1))
+    k = rng.integers(-1, 121, size=(size, 3))
+    got = binom_cdf(k, n, values, at)
+    assert got.shape == (size, 3)
+    np.testing.assert_allclose(got, binom_cdf(k, n, values.ravel()[at]), rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # the normal cdf
 # ---------------------------------------------------------------------------

@@ -42,14 +42,17 @@ from lecam import (
 )
 from lecam import limits
 from lecam.lattice import (
+    _step_vertices,
     as_step_measures,
     backward_induction,
     count_distribution,
+    multiset_log_masses,
     path_products,
     pinned_measures,
     terminal_log_masses,
 )
 
+import law_oracles
 from law_oracles import terminal_log_law
 
 RNG_SEED = 42
@@ -953,6 +956,74 @@ def vertex_measures(values, n, rng):
     m = LatticeMarket(1, 1.0, 1.0, (tuple((v, 1 / len(values)) for v in values),), (0.0,))
     vertices = [np.array(v) for v in solve_martingale_measures(m).per_step[0].vertices]
     return [vertices[int(rng.integers(len(vertices)))] for _ in range(n)]
+
+
+def vertex_classes(m):
+    """The return classes of ``m`` as :func:`multiset_log_masses` reads
+    them: values, the vertices of their polytope and their step count."""
+    return [(values, _step_vertices(np.array(values)), n)
+            for values, n in zip(m.classes.kinds, np.bincount(m.classes.index).tolist())]
+
+
+class TestMultisetLogMasses:
+    """Every row of the batched pass against one ``terminal_log_masses``
+    call per assignment, in the same order, levels on the atoms and
+    between them."""
+
+    def markets(self, rng):
+        for k, values in MASS_TABLES.items():
+            for n in (1, 4, 7 if k < 4 else 5):
+                step = tuple((v, 1 / k) for v in values)
+                yield LatticeMarket(n, 1.0, 1.0, (step,) * n, (0.0,) * n)
+        flat = tuple((v, 1 / 3) for v in (1.05, 1.0, 0.95))  # a vertex at the value one
+        yield LatticeMarket(5, 1.0, 1.0, (flat,) * 5, (0.0,) * 5)
+        still = ((1.0, 1.0),)  # a one-point step: no draw at all, or beside others
+        yield LatticeMarket(3, 1.0, 1.0, (still,) * 3, (0.0,) * 3)
+        yield LatticeMarket(4, 1.0, 1.0, (still, flat) * 2, (0.0,) * 4)
+        for _ in range(6):
+            yield random_market(rng, max_steps=5)
+
+    def test_rows_match_one_law_per_assignment(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for m in self.markets(rng):
+            paths = brute_paths(m)
+            logs = np.array([sum(math.log(m.returns[j][i][0]) for j, i in enumerate(p))
+                             for p in paths])
+            levels = probe_levels(np.unique(logs))
+            got = multiset_log_masses(vertex_classes(m), levels)
+            want = [terminal_log_masses(groups, levels)
+                    for groups in law_oracles.multiset_assignments(m)]
+            assert got.shape == (len(want), 2, 3, len(levels))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_class_states_capped_per_row(self, monkeypatch):
+        """Twelve steps on two vertices of three values: 13 rows, each of
+        ``C(14, 2) = 91`` count states, as one law per row counts them."""
+        step = tuple((v, 1 / 3) for v in (1.08, 0.97, 0.93))
+        m = LatticeMarket(12, 1.0, 1.0, (step,) * 12, (0.0,) * 12)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "90")
+        for masses in (lambda: multiset_log_masses(vertex_classes(m), [0.0]),
+                       lambda: [terminal_log_masses(groups, [0.0])
+                                for groups in law_oracles.multiset_assignments(m)]):
+            with pytest.raises(SizeLimit, match="count states 91 exceed cap 90"):
+                masses()
+        monkeypatch.setenv("LECAM_MAX_PATHS", "91")
+        assert multiset_log_masses(vertex_classes(m), [0.0]).shape == (13, 2, 3, 1)
+
+    def test_atoms_capped_per_row(self, monkeypatch):
+        """Two such classes of six steps: 49 rows, 28 count states per class,
+        and up to 64 atoms beside a row's closed-form draw."""
+        one = tuple((v, 1 / 3) for v in (1.08, 0.97, 0.93))
+        two = tuple((v, 1 / 3) for v in (1.05, 0.98, 0.9))
+        m = LatticeMarket(12, 1.0, 1.0, (one, two) * 6, (0.0,) * 12)
+        monkeypatch.setenv("LECAM_MAX_PATHS", "63")
+        for masses in (lambda: multiset_log_masses(vertex_classes(m), [0.0]),
+                       lambda: [terminal_log_masses(groups, [0.0])
+                                for groups in law_oracles.multiset_assignments(m)]):
+            with pytest.raises(SizeLimit, match="terminal atoms exceed cap 63"):
+                masses()
+        monkeypatch.setenv("LECAM_MAX_PATHS", "64")
+        assert multiset_log_masses(vertex_classes(m), [0.0]).shape == (49, 2, 3, 1)
 
 
 class TestTerminalLogMasses:

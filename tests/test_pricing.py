@@ -10,6 +10,7 @@ loops are the oracles they are checked against.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from lecam import BSModel, convergence_study, crr_tangent, lan, lattice, limits,
 from lecam import market_from_json, schedule_family, symmetric_trinomial_tangent
 from lecam.lattice import path_prices
 
+import law_oracles
 from test_lattice import brute_paths, brute_prob, brute_ratio, random_market
 
 RNG_SEED = 42
@@ -789,14 +791,18 @@ def alternating(a, b, n):
     return [a if j % 2 == 0 else b for j in range(n)]
 
 
-def count_laws(monkeypatch):
-    """Count the law builds of ``price_bounds`` (one per priced assignment)."""
+def priced_rows(monkeypatch):
+    """The passes of ``price_bounds``: one entry per ``_terminal_powers``
+    call, made on entry (so a cap that fires first leaves none), then set
+    to the number of rows it priced, one per vertex multiset assignment."""
     calls = []
     inner = pricing._terminal_powers
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return inner(*args, **kwargs)
+        powers = inner(*args, **kwargs)
+        calls[-1] = powers.shape[1]
+        return powers
 
     monkeypatch.setattr(pricing, "_terminal_powers", counted)
     return calls
@@ -860,34 +866,106 @@ class TestPriceBoundsMultisets:
             m = table_market(tables, rates)
             strike = m.s0 * m.bond_factor(m.steps) * 1.0137
             lows, highs = self.ordered_bounds(m, strike)
-            calls = count_laws(monkeypatch)
+            rows = priced_rows(monkeypatch)
             for make, lo_want, hi_want in zip(payoffs, lows, highs):
                 lo, hi = price_bounds(m, make(strike))
                 assert abs(lo - lo_want) <= 1e-12
                 assert abs(hi - hi_want) <= 1e-12
-            assert len(calls) == len(payoffs) * multiset_count(m)
+            assert rows == [multiset_count(m)] * len(payoffs)
             monkeypatch.undo()
 
-    def test_step_kinds_within_classes_match_ordered_enumeration(self, monkeypatch):
+    @staticmethod
+    def three_classes():
         """Three interleaved classes, one of them holding two step kinds
-        (equal values, different real-world probabilities): classes, not
-        step kinds, are what the multisets range over."""
+        (equal values, different real-world probabilities)."""
         tri = tuple(zip(TRI_B, (0.2, 0.5, 0.3)))
         tri_other = tuple(zip(TRI_B, (0.6, 0.1, 0.3)))
         quad = tuple((v, 0.25) for v in QUAD_4)
         pair = ((1.05, 0.4), (0.97, 0.6))
         cycle = (tri, quad, tri_other, pair, tri, quad, pair)
-        m = LatticeMarket(7, 1.0, 2.0, cycle, RATES6 + (0.004,))
+        return LatticeMarket(7, 1.0, 2.0, cycle, RATES6 + (0.004,))
+
+    def test_step_kinds_within_classes_match_ordered_enumeration(self, monkeypatch):
+        """Classes, not step kinds, are what the multisets range over."""
+        m = self.three_classes()
         assert len(m.returns.kinds) == 4 and len(m.classes.kinds) == 3
         strike = m.s0 * m.bond_factor(m.steps) * 0.9871
         lows, highs = self.ordered_bounds(m, strike)
-        calls = count_laws(monkeypatch)
+        rows = priced_rows(monkeypatch)
         for make, lo_want, hi_want in zip((payoff_european_call, payoff_european_put,
                                            payoff_digital, payoff_straddle), lows, highs):
             lo, hi = price_bounds(m, make(strike))
             assert abs(lo - lo_want) <= 1e-12
             assert abs(hi - hi_want) <= 1e-12
-        assert len(calls) == 4 * multiset_count(m)
+        assert rows == [multiset_count(m)] * 4
+
+    def test_batch_matches_one_law_per_assignment(self):
+        """The batched pass against :func:`law_oracles.product_range`, one
+        law per assignment, on three strikes (the forward among them, a
+        node where a step has the value one) and four payoffs."""
+        payoffs = (payoff_european_call, payoff_european_put, payoff_digital,
+                   payoff_straddle)
+        markets = [table_market(tables, rates) for tables, rates in self.MARKETS]
+        markets.append(self.three_classes())
+        rng = np.random.default_rng(RNG_SEED)
+        markets += [random_market(rng, max_steps=5) for _ in range(30)]
+        for m in markets:
+            forward = m.s0 * m.bond_factor(m.steps)
+            for strike, make in itertools.product(
+                    (forward * 0.9871, forward, forward * 1.0137), payoffs):
+                got = price_bounds(m, make(strike))
+                want = law_oracles.product_range(m, make(strike))
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (m, strike, make)
+
+    def test_rows_cut_across_chunks_sum_as_in_one_chunk(self, monkeypatch):
+        """Chunks of a few atoms cut rows and split the blocks of rows.  With
+        the binomial tails evaluated one element at a time (``_binom``
+        picks its evaluation path by the size of a call, which moves the
+        last bits), every bound equals the one-chunk run bitwise; with the
+        library's own tails, to within rounding."""
+        cases = [(table_market([QUAD_4] * 5, (0.002,) * 5), payoff_straddle),
+                 (table_market(alternating(TRI_B, QUAD_4, 6), RATES6), payoff_european_call),
+                 (table_market([TRI_B] * 9, (0.004,) * 9), payoff_digital),
+                 (self.three_classes(), payoff_european_put)]
+
+        def bounds():
+            return np.array([price_bounds(m, make(m.s0 * m.bond_factor(m.steps)))
+                             for m, make in cases])
+
+        def one_at_a_time(f):
+            def each(k, n, p, at=None):
+                both = np.broadcast(k, n, p if at is None else np.ravel(p)[at])
+                return np.array([f(*args) for args in both]).reshape(both.shape)
+            return each
+
+        one_chunk = lattice._TAIL_CHUNK
+        for elementwise in (False, True):
+            if elementwise:
+                monkeypatch.setattr(lattice, "_binom_cdf", one_at_a_time(lattice._binom_cdf))
+                monkeypatch.setattr(lattice, "_binom_pmf", one_at_a_time(lattice._binom_pmf))
+            monkeypatch.setattr(lattice, "_TAIL_CHUNK", one_chunk)
+            whole = bounds()
+            for chunk in (1, 3, 7):
+                monkeypatch.setattr(lattice, "_TAIL_CHUNK", chunk)
+                cut = bounds()
+                if elementwise:
+                    assert cut.tolist() == whole.tolist()
+                else:
+                    assert cut == pytest.approx(whole, rel=1e-14, abs=0.0)
+
+    def test_batch_memory_is_bounded_by_the_chunk(self):
+        """2925 multisets and 222,329 atoms at N = 24: the rows are built in
+        blocks of about a chunk of atoms, so the peak (18 MB) stays far below
+        what holding every atom at once takes (110 MB)."""
+        m = table_market([(0.8, 0.95, 1.05, 1.3)] * 24, (0.0,) * 24, s0=1.0)
+        assert multiset_count(m) == 2925
+        tracemalloc.start()
+        try:
+            price_bounds(m, payoff_european_call(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_large_n_against_binomial_convolution(self, monkeypatch):
         """Three values, none equal to one: both vertices have support two,
@@ -918,9 +996,9 @@ class TestPriceBoundsMultisets:
                          (payoff_european_put, lambda s: np.maximum(strike - s, 0.0)),
                          (payoff_straddle, lambda s: np.abs(s - strike))):
             prices = [float((w * fn(s)).sum()) / forward for s, w in spots.values()]
-            calls = count_laws(monkeypatch)
+            rows = priced_rows(monkeypatch)
             lo, hi = price_bounds(m, make(strike))
-            assert len(calls) == n + 1
+            assert rows == [n + 1]
             monkeypatch.undo()
             assert lo == pytest.approx(min(prices), rel=1e-11)
             assert hi == pytest.approx(max(prices), rel=1e-11)
@@ -936,13 +1014,13 @@ class TestPriceBoundsMultisets:
         )
         for m, want in cases:
             assert multiset_count(m) == want
-            calls = count_laws(monkeypatch)
+            rows = priced_rows(monkeypatch)
             price_bounds(m, payoff_european_call(m.s0))
-            assert len(calls) == want
+            assert rows == [want]
             monkeypatch.undo()
 
     def test_cap_counts_multisets_before_any_law(self, monkeypatch):
-        calls = count_laws(monkeypatch)
+        calls = priced_rows(monkeypatch)
         big = table_market([QUAD_4] * 80, (0.0,) * 80)
         assert math.comb(83, 3) == 91881 > limits.DEFAULT_MAX_COMBOS
         with pytest.raises(SizeLimit, match="vertex multisets exceed cap 65536"):
@@ -955,7 +1033,7 @@ class TestPriceBoundsMultisets:
         assert calls == []
         monkeypatch.setenv("LECAM_MAX_PATHS", "84")
         price_bounds(m, payoff_european_call(2.0))
-        assert len(calls) == 84
+        assert calls == [84]
 
 
 # ---------------------------------------------------------------------------
