@@ -331,23 +331,18 @@ def binom_pmf(k, n, p):
 
 def binom_cdf(k, n, p, at=None):
     """``P(X <= k)`` for ``X ~ Bin(n, p)`` (``k`` floored), broadcast over
-    the arguments; given ``at``, broadcast with ``k`` and ``n`` instead of
-    ``p``, each element takes the value at ``at`` of ``p`` flattened."""
+    ``k``, ``n`` and ``at``: each element takes the value at ``at`` of ``p``
+    flattened, by default ``p``'s own elements in place."""
+    values = np.asarray(p, dtype=float)  # each element of p is a row of the exact tables
     if at is None:
-        both = np.broadcast(k, n, p)
-        if both.size <= SMALL_N:
-            return np.array([_cdf1(float(kk), int(nn), float(pp))
-                             for kk, nn, pp in both]).reshape(both.shape)[()]
-        values = np.asarray(p, dtype=float)  # each element of p is a row of the exact tables
         at = np.arange(values.size).reshape(values.shape)
-    else:
-        values = np.asarray(p, dtype=float).ravel()
-        both = np.broadcast(k, n, at)
-        if both.size <= SMALL_N:
-            return np.array([_cdf1(float(kk), int(nn), float(values[aa]))
-                             for kk, nn, aa in both]).reshape(both.shape)[()]
-    k, n, at = (_flat(a, both.shape, np.intp) for a in (np.floor(k), n, at))
     values = values.ravel()
+    both = np.broadcast(k, n, at)
+    if both.size <= SMALL_N:
+        listed = values.tolist()
+        return np.array([_cdf1(float(kk), int(nn), listed[aa])
+                         for kk, nn, aa in both]).reshape(both.shape)[()]
+    k, n, at = (_flat(a, both.shape, np.intp) for a in (np.floor(k), n, at))
     out = _by((k >= 0) & (k < n),
               lambda k, n, at: _by(n <= SMALL_N, functools.partial(_cdf_exact, values),
                                    lambda k, n, at: _cdf_beta(k, n, values[at]), k, n, at),

@@ -664,13 +664,17 @@ def _chain(n: int, q: np.ndarray, outcomes: np.ndarray,
 
 def _draw_step(n: np.ndarray, p, lo, width: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ragged binomial draw: row ``i`` draws the counts ``lo[i]`` to
-    ``lo[i] + width[i] - 1`` of ``Bin(n[i], p)`` (or ``p[i]``).  Returns
-    each draw's row, the draw and its probability, rows in order and draws
-    ascending."""
-    row = np.repeat(np.arange(len(n)), width)
-    draw = np.arange(len(row)) - np.repeat(np.cumsum(width) - width - lo, width)
+    """One ragged binomial draw of :func:`_ragged` from ``Bin(n[i], p)``
+    (or ``p[i]``): each draw's row, the draw and its probability."""
+    row, draw = _ragged(lo, width)
     return row, draw, _binom_pmf(draw, n[row], p[row] if np.ndim(p) else p)
+
+
+def _ragged(lo, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` takes the counts ``lo[i]`` to ``lo[i] + width[i] - 1``:
+    each count's row and the count, rows in order and counts ascending."""
+    row = np.repeat(np.arange(len(width)), width)
+    return row, np.arange(len(row)) - np.repeat(np.cumsum(width) - width - lo, width)
 
 
 def _identical_law(n: int, q: np.ndarray, tail: float) -> tuple[np.ndarray, np.ndarray]:
@@ -921,12 +925,10 @@ def _compositions(n: int, k: int) -> np.ndarray:
     counts = np.zeros((1, k), dtype=np.int64)
     rest = np.full(1, n, dtype=np.int64)
     for i in range(k - 1):
-        width = rest + 1
-        row = np.repeat(np.arange(len(rest)), width)
-        taken = np.repeat(rest + np.cumsum(width) - width, width) - np.arange(len(row))
+        row, left = _ragged(0, rest + 1)  # the counts left after this part, ascending
         counts = counts[row]
-        counts[:, i] = taken
-        rest = rest[row] - taken
+        counts[:, i] = rest[row] - left
+        rest = left
     counts[:, -1] = rest
     return counts
 
@@ -950,7 +952,7 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
     decided in its count units; every other group's draw is enumerated per
     row (:func:`_draw_step`, one ragged step for all rows per group
     enumerated), and :func:`_add_row_tails` adds each atom's masses to its
-    row, atoms in chunks of :data:`_TAIL_CHUNK` and rows in blocks of about
+    row, atoms in chunks of :data:`_ROW_CHUNK` and rows in blocks of about
     as many atoms, in an order that does not depend on the chunks.
 
     Raises :class:`~lecam.errors.SizeLimit`, before any law is built, at the
@@ -971,19 +973,19 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
                                     [_no_draw([values for values, _, _ in classes])]))
     log_lo, delta, drift, p = np.array(log_lo), np.array(delta), np.array(drift), np.concatenate(
         p, axis=2)
-    random_counts = counts[:, random]
+    # (without a random group, one column of zeros for the draw of none)
+    random_counts = counts[:, random] if random else np.zeros((len(counts), 1), dtype=np.int64)
     # each row's closed-form draw, as terminal_log_masses picks it: its group
     # with the most steps, the first on ties; the other groups are enumerated
-    which = (np.argmax(random_counts, axis=1) if random
-             else np.zeros(len(counts), dtype=np.intp))
-    closed = np.arange(len(random)) == which[:, None]
-    closed_counts = random_counts[closed] if random else np.zeros(len(counts), dtype=np.int64)
+    which = np.argmax(random_counts, axis=1)
+    closed = np.arange(len(log_lo)) == which[:, None]
+    closed_counts = random_counts[closed]
     enumerated = np.where(closed, 0, random_counts)
     order = np.argsort(closed, axis=1, kind="stable")[:, :-1]  # each row's enumerated groups
 
     atoms = np.prod(enumerated + 1.0, axis=1)
-    steps = random_counts @ (np.array([groups[g][0] for g in random], dtype=np.intp)[:, None]
-                             == np.arange(len(classes)))
+    steps = counts[:, random] @ (np.array([groups[g][0] for g in random], dtype=np.intp)[:, None]
+                                 == np.arange(len(classes)))
     if atoms.max() > cap or any(
             math.comb(int(n) + len(values) - 1, len(values) - 1) > cap
             for n, (values, _, _) in zip(steps.max(axis=0, initial=0), classes)):
@@ -995,11 +997,11 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
 
     # each row's log with no count on the larger value of any enumerated draw
     fixed_logs = [math.log(values[live[0]]) for _, values, _, live in groups if len(live) == 1]
-    offset = enumerated @ log_lo[:len(random)] + counts[:, fixed] @ np.array(fixed_logs)
+    offset = enumerated @ log_lo + counts[:, fixed] @ np.array(fixed_logs)
     levels = np.asarray(levels, dtype=float)
     out = np.zeros((len(counts), 2, 3, len(levels)))
     sizes = atoms.astype(np.int64)
-    blocks = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _TAIL_CHUNK, prepend=-1))
+    blocks = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _ROW_CHUNK, prepend=-1))
     for start, stop in zip(blocks, np.r_[blocks[1:], len(counts)]):
         rows = np.arange(start, stop)
         logs, probs = offset[rows], np.ones(len(rows))
@@ -1011,17 +1013,19 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
         kind, n = which[rows], closed_counts[rows]
         base = logs + n * log_lo[kind]
         weights = np.array([probs, probs * np.exp(logs + n * drift[kind])])
-        for s in range(0, len(rows), _TAIL_CHUNK):
-            chunk = slice(s, s + _TAIL_CHUNK)
+        for s in range(0, len(rows), _ROW_CHUNK):
+            chunk = slice(s, s + _ROW_CHUNK)
             _add_row_tails(levels, base[chunk], n[chunk], weights[:, chunk], delta, p,
                            kind[chunk], rows[chunk], out)
     return out
 
 
-#: Atoms whose tails are evaluated at once, bounding the temporaries; the
-#: rows of :func:`multiset_log_masses` are also built in blocks of about as
-#: many atoms.
+#: Atoms whose tails are evaluated at once, bounding the temporaries.
 _TAIL_CHUNK = 1 << 15
+#: The same for :func:`multiset_log_masses`, whose rows are also built in
+#: blocks of about as many atoms; smaller, as a block holds its rows' draws
+#: besides the tails.
+_ROW_CHUNK = 1 << 12
 
 
 def _draw_tails(levels: np.ndarray, base: np.ndarray, draws: np.ndarray,

@@ -938,15 +938,15 @@ class TestPriceBoundsMultisets:
                 return np.array([f(*args) for args in both]).reshape(both.shape)
             return each
 
-        one_chunk = lattice._TAIL_CHUNK
+        one_chunk = lattice._ROW_CHUNK
         for elementwise in (False, True):
             if elementwise:
                 monkeypatch.setattr(lattice, "_binom_cdf", one_at_a_time(lattice._binom_cdf))
                 monkeypatch.setattr(lattice, "_binom_pmf", one_at_a_time(lattice._binom_pmf))
-            monkeypatch.setattr(lattice, "_TAIL_CHUNK", one_chunk)
+            monkeypatch.setattr(lattice, "_ROW_CHUNK", one_chunk)
             whole = bounds()
             for chunk in (1, 3, 7):
-                monkeypatch.setattr(lattice, "_TAIL_CHUNK", chunk)
+                monkeypatch.setattr(lattice, "_ROW_CHUNK", chunk)
                 cut = bounds()
                 if elementwise:
                     assert cut.tolist() == whole.tolist()
@@ -955,8 +955,9 @@ class TestPriceBoundsMultisets:
 
     def test_batch_memory_is_bounded_by_the_chunk(self):
         """2925 multisets and 222,329 atoms at N = 24: the rows are built in
-        blocks of about a chunk of atoms, so the peak (18 MB) stays far below
-        what holding every atom at once takes (110 MB)."""
+        blocks of about a chunk of atoms, so the peak (3.2 MB) stays far
+        below what holding every atom at once takes (110 MB), and below the
+        18 MB of blocks eight times as large."""
         m = table_market([(0.8, 0.95, 1.05, 1.3)] * 24, (0.0,) * 24, s0=1.0)
         assert multiset_count(m) == 2925
         tracemalloc.start()
@@ -965,7 +966,7 @@ class TestPriceBoundsMultisets:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 8 * 2**20
 
     def test_large_n_against_binomial_convolution(self, monkeypatch):
         """Three values, none equal to one: both vertices have support two,
