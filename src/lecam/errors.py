@@ -46,7 +46,8 @@ class PathDependenceUnsupported(LecamError):
 
 class SelfCheckFailed(LecamError):
     """Two routes that must agree by theory (direct vs test-power prices,
-    the Bayes-risk identity) disagreed beyond tolerance."""
+    the Bayes-risk identity, the ``Q1`` masses and ``E_Q(X_T/X_0)``)
+    disagreed beyond tolerance."""
 
 
 class UnsupportedTest(LecamError):

@@ -63,6 +63,7 @@ from .errors import (
     InvalidParams,
     InvalidState,
     NoArbitrageViolation,
+    SelfCheckFailed,
     SizeLimit,
 )
 from .experiments import FiniteExperiment
@@ -641,10 +642,8 @@ def _chain(n: int, q: np.ndarray, outcomes: np.ndarray,
     ``Bin(rest, q_i / (q_i + mass of the outcomes after it))``, on its
     :func:`_window` for ``tail``.  Returns the count rows (undrawn outcomes
     at zero), their probabilities and the counts left to the outcomes after
-    the last one drawn.  With ``tail > 0`` it raises
-    :class:`~lecam.errors.SizeLimit` when the rows of a draw, counted before
-    they are built, exceed the state cap; callers of the full chain count
-    its ``C(n + k - 1, k - 1)`` rows first."""
+    the last one drawn.  Raises :class:`~lecam.errors.SizeLimit` when the
+    rows of a draw, counted before they are built, exceed the state cap."""
     tails = np.cumsum(q[::-1])[::-1]
     counts = np.zeros((1, len(q)), dtype=np.int64)
     probs = np.ones(1)
@@ -652,8 +651,8 @@ def _chain(n: int, q: np.ndarray, outcomes: np.ndarray,
     for i in outcomes:
         p = min(q[i] / tails[i], 1.0)
         lo, width = _window(rest, p, tail)
-        if tail and width.sum() > (cap := limits.max_states()):
-            raise SizeLimit(f"count states exceed cap {cap}")
+        if (states := int(width.sum())) > (cap := limits.max_states()):
+            raise SizeLimit(f"count states {states} exceed cap {cap}")
         row, draw, pmf = _draw_step(rest, p, lo, width)
         counts = counts[row]
         counts[:, i] = draw
@@ -711,39 +710,30 @@ def count_distribution(qs: Sequence[np.ndarray],
     closed-form multinomial per group of equal step measures (binomial pmfs
     of :mod:`lecam._binom`: exact coefficients up to 64 steps, Loader's
     saddle point beyond), the groups convolved.  Raises
-    :class:`~lecam.errors.SizeLimit` when ``C(n + k - 1, k - 1)``, or the
-    pairwise sums that merge two groups, exceed the state cap.  A private
-    ``tail > 0`` keeps each binomial draw on its :func:`_window` (the atoms of
-    :func:`terminal_log_atoms`), and the cap then counts the windowed rows.
+    :class:`~lecam.errors.SizeLimit` when the rows of a draw, or the
+    pairwise sums that merge two groups, exceed the state cap, counted
+    before they are built.  A private ``tail > 0`` keeps each binomial draw
+    on its :func:`_window` (the atoms of :func:`terminal_log_atoms`).
     """
     measures = group_steps(qs, _as_float)
     k = len(measures.kinds[0])
     if any(len(q) != k for q in measures.kinds):
         raise InvalidParams("all steps in a class must share the support size")
-    cap = limits.max_states()
-    if not tail:
-        _check_count_states(len(measures), k, cap)
     return _grouped_count_law(list(zip(measures.kinds, np.bincount(measures.index).tolist())),
-                              k, cap, tail)
+                              k, tail)
 
 
-def _check_count_states(n: int, k: int, cap: int) -> None:
-    states = math.comb(n + k - 1, k - 1)
-    if states > cap:
-        raise SizeLimit(f"count states {states} exceed cap {cap}")
-
-
-def _grouped_count_law(groups: Sequence[list], k: int, cap: int,
+def _grouped_count_law(groups: Sequence[list], k: int,
                        tail: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """:func:`count_distribution` over groups ``[q, steps]`` of equal step
     measures, each a multinomial, the groups convolved; with ``tail > 0``
     each binomial draw keeps only its :func:`_window`.  Raises
     :class:`~lecam.errors.SizeLimit` when the rows, counted before they are
-    built, exceed ``cap``."""
+    built, exceed the state cap."""
     if k == 2:  # convolve the pmfs of the first outcome's count, each on its window
         windows = [_window(size, q[0], tail) for q, size in groups]
         states = sum(int(width) - 1 for _, width in windows) + 1
-        if states > cap:
+        if states > (cap := limits.max_states()):
             raise SizeLimit(f"count states {states} exceed cap {cap}")
         probs = functools.reduce(np.convolve, (_binom_pmf(np.arange(lo, lo + width), size, q[0])
                                                for (lo, width), (q, size) in zip(windows, groups)))
@@ -753,7 +743,7 @@ def _grouped_count_law(groups: Sequence[list], k: int, cap: int,
     laws = (_identical_law(size, q, tail) for q, size in groups)
     counts, probs = next(laws)
     for more, more_probs in laws:  # pairwise sums, equal count vectors merged
-        if len(counts) * len(more) > cap:
+        if len(counts) * len(more) > (cap := limits.max_states()):
             raise SizeLimit(f"count states exceed cap {cap}")
         counts = (counts[:, None] + more[None]).reshape(-1, k)
         _, first, inverse = np.unique(_composition_rank(counts),
@@ -812,9 +802,7 @@ def terminal_log_atoms(m: LatticeMarket,
     """
     laws = []
     for values, groups in as_step_measures(m, step_measures)[1]:
-        qs, sizes = zip(*groups)
-        counts, probs = count_distribution(StepKinds(qs, np.arange(len(qs)).repeat(sizes)),
-                                           LAW_TAIL)
+        counts, probs = _grouped_count_law(groups, len(values), LAW_TAIL)
         laws.append((_count_logs(counts, values), probs))
     return combine_additive_laws(laws)
 
@@ -847,18 +835,19 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
     with no draw left, ties are read in units of the smallest log gap
     between the values of a step.
 
-    Raises :class:`~lecam.errors.SizeLimit` when a class's count states
-    ``C(n + k - 1, k - 1)`` exceed the state cap, checked before anything is
-    built, or when the enumerated atoms do.
+    Raises :class:`~lecam.errors.SizeLimit` when the rows of an enumerated
+    draw, the pairwise sums that merge its groups or the atoms exceed the
+    state cap, each counted before it is built; the closed-form draw counts
+    for none.  Raises :class:`~lecam.errors.SelfCheckFailed` when the
+    ``Q1`` masses fall short of ``E_Q(X_T/X_0)`` (:func:`_checked_q1_mass`).
     """
-    cap = limits.max_states()
-    last, saving = None, 1.0
+    last, saving, log_total = None, 1.0, 0.0
     split = []  # per class: its values, fixed count and random groups
     for values, groups in classes:
         # a group with one live outcome (pinned moves) is a fixed count: no state, no law
         random = [group for group in groups if np.count_nonzero(group[0]) > 1]
         fixed = sum(size * (q > 0) for q, size in groups if np.count_nonzero(q) == 1)
-        _check_count_states(sum(size for _, size in random), len(values), cap)
+        log_total += sum(size * math.log(q @ values) for q, size in groups)
         split.append((values, fixed, random))
         # the closed-form draw: the group whose law it shrinks the most, from
         # C(n + l - 1, l - 1) rows to C(n + l - 2, l - 2) for l live outcomes
@@ -881,17 +870,51 @@ def terminal_log_masses(classes: Sequence[tuple[tuple[float, ...], list[list]]],
     laws = [(logs, probs)]  # the chain first, so each of its draws repeats in ravel order
     for values, fixed, random in split:  # a class with nothing left adds 0.0 to every atom
         rest = [g for g in random if g is not last]
-        counts, more = (_grouped_count_law(rest, len(values), cap) if rest
+        counts, more = (_grouped_count_law(rest, len(values)) if rest
                         else (np.zeros((1, len(values)), dtype=np.int64), np.ones(1)))
         laws.append((_count_logs(counts + fixed, values), more))
     logs, probs = combine_additive_laws(laws)
     draws = draws.repeat(len(logs) // len(draws))
     base = logs + draws * log_lo
-    weights = np.array([probs, probs * np.exp(logs + draws * drift)])
+    weights = _weights(probs, logs + draws * drift)
     levels = np.asarray(levels, dtype=float)
-    return sum(_draw_tails(levels, base[s:s + _TAIL_CHUNK], draws[s:s + _TAIL_CHUNK],
-                           weights[:, s:s + _TAIL_CHUNK], delta, p)
-               for s in range(0, len(logs), _TAIL_CHUNK))
+    chunks = (slice(s, s + _TAIL_CHUNK) for s in range(0, len(logs), _TAIL_CHUNK))
+    return _checked_q1_mass(sum(_draw_tails(levels, base[c], draws[c], weights[:, c], delta, p)
+                                for c in chunks), log_total)
+
+
+#: The largest exponent whose ``exp`` is finite.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _weights(probs: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """The masses of atoms under ``Q`` and ``Q1``, shape ``(2, atoms)``:
+    their ``Q`` probabilities ``probs`` and ``probs * e^exponent``, formed
+    in log space only where ``e^exponent`` overflows, so that an atom whose
+    ``Q`` probability underflowed to zero weighs zero under ``Q1`` too."""
+    over = exponent > _LOG_MAX
+    weights = np.array([probs, probs * np.exp(np.where(over, 0.0, exponent))])
+    if over.any():
+        with np.errstate(divide="ignore"):
+            weights[1, over] = np.exp(np.log(probs[over]) + exponent[over])
+    return weights
+
+
+def _checked_q1_mass(masses: np.ndarray, log_total) -> np.ndarray:
+    """``masses`` (axes ``..., measure, side, level``) once the ``Q1``
+    masses below, at and above each level are found to sum to
+    ``e^log_total`` (per leading row).  They fall short where ``Q``
+    probabilities underflow to zero on atoms that carry ``Q1`` mass: a
+    shortfall beyond 1e-9 relative, far above the rounding of the tails,
+    raises :class:`~lecam.errors.SelfCheckFailed`, as does a NaN."""
+    got = masses[..., 1, :, :].sum(axis=-2)
+    want = np.exp(log_total)[..., None]
+    short = ~(got >= want * (1.0 - 1e-9))
+    if short.any():
+        want = np.broadcast_to(want, got.shape)
+        raise SelfCheckFailed(f"Q1 masses sum to {got[short][0]:.12g}, not "
+                              f"{want[short][0]:.12g}: Q underflows where Q1 puts its mass")
+    return masses
 
 
 def _last_draw(values: Sequence[float], q: np.ndarray, pair: np.ndarray
@@ -955,12 +978,11 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
     row, atoms in chunks of :data:`_ROW_CHUNK` and rows in blocks of about
     as many atoms, in an order that does not depend on the chunks.
 
-    Raises :class:`~lecam.errors.SizeLimit`, before any law is built, at the
-    first row whose count states of a class (``C(n + k - 1, k - 1)`` over
-    the ``n`` steps of its vertices with two live outcomes) or whose atoms
-    exceed the state cap.
+    Raises :class:`~lecam.errors.SizeLimit`, before any law is built, when
+    the atoms of a row, enumerated beside its closed-form draw, exceed the
+    state cap, and :class:`~lecam.errors.SelfCheckFailed` when the ``Q1``
+    masses of a row fall short of its total (:func:`_checked_q1_mass`).
     """
-    cap = limits.max_states()
     parts = [_compositions(steps, len(vertices)) for _, vertices, steps in classes]
     picks = np.indices([len(part) for part in parts]).reshape(len(parts), -1)
     counts = np.concatenate([part[pick] for part, pick in zip(parts, picks)], axis=1)
@@ -984,16 +1006,8 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
     order = np.argsort(closed, axis=1, kind="stable")[:, :-1]  # each row's enumerated groups
 
     atoms = np.prod(enumerated + 1.0, axis=1)
-    steps = counts[:, random] @ (np.array([groups[g][0] for g in random], dtype=np.intp)[:, None]
-                                 == np.arange(len(classes)))
-    if atoms.max() > cap or any(
-            math.comb(int(n) + len(values) - 1, len(values) - 1) > cap
-            for n, (values, _, _) in zip(steps.max(axis=0, initial=0), classes)):
-        for row, size in zip(steps.tolist(), atoms.tolist()):
-            for n, (values, _, _) in zip(row, classes):
-                _check_count_states(n, len(values), cap)
-            if size > cap:
-                raise SizeLimit(f"terminal atoms exceed cap {cap}")
+    if atoms.max() > (cap := limits.max_states()):
+        raise SizeLimit(f"terminal atoms exceed cap {cap}")
 
     # each row's log with no count on the larger value of any enumerated draw
     fixed_logs = [math.log(values[live[0]]) for _, values, _, live in groups if len(live) == 1]
@@ -1012,12 +1026,12 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
             rows, logs, probs = rows[sub], logs[sub] + draw * delta[g[sub]], probs[sub] * pmf
         kind, n = which[rows], closed_counts[rows]
         base = logs + n * log_lo[kind]
-        weights = np.array([probs, probs * np.exp(logs + n * drift[kind])])
+        weights = _weights(probs, logs + n * drift[kind])
         for s in range(0, len(rows), _ROW_CHUNK):
             chunk = slice(s, s + _ROW_CHUNK)
             _add_row_tails(levels, base[chunk], n[chunk], weights[:, chunk], delta, p,
                            kind[chunk], rows[chunk], out)
-    return out
+    return _checked_q1_mass(out, counts @ [math.log(q @ values) for _, values, q, _ in groups])
 
 
 #: Atoms whose tails are evaluated at once, bounding the temporaries.

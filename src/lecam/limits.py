@@ -21,12 +21,15 @@ DEFAULT_MAX_PATHS = 5_000_000
 #: Outcome count of product experiments.
 DEFAULT_MAX_OUTCOMES = 1 << 24
 
-#: Count states of each return class (the rows of each windowed draw for
-#: the atoms of ``X_T``), the terminal atoms that
-#: ``lattice.combine_additive_laws`` enumerates (for test powers and for the
-#: sup-distance of ``lan-report``), the pairwise sums that merge groups of a
-#: count law, and the nodes of all dates of the recombined lattice in
-#: backward induction.
+#: The states an engine builds, each count checked where it is built and
+#: before: the rows of every enumerated binomial draw of a count law (a
+#: draw kept in closed form builds none), the pairwise sums that merge
+#: groups of a count law, the terminal atoms that
+#: ``lattice.combine_additive_laws`` enumerates and those of each row of
+#: ``lattice.multiset_log_masses``, and the nodes of all dates of the
+#: recombined lattice in backward induction.  Every engine stays within
+#: about 256 B per counted state plus a fixed 32 MB of traced memory, so a
+#: run at this cap peaks near 2.5 GB at worst.
 DEFAULT_MAX_STATES = 10_000_000
 
 #: Product martingale measures priced by ``price_bounds``: vertex multisets

@@ -15,11 +15,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from lecam import (
     InvalidParams,
     LatticeMarket,
     PathState,
+    build_discrete_model,
     lan,
     lan_diagnostics,
     lattice,
@@ -262,12 +264,62 @@ class TestLargeLattice:
         assert got["price_direct"] == pytest.approx(want, rel=1e-11)
         assert got["price_via_tests"] == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("n, powers", [(8192, (0.374399843377, 0.625437985925)),
+                                           (100000, (0.1317750005, 0.868230929262))])
+    def test_three_point_table_beyond_its_class_count(self, spec_dir, capsys, n, powers):
+        """1.01/1.0/0.99 under (0.25, 0.5, 0.25): the closed-form draw builds
+        nothing, so ``C(n + 2, 2)`` (33,566,721 at n = 8192) meets no cap and
+        only the ``n + 1`` counts of the first draw are built."""
+        doc = {"N": n, "T": 1.0, "s0": 100.0, "bond": {"const": 0.0},
+               "returns": {"type": "table", "values": [1.01, 1.0, 0.99],
+                           "probs": [0.25, 0.5, 0.25]}}
+        market = self.write(spec_dir, "flat.json", doc)
+        call = self.write(spec_dir, "call.json", {"type": "call", "K": 100.0})
+        rc = main(["price", "--market", market, "--payoff", call, "--measure", "designated",
+                   "--format", "json"])
+        (term,) = json.loads(capsys.readouterr().out)["report"]["terms"]
+        assert rc == 0
+        want = three_point_powers((1.01, 1.0, 0.99), (0.25, 0.5, 0.25), n)
+        assert (term["power_base"], term["power_alt"]) == pytest.approx(want, rel=1e-11)
+        assert (term["power_base"], term["power_alt"]) == pytest.approx(powers, rel=1e-12)
+
+    def test_wide_table_q1_underflow_exits_5(self, spec_dir, capsys):
+        """3.0/1.0/0.2 at N = 3000: ``Q`` probabilities underflow where
+        ``Q1`` puts a quarter of its mass, which the masses' self-check
+        finds."""
+        doc = {"N": 3000, "T": 1.0, "s0": 1.0, "bond": {"const": 0.0},
+               "returns": {"type": "table", "values": [3.0, 1.0, 0.2], "probs": [1 / 3] * 3}}
+        market = self.write(spec_dir, "wide.json", doc)
+        rc = main(["price", "--market", market, "--payoff", spec_dir["call1"],
+                   "--measure", "designated"])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.out == ""
+        assert "self-check failed: Q1 masses sum to 0.7244" in captured.err
+
     def test_barrier_hits_the_state_cap(self, spec_dir, capsys, monkeypatch):
         monkeypatch.setenv("LECAM_MAX_PATHS", "100")
         rc = main(self.barrier_argv(spec_dir))
         captured = capsys.readouterr()
         assert rc == 3
         assert "lattice nodes exceed cap 100" in captured.err
+
+
+def three_point_powers(values, q, n):
+    """``Q(X_T > 1)`` and ``Q1(X_T > 1)`` for ``n`` steps on three values,
+    descending, under ``q``, as a chain sum of scipy binomials: ``a`` top
+    moves from ``Bin(n, q_0)``, then the bottom moves ``c`` among the rest
+    from ``Bin(n - a, q_2 / (q_1 + q_2))``, and ``log X_T = a l_0 + (n - a
+    - c) l_1 + c l_2 > 0`` iff ``c`` is below ``(a (l_0 - l_1) + n l_1) /
+    (l_1 - l_2)``, never an integer for the values here.  ``Q1`` is the
+    same chain under ``q_i v_i``."""
+    logs = np.log(values)
+    a = np.arange(n + 1)
+    most = np.ceil((a * (logs[0] - logs[1]) + n * logs[1]) / (logs[1] - logs[2])) - 1
+    q = np.asarray(q)
+    return tuple(float(np.sum(binom.pmf(a, n, w[0])
+                              * binom.cdf(most, n - a, w[2] / (w[1] + w[2]))))
+                 for w in (q, q * values))
 
 
 def tri_bounds(n):
@@ -545,6 +597,25 @@ class TestConverge:
                                "noether_max", "var_gap"}
 
 
+    def test_trinomial_8192(self, spec_dir, capsys):
+        """One class of 8192 trinomial steps: 8193 counts are built beside
+        the closed-form draw, against ``C(8194, 2)`` count states of the
+        class; ``p_N`` is a scipy chain sum on the discrete model."""
+        study = dict(STUDY, Ns=[8192], threshold=None,
+                     tangent={"type": "symmetric_trinomial", "probs": [0.25, 0.5, 0.25]})
+        path = spec_dir["dir"] / "trinomial.json"
+        path.write_text(json.dumps(study))
+        rc = main(["converge", "--study", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        (row,) = json.loads(captured.out)
+        spec = study_from_json(study)
+        model = build_discrete_model(spec.path, spec.family()(8192))
+        (step,), (q,) = model.market.returns.kinds, model.measures.kinds
+        base, alt = three_point_powers(np.array([v for v, _ in step]), q, 8192)
+        assert row["p_N"] == pytest.approx(100.0 * (alt - base), rel=1e-10)
+        assert row["abs_gap"] < 1e-3
+
     def test_two_piece_crr_8192(self, spec_dir, capsys):
         """Two 4097-atom class laws would combine to 16.8M states; the price
         reads binomial tails over one class's atoms instead.  The lan-report
@@ -774,15 +845,19 @@ class TestErrorPaths:
             assert captured.err.startswith("error:")
 
     def test_path_cap_env_var(self, spec_dir, capsys, monkeypatch):
+        """Eight three-point steps enumerate the 9 counts of their first
+        draw beside the closed-form one: over a cap of 4."""
         monkeypatch.setenv("LECAM_MAX_PATHS", "4")
         big = spec_dir["dir"] / "big.json"
-        big.write_text(json.dumps(dict(CRR1, N=8)))
-        rc = main(["price", "--market", str(big), "--payoff", spec_dir["call5"]])
+        big.write_text(json.dumps(dict(TRI, N=8)))
+        rc = main(["price", "--market", str(big), "--payoff", spec_dir["call1"],
+                   "--measure", "designated"])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.err.startswith("error:")
         monkeypatch.delenv("LECAM_MAX_PATHS")
-        rc = main(["price", "--market", str(big), "--payoff", spec_dir["call5"]])
+        rc = main(["price", "--market", str(big), "--payoff", spec_dir["call1"],
+                   "--measure", "designated"])
         capsys.readouterr()
         assert rc == 0
 
@@ -804,8 +879,9 @@ class TestErrorPaths:
     def test_np_cap_error_names_the_count_states(self, spec_dir, capsys, monkeypatch):
         monkeypatch.setenv("LECAM_MAX_PATHS", "4")
         big = spec_dir["dir"] / "big.json"
-        big.write_text(json.dumps(dict(CRR1, N=8)))
-        rc = main(["np", "--market", str(big), "--payoff", spec_dir["call5"]])
+        big.write_text(json.dumps(dict(TRI, N=8)))
+        rc = main(["np", "--market", str(big), "--payoff", spec_dir["call1"],
+                   "--measure", "designated"])
         captured = capsys.readouterr()
         assert rc == 3
         assert "count states 9 exceed cap 4" in captured.err

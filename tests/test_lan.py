@@ -27,7 +27,6 @@ from lecam import (
     SizeLimit,
     StepFunction,
     ThetaOutOfRange,
-    build_crr,
     build_discrete_model,
     convergence_study,
     crr_tangent,
@@ -671,9 +670,8 @@ class TestWindowedLaw:
         ([[np.array([0.05, 0.15, 0.8]), 50], [np.array([0.1, 0.3, 0.6]), 50]], 3),
     ])
     def test_mass_left_out_within_the_bound(self, groups, k):
-        cap = 10_000_000
-        full_counts, full_probs = _grouped_count_law(groups, k, cap)
-        counts, probs = _grouped_count_law(groups, k, cap, LAW_TAIL)
+        full_counts, full_probs = _grouped_count_law(groups, k)
+        counts, probs = _grouped_count_law(groups, k, LAW_TAIL)
         kept = np.isin(_composition_rank(full_counts), _composition_rank(counts))
         assert kept.sum() == len(counts) < len(full_counts)
         draws = sum(np.count_nonzero(q) - 1 for q, _ in groups)
@@ -764,11 +762,15 @@ class TestConvergenceStudy:
 
 class TestEnvCap:
     def test_env_var_caps_every_builder(self, monkeypatch):
-        """Builders without a cap parameter stop at ``LECAM_MAX_PATHS``."""
-        m = build_crr(1.1, 0.9, 1.0, 0.5, 8, 100.0)
+        """Builders without a cap parameter stop at ``LECAM_MAX_PATHS``: the
+        eight three-point steps enumerate at least the 8 or 9 counts of one
+        draw beside the closed-form one."""
+        step = tuple((v, 1 / 3) for v in (1.1, 1.0, 0.9))
+        m = LatticeMarket(8, 1.0, 100.0, (step,) * 8, (0.0,) * 8)
         qs = solve_martingale_measures(m).designated()
         call = payoff_european_call(100.0)
         path = crr_tangent(1.0, 1.0)
+        tri = symmetric_trinomial_tangent((0.25, 0.5, 0.25))
         bs = BSModel(100.0, 1.0, 0.2, 0.0)
         builders = [
             lambda: price_direct(m, qs, call),
@@ -777,7 +779,7 @@ class TestEnvCap:
             lambda: dynamic_price(m, qs, call, PathState(1, (0,))),
             lambda: verify_representation(m, qs),
             lambda: lan_diagnostics(path, flat_schedule(16)),
-            lambda: convergence_study(path, schedule_family(bs), call, bs, [16]),
+            lambda: convergence_study(tri, schedule_family(bs), call, bs, [16]),
         ]
         for build in builders:
             build()

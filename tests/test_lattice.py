@@ -8,10 +8,13 @@ paths are certified by the slowest possible oracle.
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import binom
 
 from lecam import (
     InvalidParams,
@@ -20,6 +23,7 @@ from lecam import (
     NoArbitrageViolation,
     Partition,
     PathState,
+    SelfCheckFailed,
     SizeLimit,
     build_crr,
     complementary,
@@ -49,6 +53,7 @@ from lecam.lattice import (
     multiset_log_masses,
     path_products,
     pinned_measures,
+    terminal_log_atoms,
     terminal_log_masses,
 )
 
@@ -965,6 +970,37 @@ def vertex_classes(m):
             for values, n in zip(m.classes.kinds, np.bincount(m.classes.index).tolist())]
 
 
+#: A table whose ``Q1`` lives where ``Q`` probabilities all but underflow.
+WIDE = (3.0, 1.0, 0.2)
+
+
+def wide_masses_oracle(n, q, ties):
+    """The masses of :func:`terminal_log_masses` for ``n`` steps of
+    :data:`WIDE` under ``q``, at the levels of the atoms ``ties`` (counts of
+    the first and last value), by enumerating every count pair in log
+    space: the two binomial pmfs of scipy in logs, each weight summed by
+    ``logsumexp``, so that neither ``Q`` nor ``Q1`` underflows."""
+    logv = np.log(WIDE)
+    levels = [a * logv[0] + c * logv[2] for a, c in ties]
+    parts = [[[[] for _ in ties] for _ in range(3)] for _ in range(2)]
+    for a in range(n + 1):
+        first = binom.pmf(a, n, q[0])
+        if first == 0.0:
+            continue
+        c = np.arange(n - a + 1)
+        then = binom.pmf(c, n - a, q[2] / (q[1] + q[2]))
+        c, log_q = c[then > 0.0], math.log(first) + np.log(then[then > 0.0])
+        x = a * logv[0] + c * logv[2]
+        for i, (level, tie) in enumerate(zip(levels, ties)):
+            at = (a == tie[0]) & (c == tie[1])
+            for s, side in enumerate((~at & (x < level), at, ~at & (x > level))):
+                for w, log_w in enumerate((log_q, log_q + x)):
+                    if side.any():
+                        parts[w][s][i].append(logsumexp(log_w[side]))
+    return np.array([[[math.exp(logsumexp(p)) if p else 0.0 for p in side] for side in w]
+                     for w in parts])
+
+
 class TestMultisetLogMasses:
     """Every row of the batched pass against one ``terminal_log_masses``
     call per assignment, in the same order, levels on the atoms and
@@ -997,18 +1033,25 @@ class TestMultisetLogMasses:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_class_states_capped_per_row(self, monkeypatch):
-        """Twelve steps on two vertices of three values: 13 rows, each of
-        ``C(14, 2) = 91`` count states, as one law per row counts them."""
+        """Twelve steps on two vertices of three values: 13 rows.  A row
+        builds the ``n + 1`` counts of the vertex beside its closed-form
+        draw, 7 at the split (6, 6), not the ``C(14, 2) = 91`` count states
+        of the class: the batched pass counts them as its atoms, one law per
+        row as the rows of its draw."""
         step = tuple((v, 1 / 3) for v in (1.08, 0.97, 0.93))
         m = LatticeMarket(12, 1.0, 1.0, (step,) * 12, (0.0,) * 12)
-        monkeypatch.setenv("LECAM_MAX_PATHS", "90")
-        for masses in (lambda: multiset_log_masses(vertex_classes(m), [0.0]),
-                       lambda: [terminal_log_masses(groups, [0.0])
-                                for groups in law_oracles.multiset_assignments(m)]):
-            with pytest.raises(SizeLimit, match="count states 91 exceed cap 90"):
+        monkeypatch.setenv("LECAM_MAX_PATHS", "6")
+        for masses, built in ((lambda: multiset_log_masses(vertex_classes(m), [0.0]),
+                               "terminal atoms"),
+                              (lambda: [terminal_log_masses(groups, [0.0])
+                                        for groups in law_oracles.multiset_assignments(m)],
+                               "count states 7")):
+            with pytest.raises(SizeLimit, match=f"{built} exceed cap 6"):
                 masses()
-        monkeypatch.setenv("LECAM_MAX_PATHS", "91")
+        monkeypatch.setenv("LECAM_MAX_PATHS", "7")
         assert multiset_log_masses(vertex_classes(m), [0.0]).shape == (13, 2, 3, 1)
+        for groups in law_oracles.multiset_assignments(m):
+            terminal_log_masses(groups, [0.0])
 
     def test_atoms_capped_per_row(self, monkeypatch):
         """Two such classes of six steps: 49 rows, 28 count states per class,
@@ -1103,12 +1146,43 @@ class TestTerminalLogMasses:
         with pytest.raises(InvalidParams, match="^step 1 measure has wrong length"):
             as_step_measures(m, [np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])])
 
+    @staticmethod
+    def wide_table(n):
+        """``n`` steps of 3.0/1.0/0.2 under the designated measure.  From
+        647 steps on, ``X_T / X_0`` overflows at the top atoms, whose ``Q``
+        probabilities underflow to zero; by 3000 steps ``Q`` probabilities
+        also underflow on atoms that carry ``Q1`` mass."""
+        step = tuple((v, 1 / 3) for v in WIDE)
+        m = LatticeMarket(n, 1.0, 1.0, (step,) * n, (0.0,) * n)
+        return as_step_measures(m, solve_martingale_measures(m).designated())
+
+    @pytest.mark.parametrize("n", [700, 2000])
+    def test_wide_table_matches_log_space_enumeration(self, n):
+        """Levels at ``X_T = 1`` and on the atom of ``n // 3`` threes and
+        ``n // 4`` fifths, which ties."""
+        qs, groups = self.wide_table(n)
+        ties = [(0, 0), (n // 3, n // 4)]
+        levels = [a * math.log(WIDE[0]) + c * math.log(WIDE[2]) for a, c in ties]
+        want = wide_masses_oracle(n, qs[0], ties)
+        np.testing.assert_allclose(terminal_log_masses(groups, levels), want, rtol=1e-12, atol=0)
+
+    def test_q1_mass_lost_to_underflow_fails_the_self_check(self):
+        """At 3000 steps ``Q`` probabilities underflow to zero on atoms that
+        carry about a quarter of the ``Q1`` mass."""
+        with pytest.raises(SelfCheckFailed, match="Q1 masses sum to 0.7244"):
+            terminal_log_masses(self.wide_table(3000)[1], [0.0])
+
     def test_cap_checks_class_states_and_atoms(self, monkeypatch):
-        m = build_crr(1.1, 0.9, 1.0, 0.5, 8, 1.0)
+        # eight three-point steps: the 9 counts of the first draw are built,
+        # the closed-form draw is not (C(10, 2) = 45 count states in all)
+        step = tuple((v, 1 / 3) for v in MASS_TABLES[3])
+        m = LatticeMarket(8, 1.0, 1.0, (step,) * 8, (0.0,) * 8)
         qs = solve_martingale_measures(m).designated()
         monkeypatch.setenv("LECAM_MAX_PATHS", "8")
         with pytest.raises(SizeLimit, match="count states 9 exceed cap 8"):
             terminal_log_masses(as_step_measures(m, qs)[1], [0.0])
+        monkeypatch.setenv("LECAM_MAX_PATHS", "9")
+        terminal_log_masses(as_step_measures(m, qs)[1], [0.0])
         # two classes of 9 states each: 9 atoms enumerated, the other class in closed form
         one, two = ((1.1, 0.5), (0.9, 0.5)), ((1.2, 0.5), (0.85, 0.5))
         m = LatticeMarket(16, 1.0, 1.0, (one,) * 8 + (two,) * 8, (0.0,) * 16)
@@ -1120,3 +1194,78 @@ class TestTerminalLogMasses:
         qs = solve_martingale_measures(m).designated()
         with pytest.raises(SizeLimit, match="terminal atoms exceed cap 9"):
             terminal_log_masses(as_step_measures(m, qs)[1], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# memory per counted state
+# ---------------------------------------------------------------------------
+
+#: Peak traced bytes an engine may take per state that the state cap counts,
+#: on top of :data:`FIXED_BYTES`: at the default cap of 10^7 no engine then
+#: needs more than about 2.5 GB, so oversized problems fail through the cap
+#: and not by swapping.
+BYTES_PER_STATE = 256
+FIXED_BYTES = 32 << 20
+
+
+def flat_table(values, n):
+    step = tuple((v, 1 / len(values)) for v in values)
+    return LatticeMarket(n, 1.0, 1.0, (step,) * n, (0.0,) * n)
+
+
+def enumerated_chain():
+    """Four-point steps: the chain enumerates ``C(n + 2, 2)`` rows beside
+    the closed-form draw."""
+    m = flat_table((1.3, 1.05, 0.95, 0.8), 700)
+    _, groups = as_step_measures(m, solve_martingale_measures(m).designated())
+    return lambda: terminal_log_masses(groups, [0.0]), math.comb(702, 2), "count states"
+
+
+def windowed_atoms():
+    """Trinomial steps: the windowed rows of the chain's last draw."""
+    m = flat_table((1.01, 1.0, 0.99), 4096)
+    qs = [np.array([0.25, 0.5, 0.25])] * m.steps
+    return lambda: terminal_log_atoms(m, qs), len(terminal_log_atoms(m, qs)[0]), "count states"
+
+
+def batched_rows():
+    """Two classes of two vertices each: 625 rows, the largest of which
+    enumerates three draws beside its closed-form one."""
+    one, two = (tuple((v, 1 / 3) for v in values) for values in ((1.3, 1.1, 0.8),
+                                                                 (1.2, 0.9, 0.85)))
+    m = LatticeMarket(48, 1.0, 1.0, (one, two) * 24, (0.0,) * 48)
+    atoms = 0
+    for groups in law_oracles.multiset_assignments(m):
+        counts = sorted(size + 1 for _, per_class in groups for q, size in per_class
+                        if np.count_nonzero(q) == 2)
+        atoms = max(atoms, math.prod(counts[:-1]))
+    return (lambda: multiset_log_masses(vertex_classes(m), [0.0]), atoms,
+            "terminal atoms")
+
+
+def rolled_back_nodes():
+    """Trinomial steps: ``C(n + 3, 3)`` nodes over all dates."""
+    m = flat_table((1.01, 1.0, 0.99), 140)
+    qs = solve_martingale_measures(m).designated()
+    return (lambda: list(backward_induction(m, qs, lambda x: x))[-1],
+            math.comb(143, 3), "lattice nodes")
+
+
+@pytest.mark.parametrize("case", [enumerated_chain, windowed_atoms, batched_rows,
+                                  rolled_back_nodes])
+def test_peak_bytes_per_counted_state(case, monkeypatch):
+    """The states of each engine are the smallest cap that lets it run;
+    its traced peak stays within :data:`BYTES_PER_STATE` of them plus
+    :data:`FIXED_BYTES`."""
+    run, states, named = case()
+    monkeypatch.setenv("LECAM_MAX_PATHS", str(states - 1))
+    with pytest.raises(SizeLimit, match=named):
+        run()
+    monkeypatch.setenv("LECAM_MAX_PATHS", str(states))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_STATE * states + FIXED_BYTES
