@@ -47,8 +47,7 @@ from .pricing import (
     np_decomposition,
     payoff_from_json,
     price_bounds,
-    price_direct,
-    price_via_tests,
+    price_routes,
 )
 from .lan import (convergence_study, discrete_market, lan_diagnostics, study_from_json,
                   third_lemma_check)
@@ -190,8 +189,7 @@ def _cmd_price(args) -> int:
     market = market_from_json(_load_json(args.market))
     payoff = payoff_from_json(_load_json(args.payoff))
     measures = _resolve_measure(market, args.measure)
-    direct = price_direct(market, measures, payoff)
-    report = price_via_tests(market, measures, payoff)
+    direct, report = price_routes(market, measures, payoff)
     diff = abs(direct - report.price)
     text = [f"{name} = {fmt(x)}" for name, x in (
         ("price_direct", direct), ("price_via_tests", report.price),

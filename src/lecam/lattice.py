@@ -549,6 +549,17 @@ def as_step_measures(m: LatticeMarket, q, strict: bool | None = None
     return measures, list(zip(classes.kinds, groups))
 
 
+def check_strictly_positive(step_measures: StepKinds) -> None:
+    """The positivity check of ``as_step_measures(..., strict=True)`` on its
+    own, for measures already checked with ``strict=False``: raises
+    :class:`~lecam.errors.InvalidParams` naming the first step whose measure
+    has a zero."""
+    zero = np.array([not np.all(v > 0.0) for v in step_measures.kinds])
+    steps = np.flatnonzero(zero[step_measures.index])
+    if steps.size:
+        raise InvalidParams(f"step {steps[0]} measure is not strictly positive")
+
+
 def pinned_measures(m: LatticeMarket, step_measures: StepKinds,
                     state: PathState) -> StepKinds:
     """``step_measures`` with each step ``j < t`` set to the unit vector of
@@ -981,7 +992,8 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
     Raises :class:`~lecam.errors.SizeLimit`, before any law is built, when
     the atoms of a row, enumerated beside its closed-form draw, exceed the
     state cap, and :class:`~lecam.errors.SelfCheckFailed` when the ``Q1``
-    masses of a row fall short of its total (:func:`_checked_q1_mass`).
+    masses of a row fall short of its total (:func:`_checked_q1_mass`),
+    checked per block of rows before the next block is built.
     """
     parts = [_compositions(steps, len(vertices)) for _, vertices, steps in classes]
     picks = np.indices([len(part) for part in parts]).reshape(len(parts), -1)
@@ -1014,6 +1026,7 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
     offset = enumerated @ log_lo + counts[:, fixed] @ np.array(fixed_logs)
     levels = np.asarray(levels, dtype=float)
     out = np.zeros((len(counts), 2, 3, len(levels)))
+    log_totals = counts @ [math.log(q @ values) for _, values, q, _ in groups]
     sizes = atoms.astype(np.int64)
     blocks = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _ROW_CHUNK, prepend=-1))
     for start, stop in zip(blocks, np.r_[blocks[1:], len(counts)]):
@@ -1031,7 +1044,8 @@ def multiset_log_masses(classes: Sequence[tuple[tuple[float, ...], Sequence[np.n
             chunk = slice(s, s + _ROW_CHUNK)
             _add_row_tails(levels, base[chunk], n[chunk], weights[:, chunk], delta, p,
                            kind[chunk], rows[chunk], out)
-    return _checked_q1_mass(out, counts @ [math.log(q @ values) for _, values, q, _ in groups])
+        _checked_q1_mass(out[start:stop], log_totals[start:stop])
+    return out
 
 
 #: Atoms whose tails are evaluated at once, bounding the temporaries.

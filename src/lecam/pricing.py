@@ -16,7 +16,8 @@ splits into test powers:
 with ``Q1`` the measure whose density process is the normalized discounted
 price.  ``price_via_tests`` computes exactly that decomposition and must
 agree with the direct discounted expectation ``price_direct`` to within
-1e-12.  Both routes evaluate the tests on the same nodes.  For terminal
+1e-12.  Both routes are sums over the same powers, and ``price_routes``
+reads both from one pass that computes them once.  For terminal
 payoffs (``dQ1/dQ = X_T/X_0`` is ``sigma(X_T)``-measurable) the powers are
 closed-form: the masses of ``log(X_T/X_0)`` below, at and above the level
 of every cut under ``Q`` and ``Q1``, read from binomial tails by
@@ -58,6 +59,7 @@ from .lattice import (
     as_step_measures,
     _step_vertices,
     backward_induction,
+    check_strictly_positive,
     multiset_log_masses,
     pinned_measures,
     solve_martingale_measures,
@@ -407,29 +409,52 @@ def _expectations(m: LatticeMarket, payoff: Payoff,
     return np.array(out)
 
 
-def _discounted_value(m: LatticeMarket, payoff: Payoff,
-                      step_measures: Sequence[np.ndarray], classes: Sequence[tuple]) -> float:
+def _term_values(m: LatticeMarket, payoff: Payoff,
+                 step_measures: Sequence[np.ndarray], classes: Sequence[tuple]) -> np.ndarray:
+    """One row per term of ``payoff``: the powers ``E_{Q1}(phi)`` and
+    ``E_Q(phi)`` of its test and its expected payoff ``E_Q((coeff * S_T -
+    strike) * phi)``, the three columns of one :func:`_expectations` pass.
+    Masses and rollbacks work column by column, so each column equals a
+    pass of its own bitwise."""
     scale = m.s0 * m.bond_factor(m.steps)
-    terms = _expectations(m, payoff, step_measures, classes,
-                          lambda term: (term.coeff * scale, -term.strike))
-    return float(m.discount * terms.sum())
+    return _expectations(m, payoff, step_measures, classes,
+                         lambda term: ((1.0, 0.0, term.coeff * scale), (0.0, 1.0, -term.strike)))
+
+
+def _direct_price(m: LatticeMarket, values: np.ndarray) -> float:
+    """The discounted sum of the expected payoffs of :func:`_term_values`."""
+    return float(m.discount * values[:, 2].sum())
+
+
+def _powers_report(m: LatticeMarket, payoff: Payoff, values: np.ndarray) -> PriceReport:
+    """The price rebuilt from the test powers of :func:`_term_values`."""
+    disc = m.discount
+    price = 0.0
+    terms = []
+    for term, (p_alt, p_base) in zip(payoff.terms, values[:, :2].tolist()):
+        price += term.coeff * m.s0 * p_alt - disc * term.strike * p_base
+        terms.append(TermPowers(term.label, term.coeff, term.strike, p_alt, p_base))
+    return PriceReport(price=float(price), discount=disc, s0=m.s0, terms=tuple(terms))
 
 
 def price_direct(m: LatticeMarket, q, payoff: Payoff) -> float:
-    """Exact discounted expectation of the payoff under ``q``.
+    """Exact discounted expectation of the payoff under ``q``, a martingale
+    measure with zeros allowed: the discounted sum over terms of
+    ``E_Q((coeff * S_T - strike) * phi)``.
 
     Terminal terms are priced from the closed-form powers of their tests
     (masses of ``log(X_T/X_0)`` between the cuts, ties decided in count
     units), terms with a barrier by backward induction on the recombined
     lattice; both are bounded by the state cap
     (:func:`lecam.limits.max_states`), so large recombining markets stay
-    cheap.
+    cheap.  Equals the direct price of :func:`price_routes` bitwise.
     """
-    return _discounted_value(m, payoff, *as_step_measures(m, q, strict=False))
+    return _direct_price(m, _term_values(m, payoff, *as_step_measures(m, q, strict=False)))
 
 
 def price_via_tests(m: LatticeMarket, q, payoff: Payoff) -> PriceReport:
-    """Price through the experiment: powers of each term's test.
+    """Price through the experiment: powers of each term's test, under a
+    strictly positive martingale measure ``q``.
 
     The powers are ``E_Q(phi)`` and ``E_{Q1}(phi) = E_Q(x * phi)``, with
     ``x = X_T/X_0`` the likelihood ratio ``dQ1/dQ``.  For terminal terms
@@ -438,19 +463,27 @@ def price_via_tests(m: LatticeMarket, q, payoff: Payoff) -> PriceReport:
     (:func:`lecam.lattice.terminal_log_masses`), a node at a cut decided in
     count units; for terms with a barrier ``phi`` and ``x * phi`` are
     rolled back over the recombined lattice with the term's knock-out.  The
-    state cap bounds the atoms or lattice nodes.  Agrees with
-    :func:`price_direct` to within 1e-12.
+    state cap bounds the atoms or lattice nodes.  The powers are those
+    :func:`price_direct` sums over: the two prices agree to within 1e-12,
+    and this report equals the one of :func:`price_routes` bitwise.
     """
-    step_measures, classes = as_step_measures(m, q, strict=True)
-    powers = _expectations(m, payoff, step_measures, classes,
-                           lambda term: ((1.0, 0.0), (0.0, 1.0)))
-    disc = m.discount
-    price = 0.0
-    terms = []
-    for term, (p_alt, p_base) in zip(payoff.terms, powers.tolist()):
-        price += term.coeff * m.s0 * p_alt - disc * term.strike * p_base
-        terms.append(TermPowers(term.label, term.coeff, term.strike, p_alt, p_base))
-    return PriceReport(price=float(price), discount=disc, s0=m.s0, terms=tuple(terms))
+    return _powers_report(m, payoff, _term_values(m, payoff, *as_step_measures(m, q, strict=True)))
+
+
+def price_routes(m: LatticeMarket, q, payoff: Payoff) -> tuple[float, PriceReport]:
+    """:func:`price_direct` and :func:`price_via_tests`, bitwise, read from
+    one set of test powers: ``q`` is grouped once and the powers come from
+    one pass, whose barrier terms take one rollback.
+
+    The errors come as from the two calls in turn: ``q`` is checked as a
+    martingale measure on every step, the pass runs (its state caps and
+    its ``Q1`` mass check), and only then must ``q`` be strictly positive,
+    which only the test powers need.
+    """
+    step_measures, classes = as_step_measures(m, q, strict=False)
+    values = _term_values(m, payoff, step_measures, classes)
+    check_strictly_positive(step_measures)
+    return _direct_price(m, values), _powers_report(m, payoff, values)
 
 
 def _call_strike(payoff: Payoff) -> float:
@@ -536,7 +569,8 @@ def dynamic_price(m: LatticeMarket, q, payoff: Payoff, state: PathState) -> floa
         )
     step_measures, _ = as_step_measures(m, q, strict=False)
     pinned = pinned_measures(m, step_measures, state)
-    return m.bond_factor(state.t) * _discounted_value(m, payoff, *as_step_measures(m, pinned))
+    values = _term_values(m, payoff, *as_step_measures(m, pinned))
+    return m.bond_factor(state.t) * _direct_price(m, values)
 
 
 def price_bounds(m: LatticeMarket, payoff: Payoff) -> tuple[float, float]:

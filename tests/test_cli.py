@@ -403,13 +403,13 @@ class TestSelfCheck:
     def test_price_routes_disagreeing_exit_5(self, spec_dir, capsys, monkeypatch):
         import dataclasses
         import lecam.cli
-        from lecam.pricing import price_via_tests
+        from lecam.pricing import price_routes
 
         def skewed(*args, **kwargs):
-            report = price_via_tests(*args, **kwargs)
-            return dataclasses.replace(report, price=report.price + 1e-9)
+            direct, report = price_routes(*args, **kwargs)
+            return direct, dataclasses.replace(report, price=report.price + 1e-9)
 
-        monkeypatch.setattr(lecam.cli, "price_via_tests", skewed)
+        monkeypatch.setattr(lecam.cli, "price_routes", skewed)
         rc = main(["price", "--market", spec_dir["crr1"],
                    "--payoff", spec_dir["call5"]])
         captured = capsys.readouterr()
@@ -421,12 +421,13 @@ class TestSelfCheck:
         """A NaN price never passes the route check."""
         import dataclasses
         import lecam.cli
-        from lecam.pricing import price_via_tests
+        from lecam.pricing import price_routes
 
         def nan_price(*args, **kwargs):
-            return dataclasses.replace(price_via_tests(*args, **kwargs), price=math.nan)
+            direct, report = price_routes(*args, **kwargs)
+            return direct, dataclasses.replace(report, price=math.nan)
 
-        monkeypatch.setattr(lecam.cli, "price_via_tests", nan_price)
+        monkeypatch.setattr(lecam.cli, "price_routes", nan_price)
         rc = main(["price", "--market", spec_dir["crr1"],
                    "--payoff", spec_dir["call5"]])
         captured = capsys.readouterr()
@@ -779,6 +780,43 @@ class TestErrorPaths:
         assert rc == 3
         assert captured.out == ""
         assert captured.err == "error: need at least one lattice size\n"
+
+    GAP_1 = "error: step 1 measure is not a martingale measure (gap 2.000e-02)\n"
+    ZERO_0 = "error: step 0 measure is not strictly positive\n"
+
+    @pytest.mark.parametrize("command, measure, err", [
+        # price checks the martingale gap of every step before positivity;
+        # np checks both step by step; dynamics needs no positivity
+        ("price", [[0.5, 0.0, 0.5], [0.6, 0.0, 0.4]], GAP_1),
+        ("price", [[0.5, 0.0, 0.5], [0.3, 0.4, 0.3]], ZERO_0),
+        ("np", [[0.5, 0.0, 0.5], [0.6, 0.0, 0.4]], ZERO_0),
+        ("dynamics", [[0.5, 0.0, 0.5], [0.6, 0.0, 0.4]], GAP_1),
+    ])
+    def test_measure_error_precedence(self, spec_dir, capsys, command, measure, err):
+        market = spec_dir["dir"] / "tri2.json"
+        market.write_text(json.dumps(dict(TRI, N=2, returns={
+            "type": "table", "values": [1.1, 1.0, 0.9], "probs": [0.3, 0.4, 0.3]})))
+        path = spec_dir["dir"] / "q.json"
+        path.write_text(json.dumps(measure))
+        state = ["--state", "0"] if command == "dynamics" else []
+        rc = main([command, "--market", str(market), "--payoff", spec_dir["call1"],
+                   "--measure", f"@{path}"] + state)
+        assert (rc, capsys.readouterr()) == (3, ("", err))
+
+    def test_price_caps_before_positivity(self, spec_dir, capsys, monkeypatch):
+        """A measure with a zero whose law exceeds the state cap fails on the
+        cap, as the direct route, which allows zeros, prices first."""
+        market = spec_dir["dir"] / "quad.json"
+        market.write_text(json.dumps(dict(TRI, N=6, returns={
+            "type": "table", "values": [1.2, 1.1, 0.9, 0.8], "probs": [0.25] * 4})))
+        path = spec_dir["dir"] / "q.json"
+        path.write_text(json.dumps([[2 / 7, 2 / 7, 0.0, 3 / 7]] * 6))
+        argv = ["price", "--market", str(market), "--payoff", spec_dir["call1"],
+                "--measure", f"@{path}"]
+        assert (main(argv), capsys.readouterr()) == (3, ("", self.ZERO_0))
+        monkeypatch.setenv("LECAM_MAX_PATHS", "5")
+        assert (main(argv), capsys.readouterr()) == (
+            3, ("", "error: count states 7 exceed cap 5\n"))
 
     def test_table_lengths_must_match(self, spec_dir, capsys):
         """A table with more values than probs is rejected, not truncated."""

@@ -9,6 +9,7 @@ loops are the oracles they are checked against.
 """
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from lecam import (
     Payoff,
     PayoffTerm,
     PathState,
+    SelfCheckFailed,
     SizeLimit,
     bayes_risk,
     build_crr,
@@ -47,7 +49,7 @@ from lecam import (
 )
 from lecam import Test as RTest
 from lecam import BSModel, convergence_study, crr_tangent, lan, lattice, limits, pricing
-from lecam import market_from_json, schedule_family, symmetric_trinomial_tangent
+from lecam import market_from_json, market_to_json, schedule_family, symmetric_trinomial_tangent
 from lecam.lattice import path_prices
 
 import law_oracles
@@ -1035,6 +1037,79 @@ class TestPriceBoundsMultisets:
         monkeypatch.setenv("LECAM_MAX_PATHS", "84")
         price_bounds(m, payoff_european_call(2.0))
         assert calls == [84]
+
+    def test_stops_at_the_first_short_block(self, monkeypatch):
+        """A row whose ``Q1`` masses fall short fails before the next block
+        of rows is built: with one row per block, no row after it is priced."""
+        m = table_market([TRI_B] * 5, (0.004,) * 5)
+        short, priced = 2, []
+        inner = lattice._add_row_tails
+
+        def shortened(*args):
+            inner(*args)
+            rows, out = args[-2:]
+            priced.extend(rows.tolist())
+            out[rows[rows == short], 1] = 0.0
+
+        monkeypatch.setattr(lattice, "_add_row_tails", shortened)
+        monkeypatch.setattr(lattice, "_ROW_CHUNK", 1)
+        with pytest.raises(SelfCheckFailed, match="Q1 masses sum to 0, not"):
+            price_bounds(m, payoff_european_call(2.0))
+        assert max(priced) == short < multiset_count(m) - 1
+
+
+class TestPriceCommandOnePass:
+    """``lecam price`` reads both of its prices from one set of test powers."""
+
+    @staticmethod
+    def payoffs(m):
+        """Per payoff its spec and how often a price job builds terminal
+        masses and rolls back the lattice for it."""
+        strike = 0.97 * m.s0 * m.bond_factor(m.steps)
+        call = {"type": "call", "K": strike}
+        barrier = {"type": "barrier_up_out", "K": strike, "B": 1.12 * m.s0}
+        return [(call, 1, 0), (barrier, 0, 1), ({"type": "sum", "terms": [call, barrier]}, 1, 1)]
+
+    def test_one_pass_prints_the_public_prices_bitwise(self, tmp_path, monkeypatch, capsys):
+        import lecam.cli
+
+        names = ("as_step_measures", "terminal_log_masses", "backward_induction")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, inner=getattr(pricing, name), name=name, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(pricing, name, counted)
+        records = []  # the unrounded values each job prints
+        emit = lecam.cli._emit
+
+        def recorded(args, record, text=None):
+            records.append(record)
+            emit(args, record, text)
+
+        monkeypatch.setattr(lecam.cli, "_emit", recorded)
+        market_path, payoff_path = tmp_path / "m.json", tmp_path / "p.json"
+        for tables, rates in TestPriceBoundsMultisets.MARKETS:
+            doc = market_to_json(table_market(tables, rates))
+            market_path.write_text(json.dumps(doc))
+            m = market_from_json(doc)
+            q = solve_martingale_measures(m)
+            for spec, masses, rollbacks in self.payoffs(m):
+                payoff_path.write_text(json.dumps(spec))
+                calls.update(dict.fromkeys(names, 0))
+                rc = lecam.cli.main(["price", "--market", str(market_path), "--payoff",
+                                     str(payoff_path), "--measure", "designated"])
+                assert rc == 0, capsys.readouterr().err
+                assert calls == {"as_step_measures": 1, "terminal_log_masses": masses,
+                                 "backward_induction": rollbacks}
+                payoff = payoff_from_json(spec)
+                report = price_via_tests(m, q, payoff)
+                printed = records.pop()
+                assert [x.hex() for x in (printed["price_direct"], printed["price_via_tests"])] \
+                    == [price_direct(m, q, payoff).hex(), report.price.hex()]
+                assert [(t["power_alt"].hex(), t["power_base"].hex())
+                        for t in printed["report"]["terms"]] \
+                    == [(t.power_alt.hex(), t.power_base.hex()) for t in report.terms]
 
 
 # ---------------------------------------------------------------------------
