@@ -18,8 +18,8 @@ experiments of :mod:`lecam.experiments`:
   for the ``P0`` sup-distance of :mod:`lecam.lan`; prices never window a
   draw, as a far tail term needs its tail-relative accuracy;
 * ``backward_induction`` rolls node values back over the recombined
-  lattice, whose nodes are integer count vectors per return class; it
-  prices barriers and serves ``verify_representation``;
+  lattice (nodes: integer count vectors per return class, one date held at
+  a time); it prices barriers and serves ``verify_representation``;
 * ``induced_experiment``, ``verify_mm_criterion`` and
   ``image_experiment_check`` enumerate paths: small-``N`` oracles.
 
@@ -1132,17 +1132,22 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
     """Roll node values back over the recombined lattice.
 
     A node at date ``t`` is keyed by its integer count vector per return
-    class (``m.classes``), so node grids have one axis per class.
-    Its ``X_t / X_0`` is ``exp`` of the classes' contributions summed in
-    class order, as the atoms of :func:`terminal_log_atoms`.  Node values
-    have the grid as their leading axes; they start as ``terminal(x_T)``
-    and roll back by ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
+    class (``m.classes``), so node grids have one axis per class; a class of
+    ``k`` values at level ``n`` has ``_compositions(n, k)[:, ::-1]``, in
+    :func:`_composition_rank` order, and one level down the first
+    ``C(n + k - 2, k - 1)`` of them less one count of the last value, so
+    only the date at hand is held.  Its ``X_t / X_0`` is ``exp`` of the
+    classes' contributions summed in class order, as the atoms of
+    :func:`terminal_log_atoms`.  Node values have the grid as their leading
+    axes; they start as ``terminal(x_T)`` and roll back by
+    ``v_t = sum_i q_t[i] * v_{t+1}[child_i]``.  Where the mask
     ``knocked(t, x_t)`` is true, values are set to zero at date ``t``; the
     mask covers the grid and, optionally, the next axes of the values.
 
     Yields ``(t, x_t, v_t)`` for ``t = N`` down to ``0``.  Raises
     :class:`~lecam.errors.SizeLimit`, before building anything, when the
-    nodes of all dates exceed the state cap (:func:`lecam.limits.max_states`).
+    nodes of all dates (its work) exceed the state cap
+    (:func:`lecam.limits.max_states`).
     """
     cap = limits.max_states()
     classes = m.classes
@@ -1155,34 +1160,26 @@ def backward_induction(m: LatticeMarket, step_measures: Sequence[np.ndarray],
         total += math.prod(math.comb(lv + k - 1, k - 1) for lv, k in zip(level, sizes))
         if total > cap:
             raise SizeLimit(f"lattice nodes exceed cap {cap}")
-    logs, children = [], []
-    for values, k, members in zip(classes.kinds, sizes, level):
-        counts = np.zeros((1, k), dtype=np.int64)
-        logs.append([_count_logs(counts, values)])
-        children.append([])
-        for n in range(1, members + 1):
-            # every composition of n is one of n - 1 plus a unit: rank them all
-            moved = (counts[None] + np.eye(k, dtype=np.int64)[:, None]).reshape(-1, k)
-            child = _composition_rank(moved)
-            counts = np.empty((math.comb(n + k - 1, k - 1), k), dtype=np.int64)
-            counts[child] = moved
-            logs[-1].append(_count_logs(counts, values))
-            children[-1].append(child.reshape(k, -1))
+    counts = [_compositions(n, k)[:, ::-1] for n, k in zip(level, sizes)]
+    logs = [_count_logs(nodes, values) for nodes, values in zip(counts, classes.kinds)]
+    units = [np.eye(k, dtype=np.int64)[:, None] for k in sizes]
 
     def ratios() -> np.ndarray:
         log_x = np.zeros(())
-        for c, n in enumerate(level):
-            log_x = np.add.outer(log_x, logs[c][n])
+        for class_logs in logs:
+            log_x = np.add.outer(log_x, class_logs)
         return np.exp(log_x)
 
     x = ratios()
     v = terminal(x)
     for t in range(m.steps, -1, -1):
         if t < m.steps:
-            c = at[t]
+            c, k = at[t], sizes[at[t]]
             level[c] -= 1
-            v = sum(q * np.take(v, kid, axis=c)
-                    for q, kid in zip(step_measures[t], children[c][level[c]]))
+            counts[c] = counts[c][:math.comb(level[c] + k - 1, k - 1)] - units[c][-1]
+            child = _composition_rank((counts[c] + units[c]).reshape(-1, k)).reshape(k, -1)
+            v = sum(q * np.take(v, kid, axis=c) for q, kid in zip(step_measures[t], child))
+            logs[c] = _count_logs(counts[c], classes.kinds[c])
             x = ratios()
         if knocked is not None:
             mask = knocked(t, x)
@@ -1199,21 +1196,21 @@ def discounted_likelihood_process(m: LatticeMarket, q) -> list[dict[tuple[int, .
 
     Returns one dict per time ``t = 0..N`` mapping the move prefix to the
     normalized discounted price, which is simultaneously the density process
-    of ``Q1`` relative to the chosen martingale measure.
+    of ``Q1`` relative to the chosen martingale measure; a date beyond the
+    path cap raises :class:`~lecam.errors.SizeLimit` before it is built.
     """
     as_step_measures(m, q, strict=False)
     out: list[dict[tuple[int, ...], float]] = [{(): 1.0}]
     for t in range(1, m.steps + 1):
         values = m.step_values(t - 1)
         prev = out[-1]
-        level = {
+        if len(prev) * len(values) > limits.max_paths():
+            raise SizeLimit("node enumeration exceeds cap")
+        out.append({
             prefix + (i,): x * float(values[i])
             for prefix, x in prev.items()
             for i in range(len(values))
-        }
-        if len(level) > limits.max_paths():
-            raise SizeLimit("node enumeration exceeds cap")
-        out.append(level)
+        })
     return out
 
 

@@ -27,9 +27,10 @@ DEFAULT_MAX_OUTCOMES = 1 << 24
 #: groups of a count law, the terminal atoms that
 #: ``lattice.combine_additive_laws`` enumerates and those of each row of
 #: ``lattice.multiset_log_masses``, and the nodes of all dates of the
-#: recombined lattice in backward induction.  Every engine stays within
-#: about 256 B per counted state plus a fixed 32 MB of traced memory, so a
-#: run at this cap peaks near 2.5 GB at worst.
+#: recombined lattice in backward induction, the work of a rollback that
+#: holds one date at a time.  Every engine stays within about 256 B per
+#: counted state plus a fixed 32 MB of traced memory, so a run at this cap
+#: peaks near 2.5 GB at worst.
 DEFAULT_MAX_STATES = 10_000_000
 
 #: Product martingale measures priced by ``price_bounds``: vertex multisets

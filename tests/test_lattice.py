@@ -46,6 +46,8 @@ from lecam import (
 )
 from lecam import limits
 from lecam.lattice import (
+    _composition_rank,
+    _compositions,
     _step_vertices,
     as_step_measures,
     backward_induction,
@@ -579,6 +581,26 @@ class TestLikelihoodStructure:
                         den += pw
                     assert abs(num / den - x) <= 1e-12
 
+    def test_oversized_date_is_never_built(self, monkeypatch):
+        """Forty values per step: the third date would hold 64000 prefixes,
+        at least a 64-byte key tuple each, 4 MB in all; the cap of 1600
+        stops it before any is built."""
+        values = np.linspace(0.5, 1.5, 40)
+        step = tuple((float(v), 1 / 40) for v in values)
+        m = LatticeMarket(3, 1.0, 1.0, (step,) * 3, (0.0,) * 3)
+        qs = solve_martingale_measures(m).designated()
+        monkeypatch.setenv("LECAM_MAX_PATHS", "1600")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="node enumeration exceeds cap"):
+                discounted_likelihood_process(m, qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64000 * 64
+        monkeypatch.setenv("LECAM_MAX_PATHS", "64000")
+        assert len(discounted_likelihood_process(m, qs)[-1]) == 64000
+
     def test_representation_accepts_and_rejects(self):
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(50):
@@ -631,13 +653,49 @@ def multi_class_market():
     return LatticeMarket(len(steps), 1.0, 100.0, steps, (0.01,) * len(steps))
 
 
+def atm_grid_markets():
+    """The 294 CRR markets ``u = 1.01..1.49``, ``d = 1/u``, even ``N <= 12``."""
+    markets = [build_crr(u, 1.0 / u, 1.0, 0.5, n, 100.0)
+               for u in np.round(np.arange(1.01, 1.495, 0.01), 2)
+               for n in range(2, 13, 2)]
+    assert len(markets) == 294
+    return markets
+
+
+def distinct(values):
+    """Sorted values with those within 1e-9 relative of the one before dropped."""
+    values = np.sort(np.ravel(values))
+    return values[np.r_[True, np.diff(values) > 1e-9 * values[1:]]]
+
+
 class TestBackwardInduction:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_level_grids_lead_the_next_level(self, k):
+        """The nodes of a class at level ``n`` in rank order are its
+        compositions reversed, and those one level down are their leading
+        ``C(n + k - 2, k - 1)`` rows less one count of the last value."""
+        for n in range(13):
+            grid = _compositions(n, k)[:, ::-1]
+            np.testing.assert_array_equal(_composition_rank(grid), np.arange(len(grid)))
+            if n:
+                below = grid[:math.comb(n + k - 2, k - 1)] - np.eye(k, dtype=np.int64)[-1]
+                np.testing.assert_array_equal(below, _compositions(n - 1, k)[:, ::-1])
+
+    def test_every_date_holds_the_path_products(self):
+        for m in atm_grid_markets() + [multi_class_market()]:
+            qs = solve_martingale_measures(m).designated()
+            products = path_products(m, enumerate_paths(m))
+            dates = []
+            for t, x, _ in backward_induction(m, qs, lambda x: x):
+                dates.append(t)
+                want = distinct(products[:, t])
+                got = distinct(x)
+                assert len(got) == len(want)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert dates == list(range(m.steps, -1, -1))
+
     def test_terminal_nodes_are_the_grouped_atoms(self):
-        markets = [build_crr(u, 1.0 / u, 1.0, 0.5, n, 100.0)
-                   for u in np.round(np.arange(1.01, 1.495, 0.01), 2)
-                   for n in range(2, 13, 2)]
-        assert len(markets) == 294
-        for m in markets + [multi_class_market()]:
+        for m in atm_grid_markets() + [multi_class_market()]:
             qs = solve_martingale_measures(m).designated()
             t, x, _ = next(backward_induction(m, qs, lambda x: x))
             assert t == m.steps
@@ -1269,3 +1327,32 @@ def test_peak_bytes_per_counted_state(case, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= BYTES_PER_STATE * states + FIXED_BYTES
+
+
+def barrier_price():
+    """A barrier CRR at N = 2000: 2001 nodes at the last date."""
+    m = build_crr(1.003, 1 / 1.003, 1.0, 0.5, 2000, 100.0)
+    qs = solve_martingale_measures(m).designated()
+    return lambda: price_direct(m, qs, payoff_barrier_up_out(100.0, 130.0)), 2001
+
+
+def trinomial_representation():
+    """Trinomial steps at N = 140: ``C(142, 2)`` nodes at the last date."""
+    m = flat_table((1.01, 1.0, 0.99), 140)
+    qs = solve_martingale_measures(m).designated()
+    return lambda: verify_representation(m, qs), math.comb(142, 2)
+
+
+@pytest.mark.parametrize("case", [barrier_price, trinomial_representation])
+def test_rollback_holds_one_date(case):
+    """The rollback holds the nodes of the date it is on and the one after,
+    not those of every date: its traced peak stays within
+    :data:`BYTES_PER_STATE` per node of the widest date plus 4 MB."""
+    run, widest = case()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_STATE * widest + (4 << 20)
